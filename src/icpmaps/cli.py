@@ -53,6 +53,13 @@ def _emit(report: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _certifies(block, residuals) -> bool:
+    """Whether dilation residuals are small enough to certify the triple
+    dilates ``block``: the thresholds of the CP certificate."""
+    scale = 1.0 + block.coefficient_scale()
+    return residuals.reconstruction <= 1e-8 * scale and residuals.max_structural() <= 1e-6
+
+
 def _map_summary(obj) -> dict:
     block = as_block_map(obj)
     return {
@@ -110,13 +117,14 @@ def cmd_check(args) -> int:
         sym = block.block_is_symmetric()
         checks["symmetric"] = {"symmetric": sym}
         verdicts["symmetric"] = "pass" if sym else "fail"
+    falsified = None
     if "positivity" in wanted:
-        ce = positivity_falsify(block, levels=levels, trials=args.trials, seed=args.seed)
-        if ce is None:
+        falsified = positivity_falsify(block, levels=levels, trials=args.trials, seed=args.seed)
+        if falsified is None:
             checks["positivity"] = {"counterexample": None, "levels": levels, "trials": args.trials}
             verdicts["positivity"] = "inconclusive"
         else:
-            checks["positivity"] = {"counterexample": ce.to_dict()}
+            checks["positivity"] = {"counterexample": falsified.to_dict()}
             verdicts["positivity"] = "fail"
     if "cp" in wanted:
         gram = build_gram(block)
@@ -140,7 +148,11 @@ def cmd_check(args) -> int:
             }
             verdicts["cp"] = "fail"
         elif psd:
-            ce = positivity_falsify(block, levels=levels, trials=args.trials, seed=args.seed)
+            # the falsifier is seeded, so the positivity check above already has its result
+            if "positivity" in wanted:
+                ce = falsified
+            else:
+                ce = positivity_falsify(block, levels=levels, trials=args.trials, seed=args.seed)
             if ce is not None:
                 checks["cp"] = {
                     "gram_psd": True,
@@ -151,11 +163,7 @@ def cmd_check(args) -> int:
             else:
                 triple = dilate(block)
                 residuals = verify_dilation(block, triple)
-                scale = 1.0 + block.coefficient_scale()
-                certified = (
-                    residuals.reconstruction <= 1e-8 * scale
-                    and residuals.max_structural() <= 1e-6
-                )
+                certified = _certifies(block, residuals)
                 checks["cp"] = {
                     "gram_psd": True,
                     "gram_min_eigenvalue": min_eig,
@@ -227,7 +235,8 @@ def cmd_equiv(args) -> int:
     except ValueError as exc:
         _emit({"command": "equiv", "error": str(exc)}, args.out)
         return EXIT_FAIL
-    ok = eq.within()
+    # an equivalence between triples that do not dilate the map proves nothing about it
+    ok = eq.within() and _certifies(block, res1) and _certifies(block, res2)
     report = {
         "command": "equiv",
         "map": _map_summary(obj),

@@ -267,6 +267,15 @@ def _batched_opnorm_max(mats: np.ndarray) -> float:
     return float(np.linalg.svd(flat, compute_uv=False)[:, 0].max())
 
 
+def _chain_step(left: np.ndarray, factor: np.ndarray) -> np.ndarray:
+    """(X, u, i) times (B, i, v) -> (X*B, u, v): one GEMM over the leading
+    indices, with X's basis digits before B's."""
+    x, u, i = left.shape
+    b, _, v = factor.shape
+    flat = left.reshape(x * u, i) @ factor.transpose(1, 0, 2).reshape(i, b * v)
+    return flat.reshape(x, u, b, v).transpose(0, 2, 1, 3).reshape(x * b, u, v)
+
+
 def theorem_form_values(
     algebra: Algebra, reps: Sequence[np.ndarray], v_ops: Sequence[np.ndarray], k: int
 ) -> np.ndarray:
@@ -274,32 +283,40 @@ def theorem_form_values(
 
     Returns shape (d,)*k + (n*h, n*h) with (i, j) blocks of size h; used both
     by the factory (as a definition) and by verification (as the target).
+
+    The kappa-by-kappa chain of pi products is never formed: V* is folded
+    into the first factor, giving (.., nh, kappa) blocks that the middle
+    factors act on from the right, and V into the last factor, giving
+    (d^2, kappa, nh), so the last step is one GEMM over the basis indices.
+    Paired factors pi_p(e_a e_b) come from the structure constants after the
+    V contraction where there is one.  Cost d^(k-2) nh kappa^2 + d^k (nh)^2
+    kappa flops and d^k (nh)^2 + d^(k-2) nh kappa memory, against
+    d^k kappa^3 and d^k kappa^2 for the full chain.
     """
     d = algebra.dim
     m = (k + 1) // 2
-    kappa = reps[0].shape[1]
-    h = v_ops[0].shape[1]
-    n = len(v_ops)
     mt = algebra.mult_table
-    rep2 = [np.einsum("abr,rij->abij", mt, reps[f]) for f in range(m)]
-    if k % 2 == 1:
-        chain = reps[0]
-        order = [m - 1]
-        for f in range(1, m):
-            chain = np.einsum("...ij,abjk->...abik", chain, rep2[f])
-            order += [m - 1 - f, m - 1 + f]
-    else:
-        chain = rep2[0]
-        order = [m - 1, m]
-        for f in range(1, m):
-            chain = np.einsum("...ij,abjk->...abik", chain, rep2[f])
-            order += [m - 1 - f, m + f]
-    # chain axes follow `order`; rearrange to slots 0..k-1
-    inv = np.argsort(order)
-    chain = chain.transpose(list(inv) + [k, k + 1])
-    vs = np.hstack(v_ops) if kappa else np.zeros((0, n * h), dtype=np.complex128)
-    vals = np.einsum("...ij,iu,jv->...uv", chain, vs.conj(), vs, optimize=True)
-    return vals
+
+    def paired(stack):  # pi(e_a e_b) for all (a, b), raveled to d^2 leading rows
+        return np.tensordot(mt, stack, axes=(2, 0)).reshape((d * d,) + stack.shape[1:])
+
+    # slots of each factor's basis digits: odd k = 2m-1 pairs a_{m-f} a_{m+f}
+    # in factor f (a_m alone in the first), even k = 2m pairs a_{m-f} a_{m+f+1}
+    shift = 1 - k % 2
+    order = [m - 1] + [m] * shift
+    for f in range(1, m):
+        order += [m - 1 - f, m - 1 + f + shift]
+    vs = np.hstack(v_ops)
+    left = vs.conj().T @ reps[0]  # (d, nh, kappa)
+    if shift:
+        left = paired(left)
+    for f in range(1, m - 1):
+        left = _chain_step(left, paired(reps[f]))
+    right = paired(reps[m - 1] @ vs) if m > 1 else vs[None]
+    nh = vs.shape[1]
+    vals = _chain_step(left, right).reshape((d,) * k + (nh, nh))
+    # value axes follow `order`; rearrange to slots 0..k-1
+    return vals.transpose(list(np.argsort(order)) + [k, k + 1])
 
 
 def verify_dilation(phi, triple: DilationTriple, tol: float | None = None) -> DilationReport:

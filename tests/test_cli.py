@@ -1,6 +1,6 @@
 import json
 
-from icpmaps import serialize
+from icpmaps import cli, serialize
 from icpmaps.cli import main
 from icpmaps.factory import point_evaluation_example, trace_example
 
@@ -86,6 +86,45 @@ def test_check_reports_are_byte_identical(tmp_path, capsys):
     _, first = run(capsys, *args)
     _, second = run(capsys, *args)
     assert first == second
+
+
+def test_check_all_runs_falsifier_once(tmp_path, capsys, monkeypatch):
+    spec = write_spec(tmp_path, "trace.json", {"kind": "trace", "n": 2})
+    common = ("--seed", "3", "--trials", "30")
+    _, pos_only = run(capsys, "check", spec, "--positivity", *common)
+    _, cp_only = run(capsys, "check", spec, "--cp", *common)
+    calls = []
+    falsify = cli.positivity_falsify
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return falsify(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "positivity_falsify", counting)
+    code, out = run(capsys, "check", spec, *common)
+    assert code == 0
+    assert len(calls) == 1
+    checks = json.loads(out)["checks"]
+    assert checks["positivity"] == json.loads(pos_only)["checks"]["positivity"]
+    assert checks["cp"] == json.loads(cp_only)["checks"]["cp"]
+
+
+def test_equiv_fails_when_triples_do_not_dilate_the_map(tmp_path, capsys):
+    own = str(tmp_path / "own.json")
+    other = str(tmp_path / "other.json")
+    t1 = str(tmp_path / "t1.json")
+    t2 = str(tmp_path / "t2.json")
+    assert main(["gen", "dilation", "--seed", "0", "--out", own]) == 0
+    assert main(["gen", "dilation", "--seed", "5", "--out", other]) == 0
+    assert main(["dilate", own, "--minimal", "--out", t1]) == 0
+    assert main(["dilate", own, "--minimal", "--out", t2]) == 0
+    code, out = run(capsys, "equiv", t1, t2, other)
+    assert code == 1
+    report = json.loads(out)
+    assert report["passed"] is False
+    assert report["equivalence"]["unitarity"] <= 1e-9
+    assert report["triple1_residuals"]["reconstruction"] > 1.0
+    assert main(["equiv", t1, t2, own]) == 0
 
 
 def test_dilate_and_equiv_flow(tmp_path, capsys):

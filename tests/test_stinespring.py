@@ -1,3 +1,6 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,6 +19,7 @@ from icpmaps.stinespring import (
     dilate,
     block_state_vectors,
     minimal_compress,
+    theorem_form_values,
     unitary_equivalence,
     verify_dilation,
 )
@@ -267,3 +271,57 @@ def test_commutation_residual_on_basis_pairs(corpus):
         triple = dilate(entry.block_map)
         report = verify_dilation(entry.block_map, triple)
         assert report.commutation <= 1e-9, entry.name
+
+
+def _theorem_form_oracle(triple):
+    """V* pi_1(..) .. pi_m(..) V tuple by tuple: factor p (from 0) receives
+    the slots m-1-p and k-m+p, a single slot when they coincide."""
+    alg, k, m = triple.algebra, triple.k, triple.m
+    basis = [alg.basis_element(b) for b in range(alg.dim)]
+    vs = triple.stacked_V()
+    out = np.empty((alg.dim,) * k + (vs.shape[1],) * 2, dtype=np.complex128)
+    for a in itertools.product(range(alg.dim), repeat=k):
+        prod = np.eye(triple.kappa)
+        for p in range(m):
+            lo, hi = m - 1 - p, k - m + p
+            x = basis[a[lo]] if lo == hi else basis[a[lo]] * basis[a[hi]]
+            prod = prod @ triple.rep_apply(p, x)
+        out[a] = vs.conj().T @ prod @ vs
+    return out
+
+
+@pytest.mark.parametrize("n,h", [(1, 1), (1, 2), (2, 1), (2, 2)])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+def test_theorem_form_values_matches_tuple_loop(k, n, h):
+    # generic (non-commuting, non-multiplicative) stacks on a non-commutative
+    # algebra, so a wrong factor order or slot pairing changes the values
+    alg = Algebra([1, 2]) if k <= 4 else Algebra([2])
+    kappa = 3
+    rng = np.random.default_rng([k, n, h])
+
+    def gaussian(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    m = (k + 1) // 2
+    triple = DilationTriple(
+        algebra=alg, k=k, n=n, h=h, kappa=kappa,
+        reps=tuple(gaussian(alg.dim, kappa, kappa) for _ in range(m)),
+        V=tuple(gaussian(kappa, h) for _ in range(n)),
+    )
+    expected = _theorem_form_oracle(triple)
+    got = theorem_form_values(alg, triple.reps, triple.V, k)
+    assert got.shape == expected.shape
+    assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def test_theorem_form_values_memory():
+    # the kappa-by-kappa chain over all d^k tuples would need 136 MB here
+    _, triple = random_icp(Algebra([3]), 4, 1, 2, seed=0)
+    assert triple.kappa == 36
+    tracemalloc.start()
+    try:
+        theorem_form_values(triple.algebra, triple.reps, triple.V, triple.k)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6
