@@ -12,6 +12,7 @@ can be shared freely across threads.
 
 from __future__ import annotations
 
+import functools
 from typing import Sequence
 
 import numpy as np
@@ -345,11 +346,6 @@ class MatrixOverAlgebra:
     def entry(self, i: int, j: int) -> AlgebraElement:
         return self.algebra.element_from_coords(self.coords[i, j])
 
-    def coords_pij(self) -> np.ndarray:
-        """Coordinate tensor transposed to (dim, t, t), the layout used by
-        amplified evaluation."""
-        return np.ascontiguousarray(self.coords.transpose(2, 0, 1))
-
     def star(self) -> "MatrixOverAlgebra":
         out = np.conj(self.coords.transpose(1, 0, 2))[:, :, self.algebra.star_perm]
         return MatrixOverAlgebra(self.algebra, out)
@@ -415,6 +411,10 @@ class Amplification:
         return MatrixOverAlgebra(self.base, coords)
 
 
+@functools.lru_cache(maxsize=64)
 def amplified_algebra(base: Algebra, t: int) -> Amplification:
-    """M_t(A) as a C*-algebra, bundled with embed/extract maps."""
+    """M_t(A) as a C*-algebra, bundled with embed/extract maps.
+
+    Built once per (block sizes, t): both objects are immutable, and the
+    falsifier and the estimator ask for the same level on every trial."""
     return Amplification(base, t)

@@ -5,11 +5,11 @@ the (n*h)-by-(n*h) matrix whose (i, j) block is the chained sum
 
     sum over r_1..r_{k-1} of phi_ij(x_{1,i r_1}, x_{2,r_1 r_2}, ..., x_{k,r_{k-1} j}).
 
-Viewing M_n(A) as a C*-algebra in its own right, that action is a plain
-multilinear map over M_n(A); ``induced_map`` materializes it, and block
-amplification / block invariance reduce to the corresponding operations on
-the induced map.  The grid itself is kept because several structural checks
-(entrywise invariance, the Gram kernel) act entry by entry.
+Level t acts on t-matrices over M_n(A) by the same sum, a chain of length
+tn over A whose end indices pick the grid entry; ``amplified_evaluate``
+evaluates it straight from the grid (``chain_grid``).  ``induced_map``
+materializes the action over M_n(A): the definition block invariance is
+checked against, and the chain kernel's test oracle.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from .algebra import Amplification, MatrixOverAlgebra, amplified_algebra
 from .errors import AlgebraMismatchError, ArityError
-from .multimap import MultilinearMap, _amplified_unit_index, amplified_evaluate
+from .multimap import ChainGrid, MultilinearMap, amplified_evaluate
 
 
 class BlockMultilinearMap:
@@ -40,8 +40,7 @@ class BlockMultilinearMap:
         self.algebra = first.algebra
         self.k = first.k
         self.h = first.h
-        self._induced: MultilinearMap | None = None
-        self._amp: Amplification | None = None
+        self._grid: ChainGrid | None = None
 
     @classmethod
     def from_single(cls, phi: MultilinearMap) -> "BlockMultilinearMap":
@@ -58,9 +57,7 @@ class BlockMultilinearMap:
     @property
     def amplification(self) -> Amplification:
         """The algebra M_n(A) that block arguments live in."""
-        if self._amp is None:
-            self._amp = amplified_algebra(self.algebra, self.n)
-        return self._amp
+        return amplified_algebra(self.algebra, self.n)
 
     def coefficient_scale(self) -> float:
         return max(phi.coefficient_scale() for row in self.entries for phi in row)
@@ -69,16 +66,13 @@ class BlockMultilinearMap:
         """Grid assembled as one tensor of shape (d,)*k + (n*h, n*h):
         entry (i*h+u, j*h+v) of slice [p...] is phi_ij coefficient (u, v)."""
         d, k, h, n = self.algebra.dim, self.k, self.h, self.n
-        out = np.zeros((d,) * k + (n * h, n * h), dtype=np.complex128)
-        for i in range(n):
-            for j in range(n):
-                out[..., i * h : (i + 1) * h, j * h : (j + 1) * h] = self.entries[i][j].coeffs
-        return out
+        ends = self.chain_grid().ends.reshape(n, n, -1, h, h)
+        return ends.transpose(2, 0, 3, 1, 4).reshape((d,) * k + (n * h, n * h))
 
     # -- evaluation -------------------------------------------------------
 
     def block_evaluate(self, mats: Sequence[MatrixOverAlgebra]) -> np.ndarray:
-        """Apply the block formula to n-by-n matrices over the algebra."""
+        """Level-1 value: the block formula on n-by-n matrices over the algebra."""
         if len(mats) != self.k:
             raise ArityError(f"expected {self.k} arguments, got {len(mats)}")
         for x in mats:
@@ -86,15 +80,20 @@ class BlockMultilinearMap:
                 raise AlgebraMismatchError("argument is not an n-matrix over the shared algebra")
         if self.n == 1:
             return self.entries[0][0].evaluate([x.entry(0, 0) for x in mats])
-        d, h, k, n = self.algebra.dim, self.h, self.k, self.n
-        chain = mats[0].coords_pij()
-        for x in mats[1:]:
-            chain = np.einsum("pij,qjl->pqil", chain, x.coords_pij()).reshape(-1, n, n)
-        grid = np.stack(
-            [np.stack([phi.coeffs.reshape(d**k, h, h) for phi in row]) for row in self.entries]
-        )  # (n, n, d^k, h, h)
-        value = np.einsum("pij,ijpuv->iujv", chain, grid, optimize=True)
-        return value.reshape(n * h, n * h)
+        return self.chain_grid().value(1, [x.coords.transpose(0, 2, 1) for x in mats])
+
+    def chain_grid(self) -> ChainGrid:
+        """The grid in the form ``amplified_evaluate`` reads.  Its unit index is
+        the coordinate permutation of ``embed``, read off by embedding labels."""
+        if self._grid is None:
+            size, n = self.algebra.dim * self.n**2, self.n
+            labels = np.arange(size).reshape(-1, n, n).transpose(1, 2, 0)
+            embedded = self.amplification.embed(MatrixOverAlgebra(self.algebra, labels)).coords()
+            unit_index = np.empty(size, dtype=np.intp)
+            unit_index[embedded.real.astype(np.intp)] = np.arange(size)
+            ends = np.stack([[phi.coeffs.reshape(-1, self.h**2) for phi in row] for row in self.entries])
+            self._grid = ChainGrid(self.amplification.algebra, self.h, ends, unit_index.reshape(-1, n, n))
+        return self._grid
 
     def unit_value(self) -> np.ndarray:
         one = MatrixOverAlgebra.identity(self.algebra, self.n)
@@ -109,23 +108,17 @@ class BlockMultilinearMap:
         nonzero (h, h) block per chained assignment, located at block
         position (row of the first unit, column of the last unit).
         """
-        if self._induced is not None:
-            return self._induced
-        amp = self.amplification
+        grid, big = self.chain_grid(), self.amplification.algebra
         d, k, h, n = self.algebra.dim, self.k, self.h, self.n
-        big_dim = amp.algebra.dim
-        out = np.zeros((big_dim,) * k + (n * h, n * h), dtype=np.complex128)
-        unit_index = _amplified_unit_index(self.algebra, amp)
-        for base_tuple in np.ndindex(*(d,) * k):
-            for chain in np.ndindex(*(n,) * (k + 1)):
-                i, j = chain[0], chain[-1]
-                block = self.entries[i][j].coeffs[base_tuple]
-                if not block.any():
-                    continue
-                idx = tuple(unit_index[base_tuple[l], chain[l], chain[l + 1]] for l in range(k))
-                out[idx][i * h : (i + 1) * h, j * h : (j + 1) * h] = block
-        self._induced = MultilinearMap(amp.algebra, k, n * h, out)
-        return self._induced
+        tuples = np.indices((d,) * k).reshape(k, -1, 1)
+        chains = np.indices((n,) * (k + 1)).reshape(k + 1, 1, -1)
+        flat = 0
+        for l in range(k):
+            flat = flat * big.dim + grid.unit_index[tuples[l], chains[l], chains[l + 1]]
+        out = np.zeros((big.dim**k, n, h, n, h), dtype=np.complex128)
+        ends = grid.ends.reshape(n, n, -1, h, h)
+        out[flat, chains[0], :, chains[-1], :] = ends[chains[0], chains[-1], np.arange(d**k)[:, None]]
+        return MultilinearMap(big, k, n * h, out.reshape((big.dim,) * k + (n * h, n * h)))
 
     def block_amplify(self, t: int) -> MultilinearMap:
         """Materialized t-amplification, a map over M_t(M_n(A))."""
@@ -133,7 +126,7 @@ class BlockMultilinearMap:
 
     def block_amplified_evaluate(self, t: int, mats: Sequence[MatrixOverAlgebra]) -> np.ndarray:
         """Level-t value on t-matrices over M_n(A), without materializing."""
-        return amplified_evaluate(self.induced_map(), t, mats)
+        return amplified_evaluate(self, t, mats)
 
     # -- adjoint / symmetry -------------------------------------------------
 

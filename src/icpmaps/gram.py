@@ -117,12 +117,12 @@ def positivity_falsify(
     to the value norm so different levels compare on equal footing.
     """
     block = as_block_map(phi)
-    psi = block.induced_map() if block.n > 1 else block.entries[0][0]
+    algebra = block.amplification.algebra  # M_n(A): tuples are t-matrices over it
     rng = np.random.default_rng(seed)
     for t in levels:
         for _ in range(trials):
-            mats = sample_admissible_tuple(psi.algebra, psi.k, t, rng)
-            value = amplified_evaluate(psi, t, mats)
+            mats = sample_admissible_tuple(algebra, block.k, t, rng)
+            value = amplified_evaluate(block, t, mats)
             herm = (value + value.conj().T) / 2.0
             eigs = np.linalg.eigvalsh(herm)
             scale = 1.0 + float(np.abs(value).max())

@@ -7,10 +7,10 @@ multilinear by construction.
 
 Amplification to M_t(A)^k follows the row-chain-column summation: the
 (i, j) block of the amplified value is the sum over chains r_1..r_{k-1} of
-the base map applied to the chained entries.  ``amplified_evaluate``
-performs that contraction directly without materializing the amplified
-coefficient tensor; ``MultilinearMap.amplify`` materializes it (and is
-guarded by a size limit).
+the base map applied to the chained entries.  ``amplified_evaluate`` is the
+one chain kernel, for plain maps and for n-by-n grids of them (``blockmap``),
+whose chain end indices pick the grid entry; ``MultilinearMap.amplify``
+materializes the amplified coefficient tensor (guarded by a size limit).
 """
 
 from __future__ import annotations
@@ -23,9 +23,7 @@ import numpy as np
 from .algebra import (
     Algebra,
     AlgebraElement,
-    Amplification,
     MatrixOverAlgebra,
-    amplified_algebra,
     multiply,
     random_element,
 )
@@ -109,34 +107,22 @@ class MultilinearMap:
     # -- amplification -----------------------------------------------------
 
     def amplify(self, t: int) -> "MultilinearMap":
-        """Materialized amplification as a map over M_t(A) with codomain t*h.
+        """Materialized amplification as a map over M_t(A) with codomain t*h:
+        the map induced by the constant t-by-t grid of this map."""
+        from .blockmap import BlockMultilinearMap
 
-        The coefficient tensor over the amplified matrix-unit basis has one
-        nonzero (h, h) block per chained index assignment.
-        """
-        amp = amplified_algebra(self.algebra, t)
-        d, k, h = self.algebra.dim, self.k, self.h
-        big_dim = amp.algebra.dim
-        n_entries = (big_dim**k) * (t * h) ** 2
+        n_entries = (t * t * self.algebra.dim) ** self.k * (t * self.h) ** 2
         if n_entries > AMPLIFY_SIZE_LIMIT:
             raise ValueError(
                 f"amplified tensor would hold {n_entries} scalars "
                 f"(> {AMPLIFY_SIZE_LIMIT}); use amplified_evaluate instead"
             )
-        out = np.zeros((big_dim,) * k + (t * h, t * h), dtype=np.complex128)
-        basis_mats = _amplified_unit_index(self.algebra, amp)
-        flat = self.coeffs.reshape((d,) * k + (h, h))
-        for base_tuple in np.ndindex(*(d,) * k):
-            block = flat[base_tuple]
-            if not block.any():
-                continue
-            for chain in np.ndindex(*(t,) * (k + 1)):
-                idx = tuple(
-                    basis_mats[base_tuple[l], chain[l], chain[l + 1]] for l in range(k)
-                )
-                i, j = chain[0], chain[-1]
-                out[idx][i * h : (i + 1) * h, j * h : (j + 1) * h] = block
-        return MultilinearMap(amp.algebra, k, t * h, out)
+        return BlockMultilinearMap.constant_grid(self, t).induced_map()
+
+    def chain_grid(self) -> "ChainGrid":
+        """The map as a 1-by-1 grid, the form ``amplified_evaluate`` reads."""
+        unit_index = np.arange(self.algebra.dim).reshape(-1, 1, 1)
+        return ChainGrid(self.algebra, self.h, self.coeffs.reshape(1, 1, -1, self.h**2), unit_index)
 
     # -- invariance ---------------------------------------------------------
 
@@ -258,43 +244,70 @@ class MultilinearMap:
         return worst
 
 
-# -- amplified evaluation --------------------------------------------------
+# -- the chain kernel ---------------------------------------------------------
 
 
-def amplified_evaluate(
-    phi: MultilinearMap, t: int, mats: Sequence[MatrixOverAlgebra]
-) -> np.ndarray:
-    """Value of the level-t amplification on matrices over the algebra.
+class ChainGrid:
+    """An n-by-n grid of maps over A in the form the chain kernel reads.
 
-    Returns the (t*h, t*h) block matrix whose (i, j) block is the chained
-    sum of base-map values.  Cost is O(d^k t^3 + d^k t^2 h^2) without ever
-    forming the amplified coefficient tensor.
+    ``regroup`` turns a t-by-t matrix over M_n(A) into a (tn, d, tn) stack
+    over A: entry [s*n + i, q, s'*n + j] is the coordinate of e_q in entry
+    (i, j) of its (s, s') entry, at basis index ``unit_index[q, i, j]`` of
+    M_n(A).  The chain of the stacks has end indices s*n + i and s'*n + j,
+    which pick ``ends[i, j]``, phi_ij's coefficients as a (d^k, h*h) matrix.
     """
+
+    def __init__(self, arg_algebra: Algebra, h: int, ends: np.ndarray, unit_index: np.ndarray):
+        self.arg_algebra, self.h, self.ends, self.unit_index = arg_algebra, h, ends, unit_index
+        self.n = ends.shape[0]
+
+    def regroup(self, x: MatrixOverAlgebra) -> np.ndarray:
+        if self.n == 1:
+            return x.coords.transpose(0, 2, 1)
+        tn = x.t * self.n
+        return x.coords[:, :, self.unit_index].transpose(0, 3, 2, 1, 4).reshape(tn, -1, tn)
+
+    def ungroup(self, z: np.ndarray) -> np.ndarray:
+        """Inverse of ``regroup``: (t, t, dim M_n(A)) coordinates of a stack."""
+        n, t = self.n, z.shape[0] // self.n
+        out = np.empty((t, t, self.arg_algebra.dim), dtype=z.dtype)
+        out[:, :, self.unit_index] = z.reshape(t, n, -1, t, n).transpose(0, 3, 2, 1, 4)
+        return out
+
+    def value(self, t: int, stacks: Sequence[np.ndarray]) -> np.ndarray:
+        """Value on regrouped stacks; entry (u, v) of phi_ij's term in block
+        (s, s') sits at row s*n*h + i*h + u, column s'*n*h + j*h + v."""
+        n, h = self.n, self.h
+        chain = chain_product(stacks, t * n)
+        by_ends = chain.reshape(t, n, -1, t, n).transpose(1, 4, 0, 3, 2).reshape(n, n, t * t, -1)
+        value = np.matmul(by_ends, self.ends).reshape(n, n, t, t, h, h)
+        return value.transpose(2, 0, 4, 3, 1, 5).reshape(t * n * h, t * n * h)
+
+
+def chain_product(stacks: Sequence[np.ndarray], size: int) -> np.ndarray:
+    """Chain of (size, d, size) stacks: out[a, (p_1..p_l), b] is entry (a, b)
+    of the product of their slices p_1, .., p_l (the identity when empty)."""
+    if not stacks:
+        return np.eye(size, dtype=np.complex128)[:, None, :]
+    chain = stacks[0]
+    for z in stacks[1:]:
+        chain = (chain.reshape(-1, size) @ z.reshape(size, -1)).reshape(size, -1, size)
+    return chain
+
+
+def amplified_evaluate(phi, t: int, mats: Sequence[MatrixOverAlgebra]) -> np.ndarray:
+    """Value of the level-t amplification of a map (arguments: t-matrices
+    over its algebra A) or a block map (t-matrices over M_n(A)), laid out as
+    for the map induced over M_n(A).  The chain runs over the d^k basis
+    tuples of A, at O(d^k (tn)^3 + d^k (tnh)^2) cost; no amplified or induced
+    coefficient tensor is formed."""
     if len(mats) != phi.k:
         raise ArityError(f"expected {phi.k} arguments, got {len(mats)}")
+    grid = phi.chain_grid()
     for x in mats:
-        if x.algebra != phi.algebra or x.t != t:
-            raise AlgebraMismatchError("argument is not a t-matrix over the map's algebra")
-    d, h, k = phi.algebra.dim, phi.h, phi.k
-    chain = mats[0].coords_pij()
-    for x in mats[1:]:
-        chain = np.einsum("pij,qjl->pqil", chain, x.coords_pij()).reshape(-1, t, t)
-    flat = phi.coeffs.reshape(d**k, h, h)
-    value = np.einsum("pij,puv->iujv", chain, flat, optimize=True)
-    return value.reshape(t * h, t * h)
-
-
-def _amplified_unit_index(base: Algebra, amp: Amplification) -> np.ndarray:
-    """index[q, i, j] = amplified basis index of e_q placed at entry (i, j)."""
-    t = amp.t
-    out = np.empty((base.dim, t, t), dtype=np.intp)
-    for q in range(base.dim):
-        b, r, c = base.basis_label(q)
-        d = base.block_dims[b]
-        for i in range(t):
-            for j in range(t):
-                out[q, i, j] = amp.algebra.basis_index(b, i * d + r, j * d + c)
-    return out
+        if x.algebra != grid.arg_algebra or x.t != t:
+            raise AlgebraMismatchError("argument is not a t-matrix over the map's argument algebra")
+    return grid.value(t, [grid.regroup(x) for x in mats])
 
 
 def slot_linearity_deviation(

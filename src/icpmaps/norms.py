@@ -30,9 +30,9 @@ from .algebra import (
     project_unit_ball,
     random_element,
 )
-from .blockmap import as_block_map
+from .blockmap import BlockMultilinearMap, as_block_map
 from .gram import positivity_falsify
-from .multimap import MultilinearMap, amplified_evaluate
+from .multimap import MultilinearMap, amplified_evaluate, chain_product
 from .stinespring import DilationTriple, dilate
 
 RELATIVE_MARGIN = 1e-6
@@ -72,52 +72,44 @@ class NormEstimate:
         }
 
 
-def _underlying_map(phi) -> MultilinearMap:
-    block = as_block_map(phi)
-    return block.induced_map() if block.n > 1 else block.entries[0][0]
-
-
 class _AscentProblem:
-    """Alternating singular-value ascent at a fixed amplification level."""
+    """Alternating singular-value ascent at a fixed amplification level, on
+    level-t matrices over M_n(A) (over A when n = 1)."""
 
-    def __init__(self, psi: MultilinearMap, t: int):
-        self.psi = psi
+    def __init__(self, block: BlockMultilinearMap, t: int):
+        self.block = block
         self.t = t
-        self.amp = amplified_algebra(psi.algebra, t)
-        d, k, h = psi.algebra.dim, psi.k, psi.h
-        self.flat = psi.coeffs.reshape(d**k, h, h)
+        self.grid = block.chain_grid()
+        self.amp = amplified_algebra(self.grid.arg_algebra, t)
 
     def value(self, mats: Sequence[MatrixOverAlgebra]) -> np.ndarray:
-        return amplified_evaluate(self.psi, self.t, mats)
-
-    def sigma(self, mats) -> float:
-        return float(np.linalg.norm(self.value(mats), 2))
+        return amplified_evaluate(self.block, self.t, mats)
 
     def project(self, coords: np.ndarray) -> MatrixOverAlgebra:
-        x = MatrixOverAlgebra(self.psi.algebra, coords)
+        x = MatrixOverAlgebra(self.grid.arg_algebra, coords)
         return self.amp.extract(project_unit_ball(self.amp.embed(x)))
 
     def random_start(self, rng: np.random.Generator) -> MatrixOverAlgebra:
         el = project_unit_ball(random_element(self.amp.algebra, rng))
         return self.amp.extract(el)
 
-    def gradient(self, mats: Sequence[MatrixOverAlgebra], slot: int) -> np.ndarray:
-        """d(sigma)/d(slot coords) as a (t, t, dim) array (ascent direction)."""
-        d, k, h, t = self.psi.algebra.dim, self.psi.k, self.psi.h, self.t
-        val = self.value(mats)
-        u_mat, _, vh_mat = np.linalg.svd(val)
-        u = u_mat[:, 0].reshape(t, h)
-        v = vh_mat[0].conj().reshape(t, h)
-        b = np.einsum("Puv,iu,jv->Pij", self.flat, u.conj(), v, optimize=True)
-        prefix = np.eye(t, dtype=np.complex128)[None]
-        for x in mats[:slot]:
-            prefix = np.einsum("Pij,qjl->Pqil", prefix, x.coords_pij()).reshape(-1, t, t)
-        suffix = np.eye(t, dtype=np.complex128)[None]
-        for x in reversed(mats[slot + 1 :]):
-            suffix = np.einsum("qij,Pjl->qPil", x.coords_pij(), suffix).reshape(-1, t, t)
-        br = b.reshape(prefix.shape[0], d, suffix.shape[0], t, t)
-        grad = np.einsum("Pia,PqQij,Qbj->qab", prefix, br, suffix, optimize=True)
-        return np.conj(grad).transpose(1, 2, 0)
+    def gradient(self, mats: Sequence[MatrixOverAlgebra], slot: int, value: np.ndarray) -> np.ndarray:
+        """d(sigma)/d(slot coords) as a (t, t, dim) array (ascent direction) from
+        the value at ``mats``: the chain over the stacks, with that slot open."""
+        grid, t, n, h = self.grid, self.t, self.grid.n, self.grid.h
+        size = t * n
+        u_mat, _, vh_mat = np.linalg.svd(value)
+        u = u_mat[:, 0].reshape(t, n, h).conj()
+        v = vh_mat[0].conj().reshape(t, n, h)
+        # weight[s*n+i, P, s'*n+j] = u[s, i]^* (phi_ij coefficients at P) v[s', j]
+        uv = np.einsum("siu,tjv->ijuvst", u, v).reshape(n, n, h * h, t * t)
+        weight = np.matmul(grid.ends, uv).reshape(n, n, -1, t, t).transpose(3, 0, 2, 4, 1)
+        stacks = [grid.regroup(x) for x in mats]
+        prefix = chain_product(stacks[:slot], size)
+        suffix = chain_product(stacks[slot + 1 :], size)
+        left = prefix.reshape(-1, size).T @ weight.reshape(prefix.shape[0] * prefix.shape[1], -1)
+        grad = left.reshape(-1, suffix.shape[1] * size) @ suffix.reshape(size, -1).T
+        return grid.ungroup(np.conj(grad).reshape(size, -1, size))
 
 
 def norm_estimate(
@@ -131,20 +123,20 @@ def norm_estimate(
     """Best-of-restarts lower bound on the level-t norm.
 
     ``pinned`` maps slot indices to fixed arguments (as matrices over the
-    map's algebra); those slots are held and never updated, which realizes
-    the restricted searches used by the attainment theorems.  Restart r uses
-    generator seed (seed, r), so doubling ``restarts`` never decreases the
-    returned value.
+    map's argument algebra: A, or M_n(A) for a block map); those slots are
+    held and never updated, which realizes the restricted searches used by
+    the attainment theorems.  Restart r uses generator seed (seed, r), so
+    doubling ``restarts`` never decreases the returned value.
     """
     if t < 1:
         raise ValueError(f"level must be >= 1, got {t}")
     if restarts < 1:
         raise ValueError(f"need at least one restart, got {restarts}")
-    psi = _underlying_map(phi)
-    problem = _AscentProblem(psi, t)
+    block = as_block_map(phi)
+    problem = _AscentProblem(block, t)
     pinned = dict(pinned or {})
     for slot, mat in pinned.items():
-        if mat.algebra != psi.algebra or mat.t != t:
+        if mat.algebra != problem.grid.arg_algebra or mat.t != t:
             raise ValueError(f"pinned argument for slot {slot} has the wrong shape")
     best_sigma = -np.inf
     best_mats = None
@@ -152,22 +144,24 @@ def norm_estimate(
     for r in range(restarts):
         rng = np.random.default_rng([seed, r])
         mats = [
-            pinned[l] if l in pinned else problem.random_start(rng) for l in range(psi.k)
+            pinned[l] if l in pinned else problem.random_start(rng) for l in range(block.k)
         ]
-        sigma = problem.sigma(mats)
+        value = problem.value(mats)
+        sigma = float(np.linalg.norm(value, 2))
         for _ in range(iters):
             improved = False
-            for slot in range(psi.k):
+            for slot in range(block.k):
                 if slot in pinned:
                     continue
-                direction = problem.gradient(mats, slot)
+                direction = problem.gradient(mats, slot, value)
                 step = 1.0
                 for _ in range(BACKTRACK_STEPS):
                     cand = problem.project(mats[slot].coords + step * direction)
-                    cand_sigma = problem.sigma(mats[:slot] + [cand] + mats[slot + 1 :])
+                    cand_value = problem.value(mats[:slot] + [cand] + mats[slot + 1 :])
+                    cand_sigma = float(np.linalg.norm(cand_value, 2))
                     if cand_sigma > sigma + 1e-15:
                         mats[slot] = cand
-                        sigma = cand_sigma
+                        value, sigma = cand_value, cand_sigma
                         improved = True
                         break
                     step /= 2.0
@@ -177,9 +171,8 @@ def norm_estimate(
         if sigma > best_sigma:
             best_sigma = sigma
             best_mats = mats
-    final = problem.sigma(best_mats)
     return NormEstimate(
-        value=final,
+        value=best_sigma,
         level=t,
         witness=best_mats,
         seed=seed,

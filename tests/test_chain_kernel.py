@@ -1,0 +1,171 @@
+"""The chain kernel: block maps evaluated straight from the grid, the
+estimator gradient, and the materialized amplification, each against an
+independent reference."""
+
+import numpy as np
+import pytest
+
+from icpmaps import norms
+from icpmaps.algebra import Algebra, MatrixOverAlgebra, amplified_algebra
+from icpmaps.blockmap import BlockMultilinearMap
+from icpmaps.gram import positivity_falsify
+from icpmaps.multimap import AMPLIFY_SIZE_LIMIT, MultilinearMap, amplified_evaluate
+
+# Induced coefficient tensors above this many scalars make the oracle too slow.
+ORACLE_SIZE = 2 * 10**6
+
+
+def random_map(alg, k, h, rng):
+    shape = (alg.dim,) * k + (h, h)
+    return MultilinearMap(alg, k, h, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+def random_grid(alg, n, k, h, rng):
+    return BlockMultilinearMap([[random_map(alg, k, h, rng) for _ in range(n)] for _ in range(n)])
+
+
+def random_mats(alg, t, count, rng):
+    shape = (t, t, alg.dim)
+    return [MatrixOverAlgebra(alg, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+            for _ in range(count)]
+
+
+def _oracle_cases():
+    for blocks in ([2], [1, 1], [2, 1]):
+        d = sum(b * b for b in blocks)
+        for n in (1, 2, 3):
+            for k in range(1, 6):
+                h = 2 if k <= 3 else 1
+                if (n * n * d) ** k * (n * h) ** 2 <= ORACLE_SIZE:
+                    yield blocks, n, k, h
+
+
+@pytest.mark.parametrize(
+    "blocks,n,k,h", list(_oracle_cases()), ids=lambda v: "".join(map(str, v)) if isinstance(v, list) else str(v)
+)
+def test_grid_kernel_matches_induced_map(blocks, n, k, h):
+    rng = np.random.default_rng([n, k, len(blocks), blocks[0]])
+    block = random_grid(Algebra(blocks), n, k, h, rng)
+    induced = block.induced_map()
+    for t in (1, 2, 3):
+        mats = random_mats(block.amplification.algebra, t, k, rng)
+        value = amplified_evaluate(block, t, mats)
+        expected = amplified_evaluate(induced, t, mats)
+        assert value.shape == (t * n * h, t * n * h)
+        assert np.abs(value - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def test_oracle_cases_cover_every_grid_size_and_arity():
+    cases = list(_oracle_cases())
+    assert {n for _, n, _, _ in cases} == {1, 2, 3}
+    assert {k for _, _, k, _ in cases} == {1, 2, 3, 4, 5}
+
+
+def test_block_evaluate_is_level_one_of_the_kernel(rng):
+    block = random_grid(Algebra([2, 1]), 2, 3, 2, rng)
+    mats = random_mats(block.algebra, 2, 3, rng)
+    amp = block.amplification
+    lifted = [MatrixOverAlgebra(amp.algebra, amp.embed(x).coords()[None, None]) for x in mats]
+    value = block.block_evaluate(mats)
+    assert np.abs(value - amplified_evaluate(block, 1, lifted)).max() <= 1e-12 * np.abs(value).max()
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_estimator_gradient_matches_central_differences(n):
+    rng = np.random.default_rng(n)
+    block = random_grid(Algebra([2]), n, 3, 2, rng)
+    t, eps = 2, 1e-6
+    problem = norms._AscentProblem(block, t)
+    mats = [problem.random_start(rng) for _ in range(block.k)]
+
+    def sigma(args):
+        return np.linalg.norm(problem.value(args), 2)
+
+    for slot in range(block.k):
+        grad = problem.gradient(mats, slot, problem.value(mats))
+        assert grad.shape == mats[slot].coords.shape
+        direction = rng.standard_normal(grad.shape)
+        for unit, part in ((1.0, grad.real), (1j, grad.imag)):
+            step = eps * unit * direction
+
+            def moved(sign):
+                x = MatrixOverAlgebra(problem.grid.arg_algebra, mats[slot].coords + sign * step)
+                return sigma(mats[:slot] + [x] + mats[slot + 1 :])
+
+            slope = (moved(1) - moved(-1)) / (2 * eps)
+            expected = float((part * direction).sum())
+            assert abs(slope - expected) <= 1e-6 * (1 + abs(expected))
+
+
+def test_falsifier_and_estimator_never_build_the_induced_map(monkeypatch):
+    block = random_grid(Algebra([2]), 2, 3, 1, np.random.default_rng(4))
+
+    def forbidden(self):
+        raise AssertionError("induced_map called")
+
+    monkeypatch.setattr(BlockMultilinearMap, "induced_map", forbidden)
+    positivity_falsify(block, levels=(1, 2), trials=5, seed=0)
+    norms.norm_estimate(block, t=2, restarts=2, iters=2, seed=0)
+
+
+def test_ascent_evaluates_each_point_once(monkeypatch):
+    """One kernel call per restart start and one per candidate step: the
+    gradient reuses the value at the current point."""
+    block = random_grid(Algebra([2]), 2, 3, 1, np.random.default_rng(5))
+    calls = {"kernel": 0, "project": 0}
+    kernel, project = norms.amplified_evaluate, norms._AscentProblem.project
+
+    def counted_kernel(*args):
+        calls["kernel"] += 1
+        return kernel(*args)
+
+    def counted_project(self, coords):
+        calls["project"] += 1
+        return project(self, coords)
+
+    monkeypatch.setattr(norms, "amplified_evaluate", counted_kernel)
+    monkeypatch.setattr(norms._AscentProblem, "project", counted_project)
+    restarts = 2
+    est = norms.norm_estimate(block, t=2, restarts=restarts, iters=3, seed=0)
+    assert calls["project"] > 0
+    assert calls["kernel"] == restarts + calls["project"]
+    monkeypatch.undo()
+    assert np.linalg.norm(amplified_evaluate(block, 2, est.witness), 2) == est.value
+
+
+def _amplify_loop(phi, t):
+    """Tuple-by-tuple amplification: the amplified coefficient at the chained
+    matrix units is the base coefficient, placed in block (c_0, c_k)."""
+    amp = amplified_algebra(phi.algebra, t)
+    d, k, h = phi.algebra.dim, phi.k, phi.h
+    unit = np.empty((d, t, t), dtype=int)
+    for q in range(d):
+        b, r, c = phi.algebra.basis_label(q)
+        size = phi.algebra.block_dims[b]
+        for i in range(t):
+            for j in range(t):
+                unit[q, i, j] = amp.algebra.basis_index(b, i * size + r, j * size + c)
+    out = np.zeros((amp.algebra.dim,) * k + (t * h, t * h), dtype=complex)
+    for base in np.ndindex(*(d,) * k):
+        for chain in np.ndindex(*(t,) * (k + 1)):
+            idx = tuple(unit[base[l], chain[l], chain[l + 1]] for l in range(k))
+            i, j = chain[0], chain[-1]
+            out[idx][i * h : (i + 1) * h, j * h : (j + 1) * h] = phi.coeffs[base]
+    return out
+
+
+@pytest.mark.parametrize("blocks,k,h,t", [([2], 2, 2, 2), ([1, 1], 3, 1, 2), ([2, 1], 2, 1, 3), ([1], 4, 2, 2)])
+def test_amplify_matches_tuple_loop(blocks, k, h, t):
+    phi = random_map(Algebra(blocks), k, h, np.random.default_rng(k))
+    assert np.array_equal(phi.amplify(t).coeffs, _amplify_loop(phi, t))
+
+
+def test_amplify_size_guard():
+    phi = random_map(Algebra([2]), 4, 2, np.random.default_rng(0))
+    with pytest.raises(ValueError, match=f"> {AMPLIFY_SIZE_LIMIT}"):
+        phi.amplify(3)
+
+
+def test_amplified_algebra_is_built_once_per_level():
+    assert amplified_algebra(Algebra([2, 1]), 3) is amplified_algebra(Algebra([2, 1]), 3)
+    assert amplified_algebra(Algebra([2, 1]), 2) is not amplified_algebra(Algebra([2, 1]), 3)
