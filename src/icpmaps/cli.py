@@ -26,7 +26,13 @@ from .errors import (
 )
 from .gram import admissibility_report, build_gram, cp_refute, gram_is_psd, positivity_falsify
 from .multimap import MultilinearMap, amplified_evaluate
-from .stinespring import dilate, minimal_compress, unitary_equivalence, verify_dilation
+from .stinespring import (
+    EQUIVALENCE_TOLS,
+    dilate,
+    minimal_compress,
+    unitary_equivalence,
+    verify_dilation,
+)
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -243,7 +249,7 @@ def cmd_equiv(args) -> int:
         "triple1_residuals": res1.to_dict(),
         "triple2_residuals": res2.to_dict(),
         "equivalence": eq.to_dict(),
-        "tolerances": {"unitarity": 1e-9, "intertwining": 1e-7, "v_match": 1e-7},
+        "tolerances": dict(EQUIVALENCE_TOLS),
         "passed": ok,
     }
     _emit(report, args.out)

@@ -23,7 +23,7 @@ from .algebra import Algebra, MatrixOverAlgebra
 from .blockmap import BlockMultilinearMap
 from .errors import SpecFormatError
 from .multimap import MultilinearMap, arity_midpoint
-from .stinespring import DilationTriple, theorem_form_values
+from .stinespring import DilationTriple, commutation_residual, law_residuals, theorem_form_values
 
 REP_TOL = 1e-10
 
@@ -32,15 +32,10 @@ REP_TOL = 1e-10
 
 
 def representation_residuals(algebra: Algebra, images: np.ndarray) -> dict:
-    """Multiplicativity / star / unitality residuals of candidate basis images."""
-    mt = algebra.mult_table
-    prod = np.einsum("aij,bjk->abik", images, images)
-    expected = np.einsum("abr,rij->abij", mt, images)
-    mult = float(np.abs(prod - expected).max())
-    star = float(np.abs(images[algebra.star_perm] - images.conj().transpose(0, 2, 1)).max())
-    unit = np.tensordot(algebra.identity_coords, images, axes=(0, 0))
-    unital = float(np.abs(unit - np.eye(images.shape[1])).max())
-    return {"multiplicativity": mult, "star": star, "unitality": unital}
+    """Multiplicativity / star / unitality residuals (spectral norms) of
+    candidate basis images."""
+    laws = law_residuals(algebra, [images]).items()
+    return {name: value for name, value in laws if name != "commutation"}
 
 
 def validate_representation(algebra: Algebra, images: np.ndarray, tol: float = REP_TOL) -> None:
@@ -48,16 +43,6 @@ def validate_representation(algebra: Algebra, images: np.ndarray, tol: float = R
     worst = max(res.values())
     if worst > tol:
         raise ValueError(f"not a unital *-homomorphism (residuals {res})")
-
-
-def commutation_residual(reps: Sequence[np.ndarray]) -> float:
-    worst = 0.0
-    for p in range(len(reps)):
-        for q in range(p + 1, len(reps)):
-            xy = np.einsum("aij,bjk->abik", reps[p], reps[q])
-            yx = np.einsum("bij,ajk->abik", reps[q], reps[p])
-            worst = max(worst, float(np.abs(xy - yx).max()))
-    return worst
 
 
 def canonical_representation(algebra: Algebra, multiplicities: Sequence[int]) -> np.ndarray:

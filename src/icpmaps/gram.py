@@ -33,7 +33,7 @@ from .multimap import MultilinearMap, amplified_evaluate
 
 FALSIFIER_TOL = 1e-8
 GRAM_PSD_TOL = 1e-9
-GRAM_HERMITIAN_TOL = 1e-10
+GRAM_HERMITIAN_TOL = 1e-8
 
 
 # -- admissible tuples -------------------------------------------------------
@@ -227,7 +227,7 @@ def _gram_core(phi: MultilinearMap, m: int) -> np.ndarray:
 def gram_is_psd(gram: GramKernel, tol: float | None = None) -> tuple[bool, float]:
     """PSD test; raises if the Gram is not Hermitian within tolerance."""
     herm_res = gram.hermiticity_residual()
-    if herm_res > 1e-8:
+    if herm_res > GRAM_HERMITIAN_TOL:
         raise NonHermitianGramError(
             f"Gram matrix is non-Hermitian (relative residual {herm_res:.3e}); "
             "source map is malformed or not symmetric"

@@ -37,6 +37,9 @@ from .stinespring import DilationTriple, dilate
 
 RELATIVE_MARGIN = 1e-6
 BACKTRACK_STEPS = 12
+# a step is taken only when it raises sigma by more than this relative amount,
+# so last-bit round-off in the map cannot decide how long the ascent runs
+ASCENT_RTOL = 1e-12
 
 
 def unit_norm(phi) -> float:
@@ -159,7 +162,7 @@ def norm_estimate(
                     cand = problem.project(mats[slot].coords + step * direction)
                     cand_value = problem.value(mats[:slot] + [cand] + mats[slot + 1 :])
                     cand_sigma = float(np.linalg.norm(cand_value, 2))
-                    if cand_sigma > sigma + 1e-15:
+                    if cand_sigma > sigma * (1.0 + ASCENT_RTOL):
                         mats[slot] = cand
                         value, sigma = cand_value, cand_sigma
                         improved = True
@@ -264,7 +267,9 @@ def russo_dye_check(
     est = norm_estimate(phi, t=1, restarts=restarts, iters=iters, seed=seed)
     u_norm = unit_norm(phi)
     passed = est.value <= u_norm * (1.0 + RELATIVE_MARGIN)
-    unit_witness_value = float(np.linalg.norm(phi.unit_value(), 2))
+    # the unit tuple through the chain kernel: a cross-check of unit_value()
+    one = MatrixOverAlgebra.identity(phi.algebra, 1)
+    unit_witness_value = float(np.linalg.norm(amplified_evaluate(phi, 1, [one] * phi.k), 2))
     return RussoDyeReport(
         unit_norm=u_norm,
         estimate=est,

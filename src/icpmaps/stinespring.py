@@ -20,7 +20,7 @@ and for k = 2m the p-th factor receives a_{m-p+1} a_{m+p}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -32,6 +32,8 @@ from .gram import build_gram, gram_is_psd
 
 RANK_TOL = 1e-10
 DESCENT_TOL = 1e-8
+# default bounds of EquivalenceReport.within, echoed by the equiv report
+EQUIVALENCE_TOLS = {"unitarity": 1e-9, "intertwining": 1e-7, "v_match": 1e-7}
 
 
 @dataclass
@@ -77,18 +79,18 @@ class DilationTriple:
     def product_tensor(self) -> np.ndarray:
         """pi_1(e_{b_1}) ... pi_m(e_{b_m}) for all basis tuples, shape
         (d^m, kappa, kappa) with (b_1..b_m) raveled in C order."""
-        d = self.algebra.dim
         t = self.reps[0]
         for f in range(1, self.m):
-            t = np.einsum("...ij,bjk->...bik", t, self.reps[f])
-        return t.reshape(d**self.m, self.kappa, self.kappa)
+            t = pair_products(t, self.reps[f]).reshape(len(t) * self.algebra.dim, *t.shape[1:])
+        return t
 
-    def spanning_matrix(self) -> np.ndarray:
-        """Columns pi_1(e_{b_1})..pi_m(e_{b_m}) V_j e_s over all (b, j, s)."""
+    def spanning_matrix(self, prod: np.ndarray | None = None) -> np.ndarray:
+        """Columns pi_1(e_{b_1})..pi_m(e_{b_m}) V_j e_s over all (b, j, s);
+        ``prod`` is the product tensor when the caller already has it."""
         d = self.algebra.dim
         if self.kappa == 0:
             return np.zeros((0, d**self.m * self.n * self.h), dtype=np.complex128)
-        prod = self.product_tensor()
+        prod = self.product_tensor() if prod is None else prod
         cols = prod @ self.stacked_V()  # (d^m, kappa, n*h)
         return cols.transpose(1, 0, 2).reshape(self.kappa, -1)
 
@@ -107,13 +109,7 @@ class DilationReport:
         return max(self.multiplicativity, self.star, self.unitality, self.commutation)
 
     def to_dict(self) -> dict:
-        return {
-            "reconstruction": self.reconstruction,
-            "multiplicativity": self.multiplicativity,
-            "star": self.star,
-            "unitality": self.unitality,
-            "commutation": self.commutation,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -139,12 +135,9 @@ class EquivalenceReport:
     v_match: float = 0.0
     kappa: int = 0
 
-    def within(self, unitarity_tol=1e-9, intertwining_tol=1e-7, v_tol=1e-7) -> bool:
-        return (
-            self.unitarity <= unitarity_tol
-            and self.intertwining <= intertwining_tol
-            and self.v_match <= v_tol
-        )
+    def within(self) -> bool:
+        """Whether each measure is at most its bound in EQUIVALENCE_TOLS."""
+        return all(getattr(self, name) <= tol for name, tol in EQUIVALENCE_TOLS.items())
 
     def to_dict(self) -> dict:
         return {
@@ -267,13 +260,46 @@ def _batched_opnorm_max(mats: np.ndarray) -> float:
     return float(np.linalg.svd(flat, compute_uv=False)[:, 0].max())
 
 
-def _chain_step(left: np.ndarray, factor: np.ndarray) -> np.ndarray:
-    """(X, u, i) times (B, i, v) -> (X*B, u, v): one GEMM over the leading
-    indices, with X's basis digits before B's."""
-    x, u, i = left.shape
-    b, _, v = factor.shape
-    flat = left.reshape(x * u, i) @ factor.transpose(1, 0, 2).reshape(i, b * v)
-    return flat.reshape(x, u, b, v).transpose(0, 2, 1, 3).reshape(x * b, u, v)
+def pair_products(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x[a] @ y[b] for all (a, b): (A, u, i) times (B, i, v) -> (A, B, u, v),
+    as one GEMM over the stacked rows of x and the stacked columns of y."""
+    a, u, i = x.shape
+    b, _, v = y.shape
+    flat = x.reshape(a * u, i) @ y.transpose(1, 0, 2).reshape(i, b * v)
+    return flat.reshape(a, u, b, v).transpose(0, 2, 1, 3)
+
+
+def commutation_residual(reps: Sequence[np.ndarray]) -> float:
+    """max over p < q and basis pairs (a, b) of ||[pi_p(e_a), pi_q(e_b)]||."""
+    worst = 0.0
+    for p, rp in enumerate(reps):
+        for rq in reps[p + 1 :]:
+            yx = pair_products(rq, rp).transpose(1, 0, 2, 3)
+            worst = max(worst, _batched_opnorm_max(pair_products(rp, rq) - yx))
+    return worst
+
+
+def law_residuals(algebra: Algebra, reps: Sequence[np.ndarray]) -> dict:
+    """Spectral-norm residuals of the laws of a commuting family of unital
+    *-representations, each the worst over the stacks and basis elements:
+    pi(e_a) pi(e_b) = sum_r c_ab^r pi(e_r), pi(e_a*) = pi(e_a)*, pi(1) = I,
+    and pairwise commutation."""
+    d = algebra.dim
+    mt = algebra.mult_table.reshape(d * d, d)
+    mult = star = unital = 0.0
+    for rp in reps:
+        kappa = rp.shape[1]
+        expected = (mt @ rp.reshape(d, -1)).reshape(d, d, kappa, kappa)
+        mult = max(mult, _batched_opnorm_max(pair_products(rp, rp) - expected))
+        star = max(star, _batched_opnorm_max(rp[algebra.star_perm] - rp.conj().transpose(0, 2, 1)))
+        unit = np.tensordot(algebra.identity_coords, rp, axes=(0, 0))
+        unital = max(unital, _batched_opnorm_max(unit[None] - np.eye(kappa)))
+    return {
+        "multiplicativity": mult,
+        "star": star,
+        "unitality": unital,
+        "commutation": commutation_residual(reps),
+    }
 
 
 def theorem_form_values(
@@ -311,10 +337,10 @@ def theorem_form_values(
     if shift:
         left = paired(left)
     for f in range(1, m - 1):
-        left = _chain_step(left, paired(reps[f]))
+        left = pair_products(left, paired(reps[f])).reshape(len(left) * d * d, *left.shape[1:])
     right = paired(reps[m - 1] @ vs) if m > 1 else vs[None]
     nh = vs.shape[1]
-    vals = _chain_step(left, right).reshape((d,) * k + (nh, nh))
+    vals = pair_products(left, right).reshape((d,) * k + (nh, nh))
     # value axes follow `order`; rearrange to slots 0..k-1
     return vals.transpose(list(np.argsort(order)) + [k, k + 1])
 
@@ -325,34 +351,12 @@ def verify_dilation(phi, triple: DilationTriple, tol: float | None = None) -> Di
     alg, k = block.algebra, block.k
     if (alg, k, block.n, block.h) != (triple.algebra, triple.k, triple.n, triple.h):
         raise ValueError("triple shape does not match the map")
-    d, m = alg.dim, block.m
     if triple.kappa == 0:
         recon = float(np.abs(block.stacked_coeffs()).max()) if block.stacked_coeffs().size else 0.0
         return DilationReport(recon, 0.0, 0.0, 0.0, 0.0)
     vals = theorem_form_values(alg, triple.reps, triple.V, k)
-    target = block.stacked_coeffs()
-    recon = _batched_opnorm_max(vals - target)
-    mt = alg.mult_table
-    mult_res = 0.0
-    star_res = 0.0
-    unital_res = 0.0
-    comm_res = 0.0
-    perm = alg.star_perm
-    ident = alg.identity_coords
-    for p in range(m):
-        rp = triple.reps[p]
-        prod = np.einsum("aij,bjk->abik", rp, rp)
-        expected = np.einsum("abr,rij->abij", mt, rp)
-        mult_res = max(mult_res, _batched_opnorm_max(prod - expected))
-        star_res = max(star_res, _batched_opnorm_max(rp[perm] - rp.conj().transpose(0, 2, 1)))
-        unit = np.tensordot(ident, rp, axes=(0, 0))
-        unital_res = max(unital_res, float(np.linalg.norm(unit - np.eye(triple.kappa), 2)))
-        for q in range(p + 1, m):
-            rq = triple.reps[q]
-            xy = np.einsum("aij,bjk->abik", rp, rq)
-            yx = np.einsum("bij,ajk->abik", rq, rp)
-            comm_res = max(comm_res, _batched_opnorm_max(xy - yx))
-    return DilationReport(recon, mult_res, star_res, unital_res, comm_res)
+    recon = _batched_opnorm_max(vals - block.stacked_coeffs())
+    return DilationReport(recon, **law_residuals(alg, triple.reps))
 
 
 # -- minimality and uniqueness ------------------------------------------------
@@ -397,8 +401,7 @@ def minimal_compress(
     return compressed, report
 
 
-def _assert_minimal(triple: DilationTriple, rank_tol: float) -> None:
-    span = triple.spanning_matrix()
+def _assert_minimal(triple: DilationTriple, span: np.ndarray, rank_tol: float) -> None:
     if triple.kappa == 0:
         return
     s = np.linalg.svd(span, compute_uv=False)
@@ -414,8 +417,10 @@ def unitary_equivalence(
 ) -> EquivalenceReport:
     """Assemble the intertwining unitary by least squares over the spanning
     family and measure how unitary and intertwining it actually is."""
-    _assert_minimal(t1, rank_tol)
-    _assert_minimal(t2, rank_tol)
+    prod1, prod2 = t1.product_tensor(), t2.product_tensor()
+    span1, span2 = t1.spanning_matrix(prod1), t2.spanning_matrix(prod2)
+    _assert_minimal(t1, span1, rank_tol)
+    _assert_minimal(t2, span2, rank_tol)
     if t1.kappa != t2.kappa:
         raise ValueError(
             f"dimension mismatch after minimality: {t1.kappa} vs {t2.kappa} "
@@ -423,12 +428,8 @@ def unitary_equivalence(
         )
     if t1.kappa == 0:
         return EquivalenceReport(U=np.zeros((0, 0), dtype=np.complex128), kappa=0)
-    span1 = t1.spanning_matrix()
-    span2 = t2.spanning_matrix()
     u_map = span2 @ np.linalg.pinv(span1)
     unitarity = float(np.linalg.norm(u_map.conj().T @ u_map - np.eye(t1.kappa), 2))
-    prod1 = t1.product_tensor()
-    prod2 = t2.product_tensor()
     inter = _batched_opnorm_max(prod2 @ u_map - u_map @ prod1)
     v_match = max(
         float(np.linalg.norm(u_map @ v1 - v2, 2)) for v1, v2 in zip(t1.V, t2.V)

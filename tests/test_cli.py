@@ -3,6 +3,7 @@ import json
 from icpmaps import cli, serialize
 from icpmaps.cli import main
 from icpmaps.factory import point_evaluation_example, trace_example
+from icpmaps.stinespring import EQUIVALENCE_TOLS, EquivalenceReport
 
 
 def run(capsys, *argv):
@@ -236,3 +237,17 @@ def test_dilate_output_is_deterministic(tmp_path, capsys):
 
 def test_missing_file_is_input_error():
     assert main(["check", "/nonexistent/spec.json"]) == 2
+
+
+def test_equiv_echoes_the_tolerances_it_applies(tmp_path, capsys):
+    spec = write_spec(tmp_path, "trace.json", {"kind": "trace", "n": 2})
+    t1 = str(tmp_path / "t1.json")
+    assert main(["dilate", spec, "--minimal", "--out", t1]) == 0
+    capsys.readouterr()
+    code, out = run(capsys, "equiv", t1, t1, spec)
+    assert code == 0
+    echoed = json.loads(out)["tolerances"]
+    assert echoed == EQUIVALENCE_TOLS == {"unitarity": 1e-9, "intertwining": 1e-7, "v_match": 1e-7}
+    for name, tol in EQUIVALENCE_TOLS.items():
+        assert EquivalenceReport(U=None, **{name: tol}).within()
+        assert not EquivalenceReport(U=None, **{name: 2 * tol}).within()

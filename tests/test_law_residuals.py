@@ -1,0 +1,168 @@
+"""The all-pairs product kernel and the representation-law residuals built
+on it, against their einsum definitions."""
+
+import numpy as np
+import pytest
+
+from icpmaps.algebra import Algebra
+from icpmaps.factory import (
+    REP_TOL,
+    canonical_representation,
+    commutation_residual,
+    haar_unitary,
+    random_icp,
+    random_representation,
+    representation_residuals,
+    tensor_commuting_reps,
+    validate_representation,
+)
+from icpmaps.stinespring import (
+    DilationTriple,
+    law_residuals,
+    pair_products,
+    verify_dilation,
+)
+
+ALGEBRAS = [[2], [1, 1], [3], [2, 1]]
+
+
+def _gaussian(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _opnorm_max(mats):
+    flat = mats.reshape(-1, mats.shape[-2], mats.shape[-1])
+    return max(float(np.linalg.norm(x, 2)) for x in flat)
+
+
+def _oracle_laws(algebra, reps):
+    """The structural loop as it reads in the definitions: einsum products,
+    one spectral norm per basis element or pair."""
+    out = dict.fromkeys(("multiplicativity", "star", "unitality", "commutation"), 0.0)
+    for p, rp in enumerate(reps):
+        prod = np.einsum("aij,bjk->abik", rp, rp)
+        expected = np.einsum("abr,rij->abij", algebra.mult_table, rp)
+        out["multiplicativity"] = max(out["multiplicativity"], _opnorm_max(prod - expected))
+        adjoint = rp.conj().transpose(0, 2, 1)
+        out["star"] = max(out["star"], _opnorm_max(rp[algebra.star_perm] - adjoint))
+        unit = np.einsum("r,rij->ij", algebra.identity_coords, rp)
+        out["unitality"] = max(out["unitality"], _opnorm_max(unit - np.eye(rp.shape[1])))
+        for rq in reps[p + 1 :]:
+            xy = np.einsum("aij,bjk->abik", rp, rq)
+            yx = np.einsum("bij,ajk->abik", rq, rp)
+            out["commutation"] = max(out["commutation"], _opnorm_max(xy - yx))
+    return out
+
+
+def _close(got, expected, scale):
+    return abs(got - expected) <= 1e-12 * max(abs(expected), scale)
+
+
+PAIR_SHAPES = [((3, 4, 5), (2, 5, 6)), ((1, 2, 2), (4, 2, 2)), ((9, 6, 6), (9, 6, 6))]
+
+
+@pytest.mark.parametrize("shapes", PAIR_SHAPES)
+def test_pair_products_matches_einsum(shapes):
+    rng = np.random.default_rng(shapes[0][0])
+    x, y = _gaussian(rng, *shapes[0]), _gaussian(rng, *shapes[1])
+    expected = np.einsum("aij,bjk->abik", x, y)
+    got = pair_products(x, y)
+    assert got.shape == expected.shape
+    assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("blocks", ALGEBRAS)
+def test_law_residuals_match_einsum_on_generic_stacks(blocks):
+    # neither multiplicative, self-adjoint, unital nor commuting: every law is off
+    alg = Algebra(blocks)
+    rng = np.random.default_rng(alg.dim)
+    reps = [_gaussian(rng, alg.dim, 4, 4) for _ in range(3)]
+    expected = _oracle_laws(alg, reps)
+    got = law_residuals(alg, reps)
+    assert list(got) == list(expected)
+    for name, value in expected.items():
+        assert value > 0.1, name
+        assert abs(got[name] - value) <= 1e-12 * value, name
+    single = representation_residuals(alg, reps[0])
+    assert set(single) == {"multiplicativity", "star", "unitality"}
+    for name, value in _oracle_laws(alg, reps[:1]).items():
+        if name in single:
+            assert abs(single[name] - value) <= 1e-12 * value, name
+    comm = expected["commutation"]
+    assert abs(commutation_residual(reps) - comm) <= 1e-12 * comm
+
+
+@pytest.mark.parametrize("blocks", ALGEBRAS)
+def test_law_residuals_match_einsum_on_representations(blocks):
+    alg = Algebra(blocks)
+    rng = np.random.default_rng(10 + alg.dim)
+    rep = random_representation(alg, rng, max_mult=2)
+    u = haar_unitary(rep.shape[1], rng)
+    # a unitary conjugate: a representation on the same space that need not commute with rep
+    families = [
+        tensor_commuting_reps([(alg, rep), (alg, random_representation(alg, rng))]),
+        [rep, u @ rep @ u.conj().T],
+    ]
+    for reps in families:
+        got = law_residuals(alg, reps)
+        expected = _oracle_laws(alg, reps)
+        for name in ("multiplicativity", "star", "unitality"):
+            assert got[name] <= 1e-13 and _close(got[name], expected[name], 1.0), name
+        assert _close(got["commutation"], expected["commutation"], 1.0)
+    assert law_residuals(alg, families[0])["commutation"] <= 1e-13
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+def test_product_tensor_matches_einsum_chain(k):
+    alg = Algebra([2, 1])
+    m = (k + 1) // 2
+    rng = np.random.default_rng(k)
+    triple = DilationTriple(
+        algebra=alg, k=k, n=1, h=1, kappa=3,
+        reps=tuple(_gaussian(rng, alg.dim, 3, 3) for _ in range(m)),
+        V=(_gaussian(rng, 3, 1),),
+    )
+    expected = triple.reps[0]
+    for f in range(1, m):
+        expected = np.einsum("...ij,bjk->...bik", expected, triple.reps[f])
+    expected = expected.reshape(alg.dim**m, 3, 3)
+    got = triple.product_tensor()
+    assert got.shape == expected.shape
+    assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def test_residuals_and_product_tensor_use_no_einsum(monkeypatch):
+    block, triple = random_icp(Algebra([2]), 4, 2, 1, seed=3)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("np.einsum called")
+
+    monkeypatch.setattr(np, "einsum", forbidden)
+    report = verify_dilation(block, triple)
+    assert report.reconstruction <= 1e-12 and report.max_structural() <= 1e-12
+    assert max(representation_residuals(triple.algebra, triple.reps[0]).values()) <= 1e-12
+    assert commutation_residual(triple.reps) <= 1e-12
+    assert triple.product_tensor().shape == (4**2, triple.kappa, triple.kappa)
+
+
+def test_perturbed_representation_is_rejected():
+    alg = Algebra([2, 1])
+    images = random_representation(alg, np.random.default_rng(7))
+    validate_representation(alg, images)
+    bent = images.copy()
+    bent[0] += 1e-8 * _gaussian(np.random.default_rng(8), *bent.shape[1:])
+    assert representation_residuals(alg, bent)["multiplicativity"] > REP_TOL
+    with pytest.raises(ValueError, match="not a unital"):
+        validate_representation(alg, bent)
+
+
+def test_validation_bounds_the_spectral_norm():
+    # pi(1) = I + eps J on C^10: every entry of the residual is at most eps,
+    # its spectral norm is 10 eps, above REP_TOL
+    kappa, eps = 10, 3e-11
+    images = canonical_representation(Algebra([1]), [kappa]) + eps
+    res = representation_residuals(Algebra([1]), images)
+    assert res["unitality"] == pytest.approx(kappa * eps, rel=1e-6)
+    assert np.abs(images[0] - np.eye(kappa)).max() < REP_TOL < res["unitality"]
+    with pytest.raises(ValueError, match="not a unital"):
+        validate_representation(Algebra([1]), images)

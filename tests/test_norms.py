@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from icpmaps import norms
 from icpmaps.algebra import Algebra, MatrixOverAlgebra
-from icpmaps.factory import point_evaluation_example, trace_example
-from icpmaps.multimap import MultilinearMap
+from icpmaps.factory import point_evaluation_example, random_icp, trace_example
+from icpmaps.multimap import MultilinearMap, amplified_evaluate
 from icpmaps.norms import (
     brute_force_commutative_norm,
     cb_16_bound_check,
@@ -140,3 +141,35 @@ def test_unit_norm_block_is_diagonal_max(corpus):
         np.linalg.norm(block.entries[j][j].unit_value(), 2) for j in range(block.n)
     )
     assert abs(unit_norm(block) - diag) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_ascent_length_ignores_last_bit_round_off(seed, monkeypatch):
+    # a step must beat sigma by a relative margin: coefficients moved by
+    # 1e-15 relative give the same evaluations and the same estimate
+    block, _ = random_icp(Algebra([1, 1]), 3, 1, 1, seed=seed)
+    phi = block.entries[0][0]
+    noise = np.random.default_rng(seed).standard_normal(phi.coeffs.shape)
+    nudged = MultilinearMap(phi.algebra, phi.k, phi.h, phi.coeffs * (1 + 1e-15 * noise))
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return amplified_evaluate(*args)
+
+    monkeypatch.setattr(norms, "amplified_evaluate", counted)
+    for t in (1, 2):
+        runs = []
+        for psi in (phi, nudged):
+            calls.clear()
+            runs.append((norm_estimate(psi, t=t, restarts=4, iters=10).value, len(calls)))
+        (value, count), (nudged_value, nudged_count) = runs
+        assert count == nudged_count
+        assert abs(value - nudged_value) <= 1e-13 * value
+
+
+def test_unit_witness_value_reads_the_chain_kernel(monkeypatch):
+    phi = trace_example(2)
+    monkeypatch.setattr(norms, "amplified_evaluate", lambda *args: 2.0 * amplified_evaluate(*args))
+    report = russo_dye_check(phi, restarts=1, iters=1, trials=1)
+    assert abs(report.unit_witness_value - 2.0 * report.unit_norm) <= 1e-12
