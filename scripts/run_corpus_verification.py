@@ -1,7 +1,12 @@
 #!/usr/bin/env python3
 """Build a seeded corpus of dilation-generated block maps and run the full
-verification battery: Gram positivity, dilation round-trips, minimality and
-unitary equivalence, and the amplified-norm attainment inequalities.
+verification battery: exhaustive invariance, Gram positivity, dilation
+round-trips, minimality and unitary equivalence, and the amplified-norm
+attainment inequalities.
+
+Every entry map must be invariant by an exhaustive check. The block map must
+be too where block invariance can hold (n = 1 or k <= 2); elsewhere its
+report is printed as information.
 
 Prints one line per map and a summary table of worst residuals; exits
 nonzero if any check fails its tolerance.
@@ -38,6 +43,7 @@ def main() -> int:
     corpus = build_corpus(seed=args.seed)
     print(f"corpus: {len(corpus)} maps (seed {args.seed})")
     worst = {
+        "invariance": 0.0,
         "gram_min_eig": 0.0,
         "reconstruction": 0.0,
         "structural": 0.0,
@@ -49,6 +55,19 @@ def main() -> int:
     failures = []
     for entry in corpus:
         block = entry.block_map
+        entry_reports = [phi.invariance_report() for row in block.entries for phi in row]
+        block_report = block.block_invariance_report()
+        block_required = entry.n == 1 or entry.k <= 2
+        held = entry_reports + ([block_report] if block_required else [])
+        worst["invariance"] = max([worst["invariance"]] + [r["max_deviation"] for r in held])
+        if not all(r["exhaustive"] and r["invariant"] for r in held):
+            failures.append((entry.name, "invariance"))
+        if not block_report["exhaustive"]:
+            failures.append((entry.name, "block invariance report sampled"))
+        invariance = (
+            f"inv={sum(r['invariant'] for r in entry_reports)}/{len(entry_reports)} "
+            f"block={'pass' if block_report['invariant'] else 'fail'}{'' if block_required else '(info)'}"
+        )
         gram = build_gram(block)
         psd, min_eig = gram_is_psd(gram)
         rel_eig = min_eig / max(1.0, gram.norm())
@@ -72,7 +91,7 @@ def main() -> int:
         if not eq.within():
             failures.append((entry.name, "uniqueness residual"))
         line = (
-            f"  {entry.name:<22} kappa={triple.kappa:<3} grambound={rel_eig:+.1e} "
+            f"  {entry.name:<22} {invariance:<24} kappa={triple.kappa:<3} grambound={rel_eig:+.1e} "
             f"recon={report.reconstruction:.1e} equiv={max(eq.unitarity, eq.intertwining, eq.v_match):.1e}"
         )
         if args.falsifier_trials:

@@ -113,15 +113,39 @@ class Algebra:
         if self._mult_table is None:
             d = self.dim
             table = np.zeros((d, d, d), dtype=np.float64)
-            same_block = self._block_of[:, None] == self._block_of[None, :]
-            chained = self._col_of[:, None] == self._row_of[None, :]
-            ps, qs = np.nonzero(same_block & chained)
-            for p, q in zip(ps, qs):
-                r = self.basis_index(self._block_of[p], self._row_of[p], self._col_of[q])
-                table[p, q, r] = 1.0
+            ps, qs = np.nonzero(self.unit_products >= 0)
+            table[ps, qs, self.unit_products[ps, qs]] = 1.0
             table.setflags(write=False)
             self._mult_table = table
         return self._mult_table
+
+    @functools.cached_property
+    def unit_products(self) -> np.ndarray:
+        """P[p, q] = r where e_p e_q = e_r, and -1 where e_p e_q = 0: a
+        product of two matrix units is a matrix unit or zero."""
+        dims = np.asarray(self.block_dims)[self._block_of]
+        offsets = np.asarray(self._offsets)[self._block_of]
+        r = offsets[:, None] + self._row_of[:, None] * dims[:, None] + self._col_of[None, :]
+        same_block = self._block_of[:, None] == self._block_of[None, :]
+        chained = self._col_of[:, None] == self._row_of[None, :]
+        out = np.where(same_block & chained, r, -1)
+        out.setflags(write=False)
+        return out
+
+    @functools.cached_property
+    def unit_factorizations(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(left, right, count): e_p = e_left[p, x] e_right[p, x] for each
+        inner index x < count[p], the size of p's block.  Both tables have
+        max(block_dims) columns; columns x >= count[p] repeat the
+        factorization x = count[p] - 1."""
+        count = np.asarray(self.block_dims)[self._block_of]
+        offsets = np.asarray(self._offsets)[self._block_of]
+        x = np.minimum(np.arange(max(self.block_dims)), count[:, None] - 1)
+        left = offsets[:, None] + self._row_of[:, None] * count[:, None] + x
+        right = offsets[:, None] + x * count[:, None] + self._col_of[:, None]
+        for table in (left, right, count):
+            table.setflags(write=False)
+        return left, right, count
 
     def validate_structure(self) -> None:
         """Check associativity, unit law, and involution exactly.

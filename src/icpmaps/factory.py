@@ -407,6 +407,18 @@ def build_corpus(seed: int = 0) -> list[CorpusEntry]:
 # -- generator specs (CLI fixture addressing) -----------------------------------
 
 
+def _spec_int(kind: str, key: str, value, low: int = 1, high: int | None = None) -> int:
+    """Integer field of a generator spec, checked to lie in [low, high)."""
+    try:
+        value = int(value)
+    except (TypeError, ValueError) as exc:
+        raise SpecFormatError(f"{kind} spec field {key!r} is not an integer: {value!r}") from exc
+    if value < low or (high is not None and value >= high):
+        bound = f">= {low}" if high is None else f"in [{low}, {high})"
+        raise SpecFormatError(f"{kind} spec field {key!r} must be {bound}, got {value}")
+    return value
+
+
 def from_generator_spec(spec: dict):
     """Build a map from a {"kind": ...} fixture spec; returns a
     MultilinearMap or BlockMultilinearMap."""
@@ -414,9 +426,10 @@ def from_generator_spec(spec: dict):
         raise SpecFormatError("generator spec must be an object with a 'kind' key")
     kind = spec["kind"]
     if kind == "trace":
-        return trace_example(int(spec.get("n", 2)))
+        return trace_example(_spec_int(kind, "n", spec.get("n", 2)))
     if kind == "eval":
-        return point_evaluation_example(int(spec.get("dim", 2)), int(spec.get("point", 0)))
+        dim = _spec_int(kind, "dim", spec.get("dim", 2))
+        return point_evaluation_example(dim, _spec_int(kind, "point", spec.get("point", 0), 0, dim))
     if kind == "schur":
         from . import serialize
 
@@ -428,11 +441,11 @@ def from_generator_spec(spec: dict):
     if kind == "dilation":
         try:
             blocks = spec["algebra"]["blocks"]
-            k = int(spec["k"])
-            n = int(spec.get("n", 1))
-            h = int(spec.get("h", 1))
+            k = _spec_int(kind, "k", spec["k"])
         except (KeyError, TypeError) as exc:
             raise SpecFormatError(f"dilation spec missing field: {exc}") from exc
+        n = _spec_int(kind, "n", spec.get("n", 1))
+        h = _spec_int(kind, "h", spec.get("h", 1))
         block, _ = random_icp(Algebra(blocks), k, n, h, seed=int(spec.get("seed", 0)))
         return block
     raise SpecFormatError(f"unknown generator kind {kind!r}")

@@ -15,7 +15,6 @@ materializes the amplified coefficient tensor (guarded by a size limit).
 
 from __future__ import annotations
 
-import string
 from typing import Sequence
 
 import numpy as np
@@ -29,9 +28,12 @@ from .algebra import (
 )
 from .errors import AlgebraMismatchError, ArityError
 
-# Above this many basis tuples, invariance checks switch to seeded random
-# probing (reported in the flag of the result).
-EXHAUSTIVE_TUPLE_LIMIT = 10**6
+# Above this many visited basis assignments (see ``invariance_report``),
+# invariance checks switch to seeded random probing, flagged in the report.
+EXHAUSTIVE_TUPLE_LIMIT = 10**7
+# Support tuples gathered at once: bounds the gather's temporaries to a few
+# hundred rows of coefficient blocks per factorization choice.
+GATHER_ROWS = 256
 AMPLIFY_SIZE_LIMIT = 5 * 10**6
 
 
@@ -149,41 +151,98 @@ class MultilinearMap:
         (left multiplication, reversed order); for even arity k = 2m the
         factors c_1..c_m migrate analogously.  Both sides are multilinear in
         every slot, so equality on all basis assignments is equivalent to the
-        identity; above ``max_exhaustive`` assignments the check samples
-        seeded random tuples instead and flags the report.
+        identity.  A product of two matrix units is a matrix unit or zero, so
+        on a basis assignment each side is one coefficient block or zero: the
+        check gathers both sides at every assignment where one side is a
+        nonzero block (two passes over the coefficient support), which makes
+        ``max_deviation`` exact.  ``tuples_checked`` counts those visits;
+        above ``max_exhaustive`` of them the check samples seeded random
+        tuples instead and flags the report.
         """
-        k, m, d = self.k, self.m, self.algebra.dim
-        n_c = m - 1 if k % 2 == 1 else m
         if tol is None:
             tol = 1e-9 * (1.0 + self.coefficient_scale())
-        if n_c == 0:
-            return {
-                "invariant": True,
-                "max_deviation": 0.0,
-                "exhaustive": True,
-                "tolerance": tol,
-                "tuples_checked": 0,
-            }
-        n_tuples = d ** (k + n_c)
-        if n_tuples <= max_exhaustive:
-            dev = self._invariance_deviation_exhaustive()
-            return {
-                "invariant": bool(dev <= tol),
-                "max_deviation": float(dev),
-                "exhaustive": True,
-                "tolerance": tol,
-                "tuples_checked": n_tuples,
-            }
-        if rng is None:
-            rng = np.random.default_rng(0)
-        dev = self._invariance_deviation_random(rng, trials)
+        dev, exhaustive, checked = 0.0, True, 0
+        if self.k >= 2:
+            support = self._coefficient_support()
+            passes = self._migration_passes()
+            checked = sum(self._pass_visits(support, pairs) for pairs, *_ in passes)
+            if checked <= max_exhaustive:
+                dev = max(self._gather_pass(support, *p) for p in passes)
+            else:
+                if rng is None:
+                    rng = np.random.default_rng(0)
+                dev = self._invariance_deviation_random(rng, trials)
+                exhaustive, checked = False, trials
         return {
             "invariant": bool(dev <= tol),
             "max_deviation": float(dev),
-            "exhaustive": False,
+            "exhaustive": exhaustive,
             "tolerance": tol,
-            "tuples_checked": trials,
+            "tuples_checked": checked,
         }
+
+    def _coefficient_support(self) -> np.ndarray:
+        """Flat indices of the basis tuples whose coefficient block is nonzero."""
+        return np.flatnonzero(self.coeffs.reshape(self.algebra.dim**self.k, -1).any(axis=1))
+
+    def _slot_unit(self, rows: np.ndarray, slot: int) -> np.ndarray:
+        """Basis index in ``slot`` of the basis tuples with flat indices ``rows``."""
+        d = self.algebra.dim
+        return rows // d ** (self.k - 1 - slot) % d
+
+    def _migration_passes(self):
+        """The two gather passes, as (pairs, keep, move, products).
+
+        A pass visits a support tuple s and factors the unit in the first
+        slot of each (factored, product) pair as a kept and a migrating unit;
+        the other side of that assignment carries the kept unit in the
+        factored slot and products[migrating, unit] in the product slot.
+        The lhs pass factors s_l = a_l c_l and forms c_l s_{k-1-l}; the rhs
+        pass factors s_{k-1-l} = c_l a' and forms s_l c_l.
+        """
+        k, alg = self.k, self.algebra
+        left, right, _ = alg.unit_factorizations
+        pairs = [(l, k - 1 - l) for l in range(k // 2)]
+        return (
+            (pairs, left, right, alg.unit_products),
+            ([(b, a) for a, b in pairs], right, left, alg.unit_products.T),
+        )
+
+    def _pass_visits(self, support: np.ndarray, pairs) -> int:
+        """Assignments a pass visits: the factorizations of each support tuple."""
+        count = self.algebra.unit_factorizations[2]
+        per_tuple = np.ones(len(support), dtype=np.int64)
+        for factored, _ in pairs:
+            per_tuple *= count[self._slot_unit(support, factored)]
+        return int(per_tuple.sum())
+
+    def _gather_pass(self, support, pairs, keep, move, products) -> float:
+        """Max |value - other side| over the assignments one pass visits,
+        gathered ``GATHER_ROWS`` support tuples at a time."""
+        d = self.algebra.dim
+        flat = self.coeffs.reshape(d**self.k, -1)
+        choices = np.indices((keep.shape[1],) * len(pairs)).reshape(len(pairs), -1)
+        worst = 0.0
+        for start in range(0, len(support), GATHER_ROWS):
+            rows = support[start : start + GATHER_ROWS, None]
+            # choices past a unit's block size repeat a factorization, which
+            # leaves the maximum as it is
+            other, alive = rows, True
+            for (factored, target), x in zip(pairs, choices):
+                s, t = self._slot_unit(rows, factored), self._slot_unit(rows, target)
+                product = products[move[s, x], t]
+                alive = alive & (product >= 0)
+                other = (
+                    other
+                    + (keep[s, x] - s) * d ** (self.k - 1 - factored)
+                    + (product - t) * d ** (self.k - 1 - target)
+                )
+            own = flat[rows[:, 0]]
+            hit_rows, hit_choices = np.nonzero(alive)
+            paired = np.abs(own[hit_rows] - flat[other[hit_rows, hit_choices]]).max(initial=0.0)
+            vanished = np.abs(own[~alive.all(axis=1)]).max(initial=0.0)
+            worst = max(worst, float(paired), float(vanished))
+        return worst
 
     def _invariance_sides(self, a_elems, c_elems):
         """Evaluate (lhs, rhs) of the migration identity on explicit elements.
@@ -209,38 +268,6 @@ class MultilinearMap:
             lhs, rhs = self._invariance_sides(a_elems, c_elems)
             scale = 1.0 + max(np.abs(lhs).max(), np.abs(rhs).max(), 0.0)
             worst = max(worst, float(np.abs(lhs - rhs).max() / scale))
-        return worst
-
-    def _invariance_deviation_exhaustive(self) -> float:
-        """Max |lhs - rhs| over all basis assignments, chunked over slot 1."""
-        k, m, d = self.k, self.m, self.algebra.dim
-        mt = self.algebra.mult_table
-        odd = k % 2 == 1
-        n_c = m - 1 if odd else m
-        letters = string.ascii_lowercase
-        a_idx = [letters[i] for i in range(k)]
-        c_idx = [letters[k + i] for i in range(n_c)]
-        r_idx = [letters[k + n_c + i] for i in range(n_c)]
-        uv = "yz"
-        out_sub = "".join(a_idx[1:]) + "".join(c_idx) + uv
-
-        # lhs: slot j (0-based, j < n_c) carries a_j c_j; slot 0 is sliced out.
-        lhs_ops = [f"{a_idx[j]}{c_idx[j]}{r_idx[j]}" for j in range(1, n_c)]
-        lhs_coeff_sub = "".join(r_idx) + "".join(a_idx[n_c:]) + uv
-        # rhs: trailing slot (k-1-l) carries c_l a_{k-1-l} for l < n_c; the
-        # leading slot a_0 is sliced out of the coefficient tensor below.
-        rhs_ops = [f"{c_idx[l]}{a_idx[k - 1 - l]}{r_idx[l]}" for l in range(n_c)]
-        rhs_coeff_sub = "".join(a_idx[1 : k - n_c]) + "".join(reversed(r_idx)) + uv
-
-        worst = 0.0
-        for a0 in range(d):
-            lhs_spec = ",".join([f"{c_idx[0]}{r_idx[0]}"] + lhs_ops + [lhs_coeff_sub]) + "->" + out_sub
-            lhs = np.einsum(
-                lhs_spec, mt[a0], *([mt] * (n_c - 1)), self.coeffs, optimize=True
-            )
-            rhs_spec = ",".join(rhs_ops + [rhs_coeff_sub]) + "->" + out_sub
-            rhs = np.einsum(rhs_spec, *([mt] * n_c), self.coeffs[a0], optimize=True)
-            worst = max(worst, float(np.abs(lhs - rhs).max()))
         return worst
 
 

@@ -228,6 +228,43 @@ def test_gen_emits_buildable_specs(tmp_path, capsys):
         serialize.load_map_spec(json.loads(out))
 
 
+def assert_input_error(capsys, *argv):
+    assert main(list(argv)) == 2
+    assert capsys.readouterr().err.startswith("input error: ")
+
+
+def test_gen_dilation_zero_arity_is_input_error(capsys):
+    assert_input_error(capsys, "gen", "dilation", "--k", "0")
+
+
+def test_gen_dilation_zero_grid_size_is_input_error(capsys):
+    assert_input_error(capsys, "gen", "dilation", "--n", "0")
+
+
+def test_gen_eval_point_outside_the_space_is_input_error(capsys):
+    assert_input_error(capsys, "gen", "eval", "--point", "5")
+
+
+def test_check_eval_spec_point_outside_the_space_is_input_error(tmp_path, capsys):
+    spec = write_spec(tmp_path, "eval.json", {"kind": "eval", "dim": 2, "point": 5})
+    assert_input_error(capsys, "check", spec)
+
+
+def test_check_invariant_verdict_is_the_theorem_hypothesis(tmp_path, capsys):
+    # invariant entries and a symmetric grid pass; block invariance over
+    # M_2(A) fails for every nonzero n = 2, k = 4 grid and is only reported
+    spec = str(tmp_path / "grid.json")
+    assert main(["gen", "dilation", "--algebra", "2", "--k", "4", "--n", "2", "--h", "2", "--out", spec]) == 0
+    code, out = run(capsys, "check", spec, "--invariant")
+    assert code == 0
+    report = json.loads(out)
+    assert report["verdicts"]["invariant"] == "pass"
+    invariant = report["checks"]["invariant"]
+    assert invariant["entries"] == [[True, True], [True, True]]
+    assert invariant["grid_symmetric"] is True
+    assert invariant["block"]["exhaustive"] and not invariant["block"]["invariant"]
+
+
 def test_dilate_output_is_deterministic(tmp_path, capsys):
     spec = write_spec(tmp_path, "eval.json", {"kind": "eval", "dim": 2})
     _, first = run(capsys, "dilate", spec, "--minimal")

@@ -1,0 +1,125 @@
+"""The invariance gather against a loop over every basis assignment.
+
+On a basis assignment each side of the migration identity is one
+coefficient block or zero, and ``invariance_report`` gathers both sides at
+every assignment where one side is a nonzero block.  The oracle below
+evaluates both sides at every assignment with explicit products, so the
+deviations must agree exactly, and the assignments with a nonzero side must
+add up to ``tuples_checked``.
+"""
+
+import itertools
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from icpmaps.algebra import Algebra, multiply
+from icpmaps.factory import random_icp
+from icpmaps.multimap import MultilinearMap
+
+ORACLE_ASSIGNMENTS = 5000
+
+
+def _oracle(phi):
+    """(max deviation, assignments with a nonzero lhs + those with a nonzero rhs)
+    over every basis assignment of the a's and the migrating c's."""
+    alg, k = phi.algebra, phi.k
+    n_c = k // 2
+    units = [alg.basis_element(p) for p in range(alg.dim)]
+    worst, nonzero_sides = 0.0, 0
+    for a_idx in itertools.product(range(alg.dim), repeat=k):
+        a = [units[p] for p in a_idx]
+        for c_idx in itertools.product(range(alg.dim), repeat=n_c):
+            c = [units[q] for q in c_idx]
+            lhs = phi.evaluate([multiply(a[l], c[l]) for l in range(n_c)] + a[n_c:])
+            rhs = phi.evaluate(a[: k - n_c] + [multiply(c[k - 1 - s], a[s]) for s in range(k - n_c, k)])
+            worst = max(worst, float(np.abs(lhs - rhs).max()))
+            nonzero_sides += int(lhs.any()) + int(rhs.any())
+    return worst, nonzero_sides
+
+
+def _cases():
+    for blocks in ([1, 1], [2], [2, 1], [3]):
+        dim = sum(b * b for b in blocks)
+        for k in range(1, 6):
+            if dim ** (k + k // 2) <= ORACLE_ASSIGNMENTS:
+                for kind in ("dense", "sparse", "icp"):
+                    name = "+".join(f"M{b}" for b in blocks)
+                    yield pytest.param(blocks, k, kind, id=f"{name}-k{k}-{kind}")
+
+
+def _map(blocks, k, kind):
+    alg = Algebra(blocks)
+    if kind == "icp":
+        block, _ = random_icp(alg, k, 1, 2, seed=3)
+        return block.entries[0][0]
+    rng = np.random.default_rng([k, alg.dim])
+    shape = (alg.dim,) * k + (2, 2)
+    coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    if kind == "sparse":
+        coeffs *= (rng.random(shape[:k]) < 0.05)[..., None, None]
+    return MultilinearMap(alg, k, 2, coeffs)
+
+
+@pytest.mark.parametrize("blocks,k,kind", _cases())
+def test_gather_matches_full_loop_oracle(blocks, k, kind):
+    phi = _map(blocks, k, kind)
+    report = phi.invariance_report()
+    worst, nonzero_sides = _oracle(phi)
+    assert report["exhaustive"]
+    assert report["max_deviation"] == worst
+    assert report["tuples_checked"] == (nonzero_sides if k >= 2 else 0)
+    assert report["invariant"] == (worst <= report["tolerance"])
+    if kind == "icp":
+        assert report["invariant"]
+    if kind == "dense" and k >= 2:
+        assert not report["invariant"]
+
+
+def test_gather_flags_the_bad_map():
+    bad = np.zeros((2, 2, 2, 1, 1), dtype=complex)
+    bad[0, 0, 1] = 1.0  # a_1 b_1 c_2 is not invariant
+    phi = MultilinearMap(Algebra([1, 1]), 3, 1, bad)
+    report = phi.invariance_report()
+    assert report["max_deviation"] == _oracle(phi)[0] == 1.0
+    assert report["exhaustive"] and not report["invariant"]
+    assert report["tuples_checked"] == 2
+
+
+@pytest.fixture(scope="module")
+def grid4():
+    """The shape of the block-n2 benchmark's `check` map: M_2, k = 4, n = 2, h = 2."""
+    block, _ = random_icp(Algebra([2]), 4, 2, 2, seed=0)
+    return block
+
+
+def test_grid4_block_check_is_exhaustive_without_sampling(grid4, monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("the sampler ran although the gather fits the limit")
+
+    monkeypatch.setattr(MultilinearMap, "_invariance_deviation_random", no_sampling)
+    induced = grid4.induced_map()
+    n_c, block_size = 2, 4  # M_2(M_2) is one block M_4; each unit factors 4 ways
+    support = int(induced.coeffs.reshape(induced.algebra.dim**4, -1).any(axis=1).sum())
+    report = grid4.block_invariance_report(trials=100)
+    assert report["exhaustive"]
+    assert report["tuples_checked"] == 2 * support * block_size**n_c
+    assert report["max_deviation"] > report["tolerance"]  # no nonzero n = 2, k = 4 grid passes
+    for row in grid4.entries:
+        for phi in row:
+            entry = phi.invariance_report()
+            assert entry["exhaustive"] and entry["invariant"]
+
+
+def test_gather_memory_stays_below_the_coefficient_tensor(grid4):
+    induced = grid4.induced_map()
+    induced.invariance_report(tol=1e-9)  # builds the algebra's lazy unit tables
+    # an explicit tolerance leaves out coefficient_scale, which is not the gather
+    tracemalloc.start()
+    try:
+        induced.invariance_report(tol=1e-9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < induced.coeffs.nbytes / 4, (peak, induced.coeffs.nbytes)
