@@ -27,6 +27,7 @@ from .errors import (
 from .gram import admissibility_report, build_gram, cp_refute, gram_is_psd, positivity_falsify
 from .multimap import MultilinearMap, amplified_evaluate
 from .stinespring import (
+    CERTIFICATE_TOLS,
     EQUIVALENCE_TOLS,
     dilate,
     minimal_compress,
@@ -63,7 +64,10 @@ def _certifies(block, residuals) -> bool:
     """Whether dilation residuals are small enough to certify the triple
     dilates ``block``: the thresholds of the CP certificate."""
     scale = 1.0 + block.coefficient_scale()
-    return residuals.reconstruction <= 1e-8 * scale and residuals.max_structural() <= 1e-6
+    return (
+        residuals.reconstruction <= CERTIFICATE_TOLS["reconstruction"] * scale
+        and residuals.max_structural() <= CERTIFICATE_TOLS["structural"]
+    )
 
 
 def _map_summary(obj) -> dict:

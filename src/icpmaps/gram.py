@@ -15,6 +15,8 @@ amplification level.  Two complementary instruments live here:
 
 from __future__ import annotations
 
+import functools
+import weakref
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -160,10 +162,6 @@ class GramKernel:
     def size(self) -> int:
         return self.matrix.shape[0]
 
-    @property
-    def m(self) -> int:
-        return (self.k + 1) // 2
-
     def hermiticity_residual(self) -> float:
         g = self.matrix
         scale = 1.0 + float(np.abs(g).max())
@@ -171,6 +169,17 @@ class GramKernel:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.matrix, 2))
+
+    @functools.cached_property
+    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """``eigh`` of the Hermitian part, ascending: read by the PSD test, refuter and dilation."""
+        lam, u = np.linalg.eigh((self.matrix + self.matrix.conj().T) / 2.0)
+        lam.setflags(write=False)
+        u.setflags(write=False)
+        return lam, u
+
+
+_HELD_GRAMS = weakref.WeakKeyDictionary()  # map -> weak reference to its kernel
 
 
 def build_gram(phi) -> GramKernel:
@@ -181,7 +190,14 @@ def build_gram(phi) -> GramKernel:
 
         odd k:   phi_ij(e_{q_m}*, .., e_{q_2}*, e_{q_1}* e_{p_1}, e_{p_2}, .., e_{p_m})
         even k:  phi_ij(e_{q_m}*, .., e_{q_1}*, e_{p_1}, .., e_{p_m})
+
+    While a caller holds the (read-only) kernel, the same map gets it back,
+    so a command that tests the Gram and then dilates or refutes forms it
+    once; no kernel outlives its last holder.
     """
+    held = _HELD_GRAMS.get(phi, lambda: None)()
+    if held is not None:
+        return held
     block = as_block_map(phi)
     alg, k, n, h = block.algebra, block.k, block.n, block.h
     d, m = alg.dim, block.m
@@ -193,13 +209,16 @@ def build_gram(phi) -> GramKernel:
             blocks[:, i, :, :, j, :] = tij.reshape(dm, dm, h, h).transpose(0, 2, 1, 3)
     size = dm * n * h
     matrix = blocks.reshape(size, size)
+    matrix.setflags(write=False)
     index_map = [
         {"factors": list(np.unravel_index(a, (d,) * m)), "slot": j, "component": s}
         for a in range(dm)
         for j in range(n)
         for s in range(h)
     ]
-    return GramKernel(matrix=matrix, algebra=alg, k=k, n=n, h=h, index_map=index_map)
+    gram = GramKernel(matrix=matrix, algebra=alg, k=k, n=n, h=h, index_map=index_map)
+    _HELD_GRAMS[phi] = weakref.ref(gram)
+    return gram
 
 
 def _gram_core(phi: MultilinearMap, m: int) -> np.ndarray:
@@ -232,12 +251,10 @@ def gram_is_psd(gram: GramKernel, tol: float | None = None) -> tuple[bool, float
             f"Gram matrix is non-Hermitian (relative residual {herm_res:.3e}); "
             "source map is malformed or not symmetric"
         )
-    g = (gram.matrix + gram.matrix.conj().T) / 2.0
-    eigs = np.linalg.eigvalsh(g) if g.size else np.zeros(0)
-    min_eig = float(eigs.min()) if eigs.size else 0.0
-    norm = float(np.abs(eigs).max()) if eigs.size else 0.0
+    eigs = gram.spectrum[0]
+    min_eig = float(eigs[0])
     if tol is None:
-        tol = GRAM_PSD_TOL * max(1.0, norm)
+        tol = GRAM_PSD_TOL * max(1.0, float(np.abs(eigs).max()))
     return bool(min_eig >= -tol), min_eig
 
 
@@ -270,11 +287,9 @@ def cp_refute(phi, tol: float | None = None) -> RefutationRecord | None:
     psd, min_eig = gram_is_psd(gram, tol)
     if psd:
         return None
-    g = (gram.matrix + gram.matrix.conj().T) / 2.0
-    eigs, vecs = np.linalg.eigh(g)
     return RefutationRecord(
-        min_eigenvalue=float(eigs[0]),
-        witness=vecs[:, 0],
+        min_eigenvalue=min_eig,
+        witness=gram.spectrum[1][:, 0],
         gram_norm=gram.norm(),
         index_map=gram.index_map,
     )

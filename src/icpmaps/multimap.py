@@ -66,9 +66,12 @@ class MultilinearMap:
         return arity_midpoint(self.k)
 
     def coefficient_scale(self) -> float:
-        """max Frobenius norm over stored coefficient matrices."""
+        """max Frobenius norm over stored coefficient matrices, reduced
+        ``GATHER_ROWS`` matrices at a time so that no temporary is as large
+        as the tensor."""
         flat = self.coeffs.reshape(-1, self.h, self.h)
-        return float(np.sqrt((np.abs(flat) ** 2).sum(axis=(1, 2)).max())) if flat.size else 0.0
+        chunks = (flat[s : s + GATHER_ROWS] for s in range(0, len(flat), GATHER_ROWS))
+        return float(np.sqrt(max((np.abs(c) ** 2).sum(axis=(1, 2)).max() for c in chunks)))
 
     # -- evaluation ------------------------------------------------------
 

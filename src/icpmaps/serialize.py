@@ -245,11 +245,21 @@ def triple_from_json(data):
         v_raw = data["V"]
     except (KeyError, TypeError, ValueError) as exc:
         raise SpecFormatError(f"malformed dilation triple: {exc}") from exc
+    if min(k, n, h) < 1 or kappa < 0:
+        raise SpecFormatError(
+            f"dilation triple needs k, n, h >= 1 and kappa >= 0, got k={k}, n={n}, h={h}, kappa={kappa}"
+        )
+    m = (k + 1) // 2
+    if not (isinstance(reps_raw, list) and len(reps_raw) == m and isinstance(v_raw, list) and len(v_raw) == n):
+        raise SpecFormatError(f"dilation triple with k={k}, n={n} needs a list of {m} reps and one of {n} V")
     reps = []
     for per_p in reps_raw:
-        images = np.stack(
-            [matrix_from_json(per_p[f"e{b}"], (kappa, kappa)) for b in range(algebra.dim)]
-        ) if kappa else np.zeros((algebra.dim, 0, 0), dtype=np.complex128)
+        try:
+            images = np.stack(
+                [matrix_from_json(per_p[f"e{b}"], (kappa, kappa)) for b in range(algebra.dim)]
+            ) if kappa else np.zeros((algebra.dim, 0, 0), dtype=np.complex128)
+        except (KeyError, TypeError) as exc:
+            raise SpecFormatError(f"dilation triple reps must map e0..e{algebra.dim - 1}: {exc}") from exc
         reps.append(images)
     v_ops = tuple(matrix_from_json(vj, (kappa, h)) if kappa else np.zeros((0, h)) for vj in v_raw)
     return DilationTriple(

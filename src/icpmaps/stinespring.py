@@ -5,11 +5,11 @@ The quotient of A^{tensor m} (x) H^n by the null space of the Gram form is
 realized numerically through a truncated eigendecomposition G = U L U*:
 eigenpairs above a relative rank threshold define W = L_+^{1/2} U_+^* so
 that G = W^* W, and the quotient space is C^kappa with kappa the kept
-count.  Left multiplication on the p-th tensor factor is an exact
-{0,1}-matrix on coordinates; it descends to the quotient precisely when it
-preserves ker G, which is verified, not assumed.  Representations are
-W P W^+, the operators V_j are W applied to the unit-tensor embeddings of
-H at slot j.
+count.  Left multiplication on the p-th tensor factor is a partial
+permutation applied as a column gather; it descends to the quotient
+precisely when it preserves ker G, which is verified, not assumed.
+Representations are W P W^+, the operators V_j are W applied to the
+unit-tensor embeddings of H at slot j.
 
 Reconstruction pairs the slots around the middle: for k = 2m-1,
 
@@ -34,6 +34,8 @@ RANK_TOL = 1e-10
 DESCENT_TOL = 1e-8
 # default bounds of EquivalenceReport.within, echoed by the equiv report
 EQUIVALENCE_TOLS = {"unitarity": 1e-9, "intertwining": 1e-7, "v_match": 1e-7}
+# CP certificate bounds: reconstruction relative to 1 + coefficient scale
+CERTIFICATE_TOLS = {"reconstruction": 1e-8, "structural": 1e-6}
 
 
 @dataclass
@@ -151,50 +153,6 @@ class EquivalenceReport:
 # -- quotient machinery ---------------------------------------------------
 
 
-def left_mult_operator(algebra: Algebra, m: int, n: int, h: int, p: int, b: int) -> np.ndarray:
-    """Left multiplication by e_b on tensor factor p, as an N-by-N 0/1 matrix
-    on coordinates of A^{tensor m} (x) H^n."""
-    d = algebra.dim
-    bb, br, bc = algebra.basis_label(b)
-    target = np.full(d, -1, dtype=np.intp)
-    for q in range(d):
-        qb, qr, qc = algebra.basis_label(q)
-        if qb == bb and qr == bc:
-            target[q] = algebra.basis_index(bb, br, qc)
-    size = d**m * n * h
-    out = np.zeros((size, size), dtype=np.float64)
-    tail = n * h
-    digits = np.array(list(np.ndindex(*(d,) * m)))  # (d^m, m)
-    factors = digits[:, p]
-    mapped = target[factors]
-    ok = mapped >= 0
-    stride = d ** (m - 1 - p)
-    src_alpha = np.arange(d**m)
-    dst_alpha = src_alpha + (mapped - factors) * stride
-    for a_src, a_dst, good in zip(src_alpha, dst_alpha, ok):
-        if good:
-            sl_src = slice(a_src * tail, (a_src + 1) * tail)
-            sl_dst = slice(a_dst * tail, (a_dst + 1) * tail)
-            out[sl_dst, sl_src] = np.eye(tail)
-    return out
-
-
-def _unit_slot_embedding(algebra: Algebra, m: int, n: int, h: int, j: int) -> np.ndarray:
-    """iota_j : H -> A^{tensor m} (x) H^n sending f to 1 x .. x 1 x (f at slot j)."""
-    d = algebra.dim
-    ident = algebra.identity_coords
-    vec = ident
-    for _ in range(m - 1):
-        vec = np.kron(vec, ident)
-    out = np.zeros((d**m * n * h, h), dtype=np.complex128)
-    for a in range(d**m):
-        if vec[a] == 0:
-            continue
-        for s in range(h):
-            out[(a * n + j) * h + s, s] = vec[a]
-    return out
-
-
 def dilate(
     phi,
     rank_tol: float = RANK_TOL,
@@ -215,26 +173,33 @@ def dilate(
     psd, min_eig = gram_is_psd(gram, psd_tol)
     if not psd:
         raise NotCompletelyPositiveError(min_eig)
-    g = (gram.matrix + gram.matrix.conj().T) / 2.0
-    lam, u = np.linalg.eigh(g)
+    lam, u = gram.spectrum
     lam_max = float(lam.max(initial=0.0))
-    kept = lam > rank_tol * lam_max if lam_max > 0 else np.zeros(len(lam), dtype=bool)
+    kept = lam > rank_tol * lam_max
     kappa = int(kept.sum())
     w = (np.sqrt(lam[kept])[:, None]) * u[:, kept].conj().T  # (kappa, N)
     winv = u[:, kept] / np.sqrt(lam[kept])[None, :]  # (N, kappa)
     null = u[:, ~kept]
     scale = np.sqrt(lam_max) if lam_max > 0 else 1.0
+    # W's columns grouped by alpha = (p_1..p_m), then a zero column d^m: column alpha of
+    # W L_{p,b} is column alpha + (r - q) d^(m-1-p) of W if e_b e_q = e_r on factor p, else d^m
+    w_pad = np.concatenate([w.reshape(kappa, d**m, n * h), np.zeros((kappa, 1, n * h))], axis=1)
+    digits = np.indices((d,) * m).reshape(m, -1)
     reps = []
     for p in range(m):
+        r = alg.unit_products[:, digits[p]]  # (b, alpha)
+        moved = np.where(r >= 0, np.arange(d**m) + (r - digits[p]) * d ** (m - 1 - p), d**m)
         images = np.empty((d, kappa, kappa), dtype=np.complex128)
         for b in range(d):
-            lm = left_mult_operator(alg, m, n, h, p, b)
-            residual = float(np.linalg.norm(w @ lm @ null, 2)) if null.size and kappa else 0.0
+            wl = w_pad[:, moved[b]].reshape(w.shape)
+            residual = float(np.linalg.norm(wl @ null, 2)) if null.size and kappa else 0.0
             if residual > descent_tol * scale:
                 raise QuotientDescentError(p, b, residual)
-            images[b] = w @ lm @ winv
+            images[b] = wl @ winv
         reps.append(images)
-    v_ops = tuple(w @ _unit_slot_embedding(alg, m, n, h, j) for j in range(n))
+    # V_j = W iota_j, iota_j : H -> A^{tensor m} (x) H^n sends f to 1 x .. x 1 x (f at slot j)
+    unit = alg.identity_coords[digits].prod(axis=0)
+    v_ops = tuple(w @ np.kron(np.outer(unit, slot).reshape(-1, 1), np.eye(h)) for slot in np.eye(n))
     return DilationTriple(
         algebra=alg,
         k=k,

@@ -1,5 +1,8 @@
 import json
 
+import numpy as np
+import pytest
+
 from icpmaps import cli, serialize
 from icpmaps.cli import main
 from icpmaps.factory import point_evaluation_example, trace_example
@@ -263,6 +266,64 @@ def test_check_invariant_verdict_is_the_theorem_hypothesis(tmp_path, capsys):
     assert invariant["entries"] == [[True, True], [True, True]]
     assert invariant["grid_symmetric"] is True
     assert invariant["block"]["exhaustive"] and not invariant["block"]["invariant"]
+
+
+def test_each_command_diagonalizes_its_gram_once(tmp_path, capsys, monkeypatch):
+    # M_2, k = 3, n = 2, h = 1: Gram size 4^2 * 2 = 32, falsifier values at most 4 x 4
+    spec = str(tmp_path / "map.json")
+    assert main(["gen", "dilation", "--algebra", "2", "--k", "3", "--out", spec]) == 0
+    lam = [[[1.0, 0.0], [2.0, 0.0]], [[2.0, 0.0], [1.0, 0.0]]]
+    non_cp = write_spec(tmp_path, "schur.json", {"kind": "schur", "lam": lam})
+    sizes = []
+
+    def counting(original):
+        def wrapper(a, *args, **kwargs):
+            sizes.append(np.shape(a)[-1])
+            return original(a, *args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "eigh", counting(np.linalg.eigh))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting(np.linalg.eigvalsh))
+    for argv, code, gram_size in [
+        (["check", spec, "--cp", "--trials", "20"], 0, 32),
+        (["dilate", spec], 0, 32),
+        (["check", non_cp, "--cp"], 1, 2),  # the refuter reads the same spectrum
+    ]:
+        sizes.clear()
+        assert main(argv) == code, argv
+        capsys.readouterr()
+        assert sizes.count(gram_size) == 1, (argv, sizes)
+
+
+def _minimal_triple(tmp_path):
+    spec = str(tmp_path / "map.json")
+    assert main(["gen", "dilation", "--algebra", "2", "--k", "3", "--out", spec]) == 0
+    triple = str(tmp_path / "triple.json")
+    assert main(["dilate", spec, "--minimal", "--out", triple]) == 0
+    return spec, triple
+
+
+@pytest.mark.parametrize(
+    "defect",
+    [
+        lambda t: t.update(reps=t["reps"][:1]),
+        lambda t: t.update(reps=[]),
+        lambda t: t.update(V=[]),
+        lambda t: t.update(k=0),
+        lambda t: t.update(kappa=-1),
+        lambda t: t["reps"][0].pop("e0"),
+    ],
+    ids=["one-of-two-reps", "no-reps", "empty-V", "zero-arity", "negative-kappa", "rep-without-e0"],
+)
+def test_equiv_malformed_triple_is_input_error(tmp_path, capsys, defect):
+    spec, triple = _minimal_triple(tmp_path)
+    data = json.loads(open(triple).read())
+    defect(data)
+    broken = write_spec(tmp_path, "broken.json", data)
+    capsys.readouterr()
+    assert main(["equiv", broken, triple, spec]) == 2
+    assert "dilation triple" in capsys.readouterr().err
 
 
 def test_dilate_output_is_deterministic(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -155,6 +157,17 @@ def test_non_hermitian_gram_raises():
     phi = MultilinearMap(Algebra([1, 1]), 3, 1, coeffs)
     with pytest.raises(NonHermitianGramError):
         gram_is_psd(build_gram(phi))
+
+
+def test_gram_is_shared_while_held_and_freed_with_its_last_holder():
+    phi = point_evaluation_example(2)
+    gram = build_gram(phi)
+    assert build_gram(phi) is gram
+    assert build_gram(trace_example(2)) is not gram
+    assert not gram.matrix.flags.writeable
+    held = weakref.ref(gram)
+    del gram
+    assert held() is None
 
 
 def test_cp_refute(small_corpus):

@@ -123,3 +123,17 @@ def test_gather_memory_stays_below_the_coefficient_tensor(grid4):
     finally:
         tracemalloc.stop()
     assert peak < induced.coeffs.nbytes / 4, (peak, induced.coeffs.nbytes)
+
+
+def test_coefficient_scale_memory_stays_below_the_coefficient_tensor(grid4):
+    induced = grid4.induced_map()
+    flat = induced.coeffs.reshape(-1, induced.h, induced.h)
+    reference = float(np.sqrt((np.abs(flat) ** 2).sum(axis=(1, 2)).max()))
+    tracemalloc.start()
+    try:
+        scale = induced.coefficient_scale()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert scale == reference
+    assert peak < induced.coeffs.nbytes / 16, (peak, induced.coeffs.nbytes)

@@ -4,8 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from icpmaps import cli, serialize
 from icpmaps.algebra import Algebra
-from icpmaps.errors import NotCompletelyPositiveError
+from icpmaps.errors import NotCompletelyPositiveError, QuotientDescentError
 from icpmaps.factory import (
     point_evaluation_example,
     random_icp,
@@ -66,6 +67,80 @@ def test_roundtrip_on_corpus(corpus):
         gram = build_gram(block)
         rank = np.linalg.matrix_rank(gram.matrix, tol=1e-8 * max(1.0, gram.norm()))
         assert triple.kappa == rank, entry.name
+
+
+def _left_mult_oracle(alg, m, tail, p, b):
+    """L_{p,b}, left multiplication by e_b on tensor factor p of
+    A^{tensor m} (x) H^n, built one coordinate at a time; tail = n h."""
+    d = alg.dim
+    bb, br, bc = alg.basis_label(b)
+    out = np.zeros((d**m * tail, d**m * tail))
+    for alpha in itertools.product(range(d), repeat=m):
+        qb, qr, qc = alg.basis_label(alpha[p])
+        if (qb, qr) != (bb, bc):
+            continue  # e_b e_q = 0
+        beta = alpha[:p] + (alg.basis_index(bb, br, qc),) + alpha[p + 1 :]
+        src = int(np.ravel_multi_index(alpha, (d,) * m)) * tail
+        dst = int(np.ravel_multi_index(beta, (d,) * m)) * tail
+        out[dst : dst + tail, src : src + tail] = np.eye(tail)
+    return out
+
+
+def _unit_slot_oracle(alg, m, n, h, j):
+    """iota_j : f -> 1 x .. x 1 x (f at slot j); the unit is the sum of the
+    diagonal matrix units."""
+    d = alg.dim
+    out = np.zeros((d**m * n * h, h))
+    for alpha in itertools.product(range(d), repeat=m):
+        if all(alg.basis_label(q)[1] == alg.basis_label(q)[2] for q in alpha):
+            row = (int(np.ravel_multi_index(alpha, (d,) * m)) * n + j) * h
+            out[row : row + h] = np.eye(h)
+    return out
+
+
+def test_quotient_maps_match_coordinate_oracles(corpus):
+    # pi_p(e_b) W = W L_{p,b} on the quotient, and V_j = W iota_j
+    for entry in corpus:
+        block = entry.block_map
+        alg, m, n, h = block.algebra, block.m, block.n, block.h
+        triple = dilate(block)
+        w = triple.W
+        scale = max(1.0, np.linalg.norm(w, 2))
+        for p in range(m):
+            for b in range(alg.dim):
+                lhs = triple.reps[p][b] @ w
+                rhs = w @ _left_mult_oracle(alg, m, n * h, p, b)
+                assert np.linalg.norm(lhs - rhs, 2) <= 1e-12 * scale, (entry.name, p, b)
+        for j in range(n):
+            v_oracle = w @ _unit_slot_oracle(alg, m, n, h, j)
+            assert np.linalg.norm(triple.V[j] - v_oracle, 2) <= 1e-12 * scale, (entry.name, j)
+
+
+@pytest.fixture(scope="module")
+def non_invariant_psd_map():
+    """k = 2 scalar map on M_2 with phi(e_a, e_b) = G[a*, b], G = z z*: its
+    Gram is G, PSD, but the map is not invariant, so ker G is not preserved
+    by left multiplication."""
+    alg = Algebra([2])
+    rng = np.random.default_rng(0)
+    z = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
+    g = z @ z.conj().T
+    return MultilinearMap(alg, 2, 1, g[alg.star_perm][:, :, None, None])
+
+
+def test_non_invariant_map_fails_quotient_descent(non_invariant_psd_map):
+    phi = non_invariant_psd_map
+    assert phi.is_symmetric() and not phi.is_invariant()
+    with pytest.raises(QuotientDescentError) as err:
+        dilate(phi)
+    assert (err.value.factor, err.value.basis_index) == (0, 0)
+    assert err.value.residual == pytest.approx(1.1413, abs=1e-4)
+
+
+def test_cli_dilate_quotient_descent_failure_is_obstruction(non_invariant_psd_map, tmp_path):
+    spec = tmp_path / "non_invariant.json"
+    spec.write_text(serialize.dumps(serialize.map_to_json(non_invariant_psd_map)))
+    assert cli.main(["dilate", str(spec)]) == 3
 
 
 def test_fault_injection_raises_residual(corpus):
