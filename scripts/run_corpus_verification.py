@@ -70,7 +70,7 @@ def main() -> int:
         )
         gram = build_gram(block)
         psd, min_eig = gram_is_psd(gram)
-        rel_eig = min_eig / max(1.0, gram.norm())
+        rel_eig = min_eig / max(1.0, gram.spectral_norm())
         worst["gram_min_eig"] = min(worst["gram_min_eig"], rel_eig)
         if not psd:
             failures.append((entry.name, "gram not PSD"))

@@ -7,9 +7,11 @@ the (n*h)-by-(n*h) matrix whose (i, j) block is the chained sum
 
 Level t acts on t-matrices over M_n(A) by the same sum, a chain of length
 tn over A whose end indices pick the grid entry; ``amplified_evaluate``
-evaluates it straight from the grid (``chain_grid``).  ``induced_map``
-materializes the action over M_n(A): the definition block invariance is
-checked against, and the chain kernel's test oracle.
+evaluates it straight from the grid (``chain_grid``).  Block invariance is
+gathered from the grid as well: a coefficient block of the action over
+M_n(A) is one coefficient of one entry, or zero.  ``induced_map``
+materializes that action, the definition block invariance is checked
+against; it serves as the test oracle.
 """
 
 from __future__ import annotations
@@ -20,7 +22,13 @@ import numpy as np
 
 from .algebra import Amplification, MatrixOverAlgebra, amplified_algebra
 from .errors import AlgebraMismatchError, ArityError
-from .multimap import ChainGrid, MultilinearMap, amplified_evaluate
+from .multimap import (
+    EXHAUSTIVE_TUPLE_LIMIT,
+    ChainGrid,
+    MultilinearMap,
+    amplified_evaluate,
+    sampled_invariance_deviation,
+)
 
 
 class BlockMultilinearMap:
@@ -92,7 +100,9 @@ class BlockMultilinearMap:
             unit_index = np.empty(size, dtype=np.intp)
             unit_index[embedded.real.astype(np.intp)] = np.arange(size)
             ends = np.stack([[phi.coeffs.reshape(-1, self.h**2) for phi in row] for row in self.entries])
-            self._grid = ChainGrid(self.amplification.algebra, self.h, ends, unit_index.reshape(-1, n, n))
+            self._grid = ChainGrid(
+                self.amplification.algebra, self.k, self.h, ends, unit_index.reshape(-1, n, n)
+            )
         return self._grid
 
     def unit_value(self) -> np.ndarray:
@@ -102,11 +112,15 @@ class BlockMultilinearMap:
     # -- the induced map over M_n(A) ---------------------------------------
 
     def induced_map(self) -> MultilinearMap:
-        """The same action expressed as a multilinear map over M_n(A).
+        """The same action expressed as a multilinear map over M_n(A): the
+        definition of block invariance, and the test oracle of the grid
+        gather and the chain kernel.
 
         Coefficients over the matrix-unit basis of M_n(A) have a single
         nonzero (h, h) block per chained assignment, located at block
         position (row of the first unit, column of the last unit).
+        ``ChainGrid.blocks`` reads the same blocks without forming the
+        (n^2 d)^k (nh)^2 tensor.
         """
         grid, big = self.chain_grid(), self.amplification.algebra
         d, k, h, n = self.algebra.dim, self.k, self.h, self.n
@@ -151,8 +165,22 @@ class BlockMultilinearMap:
     # -- invariance ----------------------------------------------------------
 
     def block_invariance_report(self, tol=None, rng=None, trials: int = 2000, max_exhaustive=None) -> dict:
-        kwargs = {} if max_exhaustive is None else {"max_exhaustive": max_exhaustive}
-        return self.induced_map().invariance_report(tol, rng, trials, **kwargs)
+        """``induced_map().invariance_report(...)``, gathered from the grid.
+
+        The seeded sampler, above ``max_exhaustive`` visits, draws the same
+        tuples over M_n(A) and evaluates them through ``block_evaluate``.
+        """
+        if max_exhaustive is None:
+            max_exhaustive = EXHAUSTIVE_TUPLE_LIMIT
+        amp = self.amplification
+
+        def evaluate(args):
+            return self.block_evaluate([amp.extract(a) for a in args])
+
+        return self.chain_grid().invariance_report(
+            tol, trials, max_exhaustive,
+            lambda: sampled_invariance_deviation(amp.algebra, self.k, evaluate, rng, trials),
+        )
 
     def block_is_invariant(self, tol=None, rng=None, trials: int = 2000) -> bool:
         return self.block_invariance_report(tol, rng, trials)["invariant"]

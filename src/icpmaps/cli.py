@@ -54,8 +54,11 @@ def _read_json(path: str):
 def _emit(report: dict, out: str | None) -> None:
     text = serialize.dumps(report)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise SpecFormatError(f"cannot write report to {out!r}: {exc}") from exc
     else:
         sys.stdout.write(text)
 

@@ -170,6 +170,12 @@ class GramKernel:
     def norm(self) -> float:
         return float(np.linalg.norm(self.matrix, 2))
 
+    def spectral_norm(self) -> float:
+        """Largest |eigenvalue| of the Hermitian part, read from ``spectrum``:
+        the 2-norm of a Hermitian Gram without a second factorization."""
+        lam = self.spectrum[0]
+        return float(max(-lam[0], lam[-1]))
+
     @functools.cached_property
     def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
         """``eigh`` of the Hermitian part, ascending: read by the PSD test, refuter and dilation."""
@@ -251,10 +257,9 @@ def gram_is_psd(gram: GramKernel, tol: float | None = None) -> tuple[bool, float
             f"Gram matrix is non-Hermitian (relative residual {herm_res:.3e}); "
             "source map is malformed or not symmetric"
         )
-    eigs = gram.spectrum[0]
-    min_eig = float(eigs[0])
+    min_eig = float(gram.spectrum[0][0])
     if tol is None:
-        tol = GRAM_PSD_TOL * max(1.0, float(np.abs(eigs).max()))
+        tol = GRAM_PSD_TOL * max(1.0, gram.spectral_norm())
     return bool(min_eig >= -tol), min_eig
 
 
@@ -290,6 +295,6 @@ def cp_refute(phi, tol: float | None = None) -> RefutationRecord | None:
     return RefutationRecord(
         min_eigenvalue=min_eig,
         witness=gram.spectrum[1][:, 0],
-        gram_norm=gram.norm(),
+        gram_norm=gram.spectral_norm(),
         index_map=gram.index_map,
     )

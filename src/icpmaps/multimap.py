@@ -15,6 +15,7 @@ materializes the amplified coefficient tensor (guarded by a size limit).
 
 from __future__ import annotations
 
+import functools
 from typing import Sequence
 
 import numpy as np
@@ -127,7 +128,7 @@ class MultilinearMap:
     def chain_grid(self) -> "ChainGrid":
         """The map as a 1-by-1 grid, the form ``amplified_evaluate`` reads."""
         unit_index = np.arange(self.algebra.dim).reshape(-1, 1, 1)
-        return ChainGrid(self.algebra, self.h, self.coeffs.reshape(1, 1, -1, self.h**2), unit_index)
+        return ChainGrid(self.algebra, self.k, self.h, self.coeffs.reshape(1, 1, -1, self.h**2), unit_index)
 
     # -- invariance ---------------------------------------------------------
 
@@ -160,135 +161,59 @@ class MultilinearMap:
         nonzero block (two passes over the coefficient support), which makes
         ``max_deviation`` exact.  ``tuples_checked`` counts those visits;
         above ``max_exhaustive`` of them the check samples seeded random
-        tuples instead and flags the report.
+        tuples instead and flags the report.  The gather is
+        ``ChainGrid.invariance_report`` on the map as a 1-by-1 grid.
         """
-        if tol is None:
-            tol = 1e-9 * (1.0 + self.coefficient_scale())
-        dev, exhaustive, checked = 0.0, True, 0
-        if self.k >= 2:
-            support = self._coefficient_support()
-            passes = self._migration_passes()
-            checked = sum(self._pass_visits(support, pairs) for pairs, *_ in passes)
-            if checked <= max_exhaustive:
-                dev = max(self._gather_pass(support, *p) for p in passes)
-            else:
-                if rng is None:
-                    rng = np.random.default_rng(0)
-                dev = self._invariance_deviation_random(rng, trials)
-                exhaustive, checked = False, trials
-        return {
-            "invariant": bool(dev <= tol),
-            "max_deviation": float(dev),
-            "exhaustive": exhaustive,
-            "tolerance": tol,
-            "tuples_checked": checked,
-        }
-
-    def _coefficient_support(self) -> np.ndarray:
-        """Flat indices of the basis tuples whose coefficient block is nonzero."""
-        return np.flatnonzero(self.coeffs.reshape(self.algebra.dim**self.k, -1).any(axis=1))
-
-    def _slot_unit(self, rows: np.ndarray, slot: int) -> np.ndarray:
-        """Basis index in ``slot`` of the basis tuples with flat indices ``rows``."""
-        d = self.algebra.dim
-        return rows // d ** (self.k - 1 - slot) % d
-
-    def _migration_passes(self):
-        """The two gather passes, as (pairs, keep, move, products).
-
-        A pass visits a support tuple s and factors the unit in the first
-        slot of each (factored, product) pair as a kept and a migrating unit;
-        the other side of that assignment carries the kept unit in the
-        factored slot and products[migrating, unit] in the product slot.
-        The lhs pass factors s_l = a_l c_l and forms c_l s_{k-1-l}; the rhs
-        pass factors s_{k-1-l} = c_l a' and forms s_l c_l.
-        """
-        k, alg = self.k, self.algebra
-        left, right, _ = alg.unit_factorizations
-        pairs = [(l, k - 1 - l) for l in range(k // 2)]
-        return (
-            (pairs, left, right, alg.unit_products),
-            ([(b, a) for a, b in pairs], right, left, alg.unit_products.T),
+        return self.chain_grid().invariance_report(
+            tol, trials, max_exhaustive, lambda: self._invariance_deviation_random(rng, trials)
         )
 
-    def _pass_visits(self, support: np.ndarray, pairs) -> int:
-        """Assignments a pass visits: the factorizations of each support tuple."""
-        count = self.algebra.unit_factorizations[2]
-        per_tuple = np.ones(len(support), dtype=np.int64)
-        for factored, _ in pairs:
-            per_tuple *= count[self._slot_unit(support, factored)]
-        return int(per_tuple.sum())
+    def _invariance_deviation_random(self, rng: np.random.Generator | None, trials: int) -> float:
+        return sampled_invariance_deviation(self.algebra, self.k, self.evaluate, rng, trials)
 
-    def _gather_pass(self, support, pairs, keep, move, products) -> float:
-        """Max |value - other side| over the assignments one pass visits,
-        gathered ``GATHER_ROWS`` support tuples at a time."""
-        d = self.algebra.dim
-        flat = self.coeffs.reshape(d**self.k, -1)
-        choices = np.indices((keep.shape[1],) * len(pairs)).reshape(len(pairs), -1)
-        worst = 0.0
-        for start in range(0, len(support), GATHER_ROWS):
-            rows = support[start : start + GATHER_ROWS, None]
-            # choices past a unit's block size repeat a factorization, which
-            # leaves the maximum as it is
-            other, alive = rows, True
-            for (factored, target), x in zip(pairs, choices):
-                s, t = self._slot_unit(rows, factored), self._slot_unit(rows, target)
-                product = products[move[s, x], t]
-                alive = alive & (product >= 0)
-                other = (
-                    other
-                    + (keep[s, x] - s) * d ** (self.k - 1 - factored)
-                    + (product - t) * d ** (self.k - 1 - target)
-                )
-            own = flat[rows[:, 0]]
-            hit_rows, hit_choices = np.nonzero(alive)
-            paired = np.abs(own[hit_rows] - flat[other[hit_rows, hit_choices]]).max(initial=0.0)
-            vanished = np.abs(own[~alive.all(axis=1)]).max(initial=0.0)
-            worst = max(worst, float(paired), float(vanished))
-        return worst
 
-    def _invariance_sides(self, a_elems, c_elems):
-        """Evaluate (lhs, rhs) of the migration identity on explicit elements.
-
-        Uniformly over both parities: lhs puts a_j c_j in slot j for
-        j < n_c, rhs puts c_l a_{k-1-l} in slot k-1-l.
-        """
-        k, m = self.k, self.m
-        n_c = m - 1 if k % 2 == 1 else m
-        lhs_args = [multiply(a_elems[j], c_elems[j]) for j in range(n_c)] + list(a_elems[n_c:])
-        rhs_args = list(a_elems[: k - n_c]) + [
-            multiply(c_elems[k - 1 - s], a_elems[s]) for s in range(k - n_c, k)
-        ]
-        return self.evaluate(lhs_args), self.evaluate(rhs_args)
-
-    def _invariance_deviation_random(self, rng: np.random.Generator, trials: int) -> float:
-        k, m = self.k, self.m
-        n_c = m - 1 if k % 2 == 1 else m
-        worst = 0.0
-        for _ in range(trials):
-            a_elems = [random_element(self.algebra, rng) for _ in range(k)]
-            c_elems = [random_element(self.algebra, rng) for _ in range(n_c)]
-            lhs, rhs = self._invariance_sides(a_elems, c_elems)
-            scale = 1.0 + max(np.abs(lhs).max(), np.abs(rhs).max(), 0.0)
-            worst = max(worst, float(np.abs(lhs - rhs).max() / scale))
-        return worst
+def sampled_invariance_deviation(algebra: Algebra, k: int, evaluate, rng, trials: int) -> float:
+    """Largest relative gap between the two sides of the migration identity
+    over ``trials`` seeded random tuples of elements of ``algebra``, with
+    ``evaluate`` the map on a k-tuple of them.  The lhs puts a_j c_j in slot
+    j for j < n_c, the rhs puts c_l a_{k-1-l} in slot k-1-l."""
+    if rng is None:
+        rng = np.random.default_rng(0)
+    n_c = k // 2
+    worst = 0.0
+    for _ in range(trials):
+        a = [random_element(algebra, rng) for _ in range(k)]
+        c = [random_element(algebra, rng) for _ in range(n_c)]
+        lhs = evaluate([multiply(a[j], c[j]) for j in range(n_c)] + a[n_c:])
+        rhs = evaluate(a[: k - n_c] + [multiply(c[k - 1 - s], a[s]) for s in range(k - n_c, k)])
+        scale = 1.0 + max(np.abs(lhs).max(), np.abs(rhs).max(), 0.0)
+        worst = max(worst, float(np.abs(lhs - rhs).max() / scale))
+    return worst
 
 
 # -- the chain kernel ---------------------------------------------------------
 
 
 class ChainGrid:
-    """An n-by-n grid of maps over A in the form the chain kernel reads.
+    """An n-by-n grid of k-linear maps over A in the form the chain kernel reads.
 
     ``regroup`` turns a t-by-t matrix over M_n(A) into a (tn, d, tn) stack
     over A: entry [s*n + i, q, s'*n + j] is the coordinate of e_q in entry
     (i, j) of its (s, s') entry, at basis index ``unit_index[q, i, j]`` of
     M_n(A).  The chain of the stacks has end indices s*n + i and s'*n + j,
     which pick ``ends[i, j]``, phi_ij's coefficients as a (d^k, h*h) matrix.
+
+    The grid also holds the coefficient blocks of the map it induces over
+    M_n(A), which the invariance gather reads through ``blocks``: at a tuple
+    of matrix units (i_l, j_l, e_{p_l}) of M_n(A) the block is zero unless
+    the tuple is chained (j_l = i_{l+1}), and then it is phi_{i_1 j_k}'s
+    coefficient at (p_1..p_k), at block position (i_1, j_k).  For n = 1 the
+    blocks are the rows of ``ends[0, 0]``.
     """
 
-    def __init__(self, arg_algebra: Algebra, h: int, ends: np.ndarray, unit_index: np.ndarray):
-        self.arg_algebra, self.h, self.ends, self.unit_index = arg_algebra, h, ends, unit_index
+    def __init__(self, arg_algebra: Algebra, k: int, h: int, ends: np.ndarray, unit_index: np.ndarray):
+        self.arg_algebra, self.k, self.h = arg_algebra, k, h
+        self.ends, self.unit_index = ends, unit_index
         self.n = ends.shape[0]
 
     def regroup(self, x: MatrixOverAlgebra) -> np.ndarray:
@@ -312,6 +237,154 @@ class ChainGrid:
         by_ends = chain.reshape(t, n, -1, t, n).transpose(1, 4, 0, 3, 2).reshape(n, n, t * t, -1)
         value = np.matmul(by_ends, self.ends).reshape(n, n, t, t, h, h)
         return value.transpose(2, 0, 4, 3, 1, 5).reshape(t * n * h, t * n * h)
+
+    # -- coefficient blocks over M_n(A) and the invariance gather -----------
+
+    @functools.cached_property
+    def _unit_labels(self) -> np.ndarray:
+        """(q, i, j) of each basis unit of M_n(A): the inverse of ``unit_index``."""
+        labels = np.empty((3, self.arg_algebra.dim), dtype=np.intp)
+        labels[:, self.unit_index.ravel()] = np.indices(self.unit_index.shape).reshape(3, -1)
+        return labels
+
+    def _slot_unit(self, rows: np.ndarray, slot: int) -> np.ndarray:
+        """Basis index in ``slot`` of the basis tuples with flat indices ``rows``."""
+        dim = self.arg_algebra.dim
+        return rows // dim ** (self.k - 1 - slot) % dim
+
+    def blocks(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Coefficient blocks at the basis tuples of M_n(A) with flat indices
+        ``rows``, as (position, block): the block is an (h*h) row placed at
+        block position (i, j), position i*n + j.  A tuple that is not chained
+        has position -1 and a zero block."""
+        n, k = self.n, self.k
+        if n == 1:
+            return np.zeros(len(rows), dtype=np.intp), self.ends[0, 0][rows]
+        units, row_of, col_of = self._unit_labels
+        d = self.unit_index.shape[0]
+        unit = self._slot_unit(rows, 0)
+        flat, first, last = units[unit], row_of[unit], col_of[unit]
+        chained = np.ones(len(rows), dtype=bool)
+        for slot in range(1, k):
+            unit = self._slot_unit(rows, slot)
+            flat = flat * d + units[unit]
+            chained &= last == row_of[unit]
+            last = col_of[unit]
+        values = self.ends[first, last, flat]
+        values[~chained] = 0.0
+        return np.where(chained, first * n + last, -1), values
+
+    def support(self) -> np.ndarray:
+        """Flat indices, ascending, of the basis tuples of M_n(A) with a
+        nonzero block: each nonzero coefficient of phi_ij with every chain
+        of inner indices r_1..r_{k-1}."""
+        n, k = self.n, self.k
+        nonzero = self.ends.any(axis=-1)
+        if n == 1:
+            return np.flatnonzero(nonzero[0, 0])
+        first, last, flat = (a[:, None] for a in np.nonzero(nonzero))
+        inner = np.indices((n,) * (k - 1)).reshape(k - 1, 1, n ** (k - 1))
+        chain = [first, *inner, last]
+        d, dim = self.unit_index.shape[0], self.arg_algebra.dim
+        rows = 0
+        for slot in range(k):
+            unit = flat // d ** (k - 1 - slot) % d
+            rows = rows * dim + self.unit_index[unit, chain[slot], chain[slot + 1]]
+        return np.sort(rows, axis=None)
+
+    def _coefficient_scale(self, support: np.ndarray) -> float:
+        """max Frobenius norm of the blocks at ``support``, each summed as the
+        (n*h, n*h) matrix it fills with zeros around it, ``GATHER_ROWS`` at a
+        time: the scale of the induced map's ``coefficient_scale``."""
+        n, h = self.n, self.h
+        worst = 0.0
+        for start in range(0, len(support), GATHER_ROWS):
+            position, values = self.blocks(support[start : start + GATHER_ROWS])
+            padded = np.zeros((len(values), n, h, n, h), dtype=np.complex128)
+            padded[np.arange(len(values)), position // n, :, position % n, :] = values.reshape(-1, h, h)
+            squares = (np.abs(padded.reshape(-1, n * h, n * h)) ** 2).sum(axis=(1, 2))
+            worst = max(worst, float(squares.max()))
+        return float(np.sqrt(worst))
+
+    def invariance_report(self, tol, trials: int, max_exhaustive: int, sample) -> dict:
+        """``MultilinearMap.invariance_report`` of the map the grid induces
+        over M_n(A); ``sample()`` is the sampled deviation that replaces the
+        gather above ``max_exhaustive`` visits."""
+        support = self.support()
+        if tol is None:
+            tol = 1e-9 * (1.0 + self._coefficient_scale(support))
+        dev, exhaustive, checked = 0.0, True, 0
+        if self.k >= 2:
+            passes = self._migration_passes()
+            checked = sum(self._pass_visits(support, pairs) for pairs, *_ in passes)
+            if checked <= max_exhaustive:
+                dev = max(self._gather_pass(support, *p) for p in passes)
+            else:
+                dev = sample()
+                exhaustive, checked = False, trials
+        return {
+            "invariant": bool(dev <= tol),
+            "max_deviation": float(dev),
+            "exhaustive": exhaustive,
+            "tolerance": tol,
+            "tuples_checked": checked,
+        }
+
+    def _migration_passes(self):
+        """The two gather passes, as (pairs, keep, move, products).
+
+        A pass visits a support tuple s and factors the unit in the first
+        slot of each (factored, product) pair as a kept and a migrating unit;
+        the other side of that assignment carries the kept unit in the
+        factored slot and products[migrating, unit] in the product slot.
+        The lhs pass factors s_l = a_l c_l and forms c_l s_{k-1-l}; the rhs
+        pass factors s_{k-1-l} = c_l a' and forms s_l c_l.
+        """
+        k, alg = self.k, self.arg_algebra
+        left, right, _ = alg.unit_factorizations
+        pairs = [(l, k - 1 - l) for l in range(k // 2)]
+        return (
+            (pairs, left, right, alg.unit_products),
+            ([(b, a) for a, b in pairs], right, left, alg.unit_products.T),
+        )
+
+    def _pass_visits(self, support: np.ndarray, pairs) -> int:
+        """Assignments a pass visits: the factorizations of each support tuple."""
+        count = self.arg_algebra.unit_factorizations[2]
+        per_tuple = np.ones(len(support), dtype=np.int64)
+        for factored, _ in pairs:
+            per_tuple *= count[self._slot_unit(support, factored)]
+        return int(per_tuple.sum())
+
+    def _gather_pass(self, support, pairs, keep, move, products) -> float:
+        """Max |value - other side| over the assignments one pass visits,
+        gathered ``GATHER_ROWS`` support tuples at a time.  A product of
+        matrix units keeps the row of its left factor and the column of its
+        right one, so the other side keeps the first row and the last column
+        of its support tuple: its block, if chained, is at the same position."""
+        dim = self.arg_algebra.dim
+        choices = np.indices((keep.shape[1],) * len(pairs)).reshape(len(pairs), -1)
+        worst = 0.0
+        for start in range(0, len(support), GATHER_ROWS):
+            rows = support[start : start + GATHER_ROWS, None]
+            # choices past a unit's block size repeat a factorization, which
+            # leaves the maximum as it is
+            other, alive = rows, True
+            for (factored, target), x in zip(pairs, choices):
+                s, t = self._slot_unit(rows, factored), self._slot_unit(rows, target)
+                product = products[move[s, x], t]
+                alive = alive & (product >= 0)
+                other = (
+                    other
+                    + (keep[s, x] - s) * dim ** (self.k - 1 - factored)
+                    + (product - t) * dim ** (self.k - 1 - target)
+                )
+            own = self.blocks(rows[:, 0])[1]
+            hit_rows, hit_choices = np.nonzero(alive)
+            paired = np.abs(own[hit_rows] - self.blocks(other[hit_rows, hit_choices])[1]).max(initial=0.0)
+            vanished = np.abs(own[~alive.all(axis=1)]).max(initial=0.0)
+            worst = max(worst, float(paired), float(vanished))
+        return worst
 
 
 def chain_product(stacks: Sequence[np.ndarray], size: int) -> np.ndarray:

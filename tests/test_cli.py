@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -349,3 +353,18 @@ def test_equiv_echoes_the_tolerances_it_applies(tmp_path, capsys):
     for name, tol in EQUIVALENCE_TOLS.items():
         assert EquivalenceReport(U=None, **{name: tol}).within()
         assert not EquivalenceReport(U=None, **{name: 2 * tol}).within()
+
+
+def test_out_into_a_missing_directory_is_input_error(tmp_path):
+    out = tmp_path / "nodir" / "x.json"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "icpmaps.cli", "gen", "dilation", "--k", "3", "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("input error: cannot write report to ")
+    assert str(out) in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()

@@ -1,3 +1,4 @@
+import inspect
 import weakref
 
 import numpy as np
@@ -266,3 +267,29 @@ def test_worked_tuple_admissibility_is_reported():
     assert report["admissible"] is False
     assert report["palindromic"] is False
     assert report["middle_positive"] is True
+
+
+def test_cp_refute_reads_the_gram_norm_from_the_spectrum(monkeypatch):
+    from icpmaps.factory import random_icp
+
+    cp, _ = random_icp(Algebra([2]), 3, 2, 2, seed=1)
+    neg = BlockMultilinearMap([[MultilinearMap(phi.algebra, 3, 2, -phi.coeffs) for phi in row] for row in cp.entries])
+    # np.linalg.norm(G, 2) calls the svd bound in the module that defines it
+    linalg = inspect.unwrap(np.linalg.norm).__globals__
+    svds = []
+
+    def counted(real):
+        def svd(*args, **kwargs):
+            svds.append(np.shape(args[0]))
+            return real(*args, **kwargs)
+        return svd
+
+    monkeypatch.setitem(linalg, "svd", counted(linalg["svd"]))
+    monkeypatch.setattr(np.linalg, "svd", counted(np.linalg.svd))
+    gram = build_gram(neg)
+    record = cp_refute(neg)
+    assert record is not None and record.min_eigenvalue < 0
+    assert svds == []
+    expected = gram.norm()
+    assert svds == [gram.matrix.shape]  # the count sees the SVD that norm() runs
+    assert abs(record.gram_norm - expected) <= 1e-12 * expected
