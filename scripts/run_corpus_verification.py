@@ -82,9 +82,9 @@ def main() -> int:
         worst["structural"] = max(worst["structural"], report.max_structural())
         if report.reconstruction > 1e-8 * scale or report.max_structural() > 1e-9:
             failures.append((entry.name, "round-trip residual"))
-        t1, _ = minimal_compress(triple, block)
-        t2, _ = minimal_compress(entry.triple, block)
-        eq = unitary_equivalence(t1, t2, block)
+        t1, _ = minimal_compress(triple)
+        t2, _ = minimal_compress(entry.triple)
+        eq = unitary_equivalence(t1, t2)
         worst["unitarity"] = max(worst["unitarity"], eq.unitarity)
         worst["intertwining"] = max(worst["intertwining"], eq.intertwining)
         worst["v_match"] = max(worst["v_match"], eq.v_match)

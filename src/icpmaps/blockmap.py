@@ -22,13 +22,7 @@ import numpy as np
 
 from .algebra import Amplification, MatrixOverAlgebra, amplified_algebra
 from .errors import AlgebraMismatchError, ArityError
-from .multimap import (
-    EXHAUSTIVE_TUPLE_LIMIT,
-    ChainGrid,
-    MultilinearMap,
-    amplified_evaluate,
-    sampled_invariance_deviation,
-)
+from .multimap import ChainGrid, MultilinearMap, amplified_evaluate
 
 
 class BlockMultilinearMap:
@@ -164,23 +158,9 @@ class BlockMultilinearMap:
 
     # -- invariance ----------------------------------------------------------
 
-    def block_invariance_report(self, tol=None, rng=None, trials: int = 2000, max_exhaustive=None) -> dict:
-        """``induced_map().invariance_report(...)``, gathered from the grid.
-
-        The seeded sampler, above ``max_exhaustive`` visits, draws the same
-        tuples over M_n(A) and evaluates them through ``block_evaluate``.
-        """
-        if max_exhaustive is None:
-            max_exhaustive = EXHAUSTIVE_TUPLE_LIMIT
-        amp = self.amplification
-
-        def evaluate(args):
-            return self.block_evaluate([amp.extract(a) for a in args])
-
-        return self.chain_grid().invariance_report(
-            tol, trials, max_exhaustive,
-            lambda: sampled_invariance_deviation(amp.algebra, self.k, evaluate, rng, trials),
-        )
+    def block_invariance_report(self, tol=None, rng=None, trials: int = 2000) -> dict:
+        """``induced_map().invariance_report(...)``, gathered from the grid."""
+        return self.chain_grid().invariance_report(tol, rng, trials)
 
     def block_is_invariant(self, tol=None, rng=None, trials: int = 2000) -> bool:
         return self.block_invariance_report(tol, rng, trials)["invariant"]

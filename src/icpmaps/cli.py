@@ -29,6 +29,7 @@ from .multimap import MultilinearMap, amplified_evaluate
 from .stinespring import (
     CERTIFICATE_TOLS,
     EQUIVALENCE_TOLS,
+    RANK_TOL,
     dilate,
     minimal_compress,
     unitary_equivalence,
@@ -229,7 +230,7 @@ def cmd_dilate(args) -> int:
     block = as_block_map(obj)
     triple = dilate(block, rank_tol=args.rank_tol)
     if args.minimal:
-        triple, _report = minimal_compress(triple, block, rank_tol=args.rank_tol)
+        triple, _report = minimal_compress(triple, rank_tol=args.rank_tol)
     residuals = verify_dilation(block, triple)
     report = serialize.triple_to_json(triple, residuals.to_dict())
     report["command"] = "dilate"
@@ -246,7 +247,7 @@ def cmd_equiv(args) -> int:
     res1 = verify_dilation(block, t1)
     res2 = verify_dilation(block, t2)
     try:
-        eq = unitary_equivalence(t1, t2, block)
+        eq = unitary_equivalence(t1, t2)
     except ValueError as exc:
         _emit({"command": "equiv", "error": str(exc)}, args.out)
         return EXIT_FAIL
@@ -362,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dilate", help="construct (optionally minimal) dilation triple")
     p.add_argument("spec")
     p.add_argument("--minimal", action="store_true", help="compress to the minimal triple")
-    p.add_argument("--rank-tol", type=float, default=1e-10, help="relative eigenvalue cutoff (default 1e-10)")
+    p.add_argument("--rank-tol", type=float, default=RANK_TOL, help=f"relative eigenvalue cutoff (default {RANK_TOL:g})")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_dilate)
 

@@ -327,7 +327,6 @@ def random_icp(
         W=None,
         meta={"source": "generator", "seed": seed},
     )
-    triple.W = triple.spanning_matrix()
     return block, triple
 
 

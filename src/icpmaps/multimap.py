@@ -137,16 +137,14 @@ class MultilinearMap:
         tol: float | None = None,
         rng: np.random.Generator | None = None,
         trials: int = 2000,
-        max_exhaustive: int = EXHAUSTIVE_TUPLE_LIMIT,
     ) -> bool:
-        return self.invariance_report(tol, rng, trials, max_exhaustive)["invariant"]
+        return self.invariance_report(tol, rng, trials)["invariant"]
 
     def invariance_report(
         self,
         tol: float | None = None,
         rng: np.random.Generator | None = None,
         trials: int = 2000,
-        max_exhaustive: int = EXHAUSTIVE_TUPLE_LIMIT,
     ) -> dict:
         """Check the left-factor migration identities.
 
@@ -157,38 +155,14 @@ class MultilinearMap:
         every slot, so equality on all basis assignments is equivalent to the
         identity.  A product of two matrix units is a matrix unit or zero, so
         on a basis assignment each side is one coefficient block or zero: the
-        check gathers both sides at every assignment where one side is a
-        nonzero block (two passes over the coefficient support), which makes
+        check gathers the other side at every assignment where the lhs is a
+        nonzero block (one pass over the coefficient support), which makes
         ``max_deviation`` exact.  ``tuples_checked`` counts those visits;
-        above ``max_exhaustive`` of them the check samples seeded random
-        tuples instead and flags the report.  The gather is
+        above ``EXHAUSTIVE_TUPLE_LIMIT`` of them the check samples ``trials``
+        seeded random tuples instead and flags the report.  The gather is
         ``ChainGrid.invariance_report`` on the map as a 1-by-1 grid.
         """
-        return self.chain_grid().invariance_report(
-            tol, trials, max_exhaustive, lambda: self._invariance_deviation_random(rng, trials)
-        )
-
-    def _invariance_deviation_random(self, rng: np.random.Generator | None, trials: int) -> float:
-        return sampled_invariance_deviation(self.algebra, self.k, self.evaluate, rng, trials)
-
-
-def sampled_invariance_deviation(algebra: Algebra, k: int, evaluate, rng, trials: int) -> float:
-    """Largest relative gap between the two sides of the migration identity
-    over ``trials`` seeded random tuples of elements of ``algebra``, with
-    ``evaluate`` the map on a k-tuple of them.  The lhs puts a_j c_j in slot
-    j for j < n_c, the rhs puts c_l a_{k-1-l} in slot k-1-l."""
-    if rng is None:
-        rng = np.random.default_rng(0)
-    n_c = k // 2
-    worst = 0.0
-    for _ in range(trials):
-        a = [random_element(algebra, rng) for _ in range(k)]
-        c = [random_element(algebra, rng) for _ in range(n_c)]
-        lhs = evaluate([multiply(a[j], c[j]) for j in range(n_c)] + a[n_c:])
-        rhs = evaluate(a[: k - n_c] + [multiply(c[k - 1 - s], a[s]) for s in range(k - n_c, k)])
-        scale = 1.0 + max(np.abs(lhs).max(), np.abs(rhs).max(), 0.0)
-        worst = max(worst, float(np.abs(lhs - rhs).max() / scale))
-    return worst
+        return self.chain_grid().invariance_report(tol, rng, trials)
 
 
 # -- the chain kernel ---------------------------------------------------------
@@ -306,21 +280,19 @@ class ChainGrid:
             worst = max(worst, float(squares.max()))
         return float(np.sqrt(worst))
 
-    def invariance_report(self, tol, trials: int, max_exhaustive: int, sample) -> dict:
+    def invariance_report(self, tol, rng, trials: int) -> dict:
         """``MultilinearMap.invariance_report`` of the map the grid induces
-        over M_n(A); ``sample()`` is the sampled deviation that replaces the
-        gather above ``max_exhaustive`` visits."""
+        over M_n(A)."""
         support = self.support()
         if tol is None:
             tol = 1e-9 * (1.0 + self._coefficient_scale(support))
         dev, exhaustive, checked = 0.0, True, 0
         if self.k >= 2:
-            passes = self._migration_passes()
-            checked = sum(self._pass_visits(support, pairs) for pairs, *_ in passes)
-            if checked <= max_exhaustive:
-                dev = max(self._gather_pass(support, *p) for p in passes)
+            checked = self._pass_visits(support)
+            if checked <= EXHAUSTIVE_TUPLE_LIMIT:
+                dev = self._gather_pass(support)
             else:
-                dev = sample()
+                dev = self._sampled_deviation(rng, trials)
                 exhaustive, checked = False, trials
         return {
             "invariant": bool(dev <= tol),
@@ -330,60 +302,78 @@ class ChainGrid:
             "tuples_checked": checked,
         }
 
-    def _migration_passes(self):
-        """The two gather passes, as (pairs, keep, move, products).
-
-        A pass visits a support tuple s and factors the unit in the first
-        slot of each (factored, product) pair as a kept and a migrating unit;
-        the other side of that assignment carries the kept unit in the
-        factored slot and products[migrating, unit] in the product slot.
-        The lhs pass factors s_l = a_l c_l and forms c_l s_{k-1-l}; the rhs
-        pass factors s_{k-1-l} = c_l a' and forms s_l c_l.
-        """
-        k, alg = self.k, self.arg_algebra
-        left, right, _ = alg.unit_factorizations
-        pairs = [(l, k - 1 - l) for l in range(k // 2)]
-        return (
-            (pairs, left, right, alg.unit_products),
-            ([(b, a) for a, b in pairs], right, left, alg.unit_products.T),
-        )
-
-    def _pass_visits(self, support: np.ndarray, pairs) -> int:
-        """Assignments a pass visits: the factorizations of each support tuple."""
+    def _pass_visits(self, support: np.ndarray) -> int:
+        """Assignments the gather visits: the factorizations s_l = a_l c_l,
+        l < k // 2, of each support tuple s, which are the assignments with a
+        nonzero lhs."""
         count = self.arg_algebra.unit_factorizations[2]
         per_tuple = np.ones(len(support), dtype=np.int64)
-        for factored, _ in pairs:
-            per_tuple *= count[self._slot_unit(support, factored)]
+        for slot in range(self.k // 2):
+            per_tuple *= count[self._slot_unit(support, slot)]
         return int(per_tuple.sum())
 
-    def _gather_pass(self, support, pairs, keep, move, products) -> float:
-        """Max |value - other side| over the assignments one pass visits,
-        gathered ``GATHER_ROWS`` support tuples at a time.  A product of
-        matrix units keeps the row of its left factor and the column of its
-        right one, so the other side keeps the first row and the last column
-        of its support tuple: its block, if chained, is at the same position."""
-        dim = self.arg_algebra.dim
-        choices = np.indices((keep.shape[1],) * len(pairs)).reshape(len(pairs), -1)
+    def _gather_pass(self, support: np.ndarray) -> float:
+        """Max |lhs - rhs| over the assignments with a nonzero lhs, gathered
+        ``GATHER_ROWS`` support tuples at a time.
+
+        Each support tuple s is an lhs: every factorization s_l = a_l c_l of
+        slot l < k // 2 gives the rhs, the tuple with a_l in slot l and
+        c_l s_{k-1-l} in slot k-1-l.  That covers the assignments with a zero
+        lhs too: if their rhs is a nonzero block t, then either every
+        factorization of some t_l gives a vanishing product in slot k-1-l, or
+        one factorization rebuilds that assignment's lhs index, whose block is
+        zero; either way the pass meets |t| at t.  A product of matrix units
+        keeps the row of its left factor and the column of its right one, so
+        the rhs keeps the first row and the last column of its support tuple:
+        its block, if chained, is at the same position."""
+        k, dim = self.k, self.arg_algebra.dim
+        left, right, _ = self.arg_algebra.unit_factorizations
+        products = self.arg_algebra.unit_products
+        choices = np.indices((left.shape[1],) * (k // 2)).reshape(k // 2, -1)
         worst = 0.0
         for start in range(0, len(support), GATHER_ROWS):
             rows = support[start : start + GATHER_ROWS, None]
             # choices past a unit's block size repeat a factorization, which
             # leaves the maximum as it is
             other, alive = rows, True
-            for (factored, target), x in zip(pairs, choices):
-                s, t = self._slot_unit(rows, factored), self._slot_unit(rows, target)
-                product = products[move[s, x], t]
+            for slot, x in enumerate(choices):
+                target = k - 1 - slot
+                s, t = self._slot_unit(rows, slot), self._slot_unit(rows, target)
+                product = products[right[s, x], t]
                 alive = alive & (product >= 0)
                 other = (
                     other
-                    + (keep[s, x] - s) * dim ** (self.k - 1 - factored)
-                    + (product - t) * dim ** (self.k - 1 - target)
+                    + (left[s, x] - s) * dim ** (k - 1 - slot)
+                    + (product - t) * dim ** (k - 1 - target)
                 )
             own = self.blocks(rows[:, 0])[1]
             hit_rows, hit_choices = np.nonzero(alive)
             paired = np.abs(own[hit_rows] - self.blocks(other[hit_rows, hit_choices])[1]).max(initial=0.0)
             vanished = np.abs(own[~alive.all(axis=1)]).max(initial=0.0)
             worst = max(worst, float(paired), float(vanished))
+        return worst
+
+    def _sampled_deviation(self, rng: np.random.Generator | None, trials: int) -> float:
+        """Largest relative gap between the two sides of the migration identity
+        over ``trials`` seeded random tuples over M_n(A), each evaluated
+        through the chain kernel.  The lhs puts a_j c_j in slot j for j < k // 2,
+        the rhs puts c_l a_{k-1-l} in slot k-1-l."""
+        if rng is None:
+            rng = np.random.default_rng(0)
+        alg, k = self.arg_algebra, self.k
+        n_c = k // 2
+
+        def evaluate(args):
+            return self.value(1, [self.regroup(MatrixOverAlgebra.from_entries(alg, [[x]])) for x in args])
+
+        worst = 0.0
+        for _ in range(trials):
+            a = [random_element(alg, rng) for _ in range(k)]
+            c = [random_element(alg, rng) for _ in range(n_c)]
+            lhs = evaluate([multiply(a[j], c[j]) for j in range(n_c)] + a[n_c:])
+            rhs = evaluate(a[: k - n_c] + [multiply(c[k - 1 - s], a[s]) for s in range(k - n_c, k)])
+            scale = 1.0 + max(np.abs(lhs).max(), np.abs(rhs).max(), 0.0)
+            worst = max(worst, float(np.abs(lhs - rhs).max() / scale))
         return worst
 
 

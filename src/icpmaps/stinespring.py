@@ -328,7 +328,7 @@ def verify_dilation(phi, triple: DilationTriple, tol: float | None = None) -> Di
 
 
 def minimal_compress(
-    triple: DilationTriple, phi=None, rank_tol: float = RANK_TOL
+    triple: DilationTriple, rank_tol: float = RANK_TOL
 ) -> tuple[DilationTriple, MinimalityReport]:
     """Restrict to the closed span of representation products applied to
     sum_j V_j H; the compressed triple still dilates the same map."""
@@ -360,9 +360,6 @@ def minimal_compress(
         is_minimal=(rank == triple.kappa),
         singular_values=s,
     )
-    if phi is not None:
-        report_residual = verify_dilation(phi, compressed)
-        compressed.meta["verify"] = report_residual.to_dict()
     return compressed, report
 
 
@@ -378,7 +375,7 @@ def _assert_minimal(triple: DilationTriple, span: np.ndarray, rank_tol: float) -
 
 
 def unitary_equivalence(
-    t1: DilationTriple, t2: DilationTriple, phi=None, rank_tol: float = RANK_TOL
+    t1: DilationTriple, t2: DilationTriple, rank_tol: float = RANK_TOL
 ) -> EquivalenceReport:
     """Assemble the intertwining unitary by least squares over the spanning
     family and measure how unitary and intertwining it actually is."""

@@ -106,9 +106,9 @@ def test_c05_minimality_and_uniqueness(corpus):
     worst = {"unitarity": 0.0, "intertwining": 0.0, "v_match": 0.0}
     for entry in corpus:
         dilated = _CACHE.get("dilated", {}).get(entry.name) or dilate(entry.block_map)
-        t1, _ = minimal_compress(dilated, entry.block_map)
-        t2, _ = minimal_compress(entry.triple, entry.block_map)
-        eq = unitary_equivalence(t1, t2, entry.block_map)
+        t1, _ = minimal_compress(dilated)
+        t2, _ = minimal_compress(entry.triple)
+        eq = unitary_equivalence(t1, t2)
         assert eq.unitarity <= 1e-9, entry.name
         assert eq.intertwining <= 1e-7, entry.name
         assert eq.v_match <= 1e-7, entry.name

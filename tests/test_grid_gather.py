@@ -12,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from icpmaps import cli
+from icpmaps import cli, multimap
 from icpmaps.algebra import Algebra
 from icpmaps.blockmap import BlockMultilinearMap
 from icpmaps.factory import noninvariant_block_example, random_icp
@@ -63,10 +63,11 @@ def test_noninvariant_grid_report_equals_the_induced_maps():
 
 @pytest.mark.parametrize("make", [noninvariant_block_example, lambda: random_icp(Algebra([2]), 3, 2, 2, seed=1)[0]],
                          ids=["noninvariant", "icp"])
-def test_sampled_path_agrees_with_the_induced_maps(make):
+def test_sampled_path_agrees_with_the_induced_maps(make, monkeypatch):
     block = make()
-    got = block.block_invariance_report(rng=np.random.default_rng(7), trials=50, max_exhaustive=0)
-    want = block.induced_map().invariance_report(rng=np.random.default_rng(7), trials=50, max_exhaustive=0)
+    monkeypatch.setattr(multimap, "EXHAUSTIVE_TUPLE_LIMIT", 0)
+    got = block.block_invariance_report(rng=np.random.default_rng(7), trials=50)
+    want = block.induced_map().invariance_report(rng=np.random.default_rng(7), trials=50)
     assert not got["exhaustive"] and got["tuples_checked"] == 50
     assert {key: v for key, v in got.items() if key != "max_deviation"} == {
         key: v for key, v in want.items() if key != "max_deviation"

@@ -1,10 +1,10 @@
 """The invariance gather against a loop over every basis assignment.
 
 On a basis assignment each side of the migration identity is one
-coefficient block or zero, and ``invariance_report`` gathers both sides at
-every assignment where one side is a nonzero block.  The oracle below
+coefficient block or zero, and ``invariance_report`` gathers the rhs at
+every assignment where the lhs is a nonzero block.  The oracle below
 evaluates both sides at every assignment with explicit products, so the
-deviations must agree exactly, and the assignments with a nonzero side must
+deviations must agree exactly, and the assignments with a nonzero lhs must
 add up to ``tuples_checked``.
 """
 
@@ -16,18 +16,19 @@ import pytest
 
 from icpmaps.algebra import Algebra, multiply
 from icpmaps.factory import random_icp
-from icpmaps.multimap import MultilinearMap
+from icpmaps.multimap import ChainGrid, MultilinearMap
+from test_chain_kernel import random_grid
 
 ORACLE_ASSIGNMENTS = 5000
 
 
 def _oracle(phi):
-    """(max deviation, assignments with a nonzero lhs + those with a nonzero rhs)
-    over every basis assignment of the a's and the migrating c's."""
+    """(max deviation, assignments with a nonzero lhs) over every basis
+    assignment of the a's and the migrating c's."""
     alg, k = phi.algebra, phi.k
     n_c = k // 2
     units = [alg.basis_element(p) for p in range(alg.dim)]
-    worst, nonzero_sides = 0.0, 0
+    worst, nonzero_lhs = 0.0, 0
     for a_idx in itertools.product(range(alg.dim), repeat=k):
         a = [units[p] for p in a_idx]
         for c_idx in itertools.product(range(alg.dim), repeat=n_c):
@@ -35,8 +36,8 @@ def _oracle(phi):
             lhs = phi.evaluate([multiply(a[l], c[l]) for l in range(n_c)] + a[n_c:])
             rhs = phi.evaluate(a[: k - n_c] + [multiply(c[k - 1 - s], a[s]) for s in range(k - n_c, k)])
             worst = max(worst, float(np.abs(lhs - rhs).max()))
-            nonzero_sides += int(lhs.any()) + int(rhs.any())
-    return worst, nonzero_sides
+            nonzero_lhs += int(lhs.any())
+    return worst, nonzero_lhs
 
 
 def _cases():
@@ -46,14 +47,22 @@ def _cases():
             if dim ** (k + k // 2) <= ORACLE_ASSIGNMENTS:
                 for kind in ("dense", "sparse", "icp"):
                     name = "+".join(f"M{b}" for b in blocks)
-                    yield pytest.param(blocks, k, kind, id=f"{name}-k{k}-{kind}")
+                    yield pytest.param(blocks, 1, k, kind, id=f"{name}-k{k}-{kind}")
+    # induced maps of n = 2 grids over M_2(A)
+    for blocks, k in (([1, 1], 2), ([1, 1], 3), ([2], 2)):
+        assert (4 * sum(b * b for b in blocks)) ** (k + k // 2) <= ORACLE_ASSIGNMENTS
+        for kind in ("dense", "icp"):
+            name = "+".join(f"M{b}" for b in blocks)
+            yield pytest.param(blocks, 2, k, kind, id=f"{name}-n2-k{k}-{kind}")
 
 
-def _map(blocks, k, kind):
+def _map(blocks, n, k, kind):
     alg = Algebra(blocks)
     if kind == "icp":
-        block, _ = random_icp(alg, k, 1, 2, seed=3)
-        return block.entries[0][0]
+        block, _ = random_icp(alg, k, n, 2, seed=3)
+        return block.induced_map() if n > 1 else block.entries[0][0]
+    if n > 1:
+        return random_grid(alg, n, k, 2, np.random.default_rng([n, k, alg.dim])).induced_map()
     rng = np.random.default_rng([k, alg.dim])
     shape = (alg.dim,) * k + (2, 2)
     coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -62,16 +71,16 @@ def _map(blocks, k, kind):
     return MultilinearMap(alg, k, 2, coeffs)
 
 
-@pytest.mark.parametrize("blocks,k,kind", _cases())
-def test_gather_matches_full_loop_oracle(blocks, k, kind):
-    phi = _map(blocks, k, kind)
+@pytest.mark.parametrize("blocks,n,k,kind", _cases())
+def test_gather_matches_full_loop_oracle(blocks, n, k, kind):
+    phi = _map(blocks, n, k, kind)
     report = phi.invariance_report()
-    worst, nonzero_sides = _oracle(phi)
+    worst, nonzero_lhs = _oracle(phi)
     assert report["exhaustive"]
     assert report["max_deviation"] == worst
-    assert report["tuples_checked"] == (nonzero_sides if k >= 2 else 0)
+    assert report["tuples_checked"] == (nonzero_lhs if k >= 2 else 0)
     assert report["invariant"] == (worst <= report["tolerance"])
-    if kind == "icp":
+    if kind == "icp" and (n == 1 or k <= 2):
         assert report["invariant"]
     if kind == "dense" and k >= 2:
         assert not report["invariant"]
@@ -84,7 +93,7 @@ def test_gather_flags_the_bad_map():
     report = phi.invariance_report()
     assert report["max_deviation"] == _oracle(phi)[0] == 1.0
     assert report["exhaustive"] and not report["invariant"]
-    assert report["tuples_checked"] == 2
+    assert report["tuples_checked"] == 1
 
 
 @pytest.fixture(scope="module")
@@ -98,13 +107,13 @@ def test_grid4_block_check_is_exhaustive_without_sampling(grid4, monkeypatch):
     def no_sampling(*args, **kwargs):
         raise AssertionError("the sampler ran although the gather fits the limit")
 
-    monkeypatch.setattr(MultilinearMap, "_invariance_deviation_random", no_sampling)
+    monkeypatch.setattr(ChainGrid, "_sampled_deviation", no_sampling)
     induced = grid4.induced_map()
     n_c, block_size = 2, 4  # M_2(M_2) is one block M_4; each unit factors 4 ways
     support = int(induced.coeffs.reshape(induced.algebra.dim**4, -1).any(axis=1).sum())
     report = grid4.block_invariance_report(trials=100)
     assert report["exhaustive"]
-    assert report["tuples_checked"] == 2 * support * block_size**n_c
+    assert report["tuples_checked"] == support * block_size**n_c
     assert report["max_deviation"] > report["tolerance"]  # no nonzero n = 2, k = 4 grid passes
     for row in grid4.entries:
         for phi in row:

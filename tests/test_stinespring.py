@@ -173,7 +173,7 @@ def test_verify_shape_mismatch():
 def test_dilated_triples_are_already_minimal(corpus):
     for entry in corpus[:8]:
         triple = dilate(entry.block_map)
-        compressed, report = minimal_compress(triple, entry.block_map)
+        compressed, report = minimal_compress(triple)
         assert report.is_minimal
         assert compressed.kappa == triple.kappa
 
@@ -181,13 +181,13 @@ def test_dilated_triples_are_already_minimal(corpus):
 def test_worked_example_triple_is_minimal():
     phi = point_evaluation_example(2)
     triple = dilate(phi)
-    _, report = minimal_compress(triple, phi)
+    _, report = minimal_compress(triple)
     assert report.is_minimal and report.spanning_rank == 1
 
 
 def test_compression_strips_unreachable_summand(corpus):
     entry = next(e for e in corpus if e.k == 3 and e.n == 1 and e.d == 2)
-    base = minimal_compress(dilate(entry.block_map), entry.block_map)[0]
+    base = minimal_compress(dilate(entry.block_map))[0]
     extra_block, extra_triple = random_icp(entry.block_map.algebra, entry.k, entry.n, entry.h, seed=999)
     pad = extra_triple.kappa
     reps = tuple(
@@ -203,7 +203,7 @@ def test_compression_strips_unreachable_summand(corpus):
         kappa=base.kappa + pad, reps=reps, V=v_ops,
     )
     assert verify_dilation(entry.block_map, inflated).reconstruction <= 1e-10
-    compressed, report = minimal_compress(inflated, entry.block_map)
+    compressed, report = minimal_compress(inflated)
     assert not report.is_minimal
     assert compressed.kappa == base.kappa
     assert verify_dilation(entry.block_map, compressed).reconstruction <= 1e-10
@@ -218,7 +218,7 @@ def test_compress_zero_triple_unchanged():
 
 def test_equivalence_with_unitary_conjugate(corpus):
     entry = corpus[12]
-    t1, _ = minimal_compress(dilate(entry.block_map), entry.block_map)
+    t1, _ = minimal_compress(dilate(entry.block_map))
     rng = np.random.default_rng(8)
     z = rng.standard_normal((t1.kappa, t1.kappa)) + 1j * rng.standard_normal((t1.kappa, t1.kappa))
     q, r = np.linalg.qr(z)
@@ -228,7 +228,7 @@ def test_equivalence_with_unitary_conjugate(corpus):
         reps=tuple(np.einsum("ij,ajk,lk->ail", u, rp, u.conj()) for rp in t1.reps),
         V=tuple(u @ vj for vj in t1.V),
     )
-    report = unitary_equivalence(t1, t2, entry.block_map)
+    report = unitary_equivalence(t1, t2)
     assert report.unitarity <= 1e-9
     assert report.intertwining <= 1e-9
     assert report.v_match <= 1e-9
@@ -236,9 +236,9 @@ def test_equivalence_with_unitary_conjugate(corpus):
 
 def test_equivalence_of_independent_constructions(corpus):
     for entry in corpus[:10]:
-        t1, _ = minimal_compress(dilate(entry.block_map), entry.block_map)
-        t2, _ = minimal_compress(entry.triple, entry.block_map)
-        report = unitary_equivalence(t1, t2, entry.block_map)
+        t1, _ = minimal_compress(dilate(entry.block_map))
+        t2, _ = minimal_compress(entry.triple)
+        report = unitary_equivalence(t1, t2)
         assert report.unitarity <= 1e-9, entry.name
         assert report.intertwining <= 1e-7, entry.name
         assert report.v_match <= 1e-7, entry.name
@@ -246,18 +246,18 @@ def test_equivalence_of_independent_constructions(corpus):
 
 def test_self_equivalence_is_identity(corpus):
     entry = corpus[3]
-    t1, _ = minimal_compress(dilate(entry.block_map), entry.block_map)
-    report = unitary_equivalence(t1, t1, entry.block_map)
+    t1, _ = minimal_compress(dilate(entry.block_map))
+    report = unitary_equivalence(t1, t1)
     assert np.abs(report.U - np.eye(t1.kappa)).max() <= 1e-10
     assert report.unitarity <= 1e-12 and report.intertwining <= 1e-12 and report.v_match <= 1e-12
 
 
 def test_recompression_is_identity_up_to_unitary(corpus):
     entry = corpus[6]
-    t1, _ = minimal_compress(dilate(entry.block_map), entry.block_map)
-    t2, report = minimal_compress(t1, entry.block_map)
+    t1, _ = minimal_compress(dilate(entry.block_map))
+    t2, report = minimal_compress(t1)
     assert report.is_minimal
-    eq = unitary_equivalence(t1, t2, entry.block_map)
+    eq = unitary_equivalence(t1, t2)
     assert eq.unitarity <= 1e-9 and eq.intertwining <= 1e-9 and eq.v_match <= 1e-9
 
 
@@ -279,14 +279,14 @@ def test_nonminimal_input_rejected(corpus):
         kappa=base.kappa + pad, reps=reps, V=v_ops,
     )
     with pytest.raises(ValueError, match="not minimal"):
-        unitary_equivalence(inflated, base, entry.block_map)
+        unitary_equivalence(inflated, base)
 
 
 def test_dimension_mismatch_rejected(corpus):
     a = next(e for e in corpus if e.k == 2 and e.n == 1 and e.d == 2 and e.h == 1)
     b = next(e for e in corpus if e.k == 2 and e.n == 1 and e.d == 2 and e.h == 2)
-    ta, _ = minimal_compress(dilate(a.block_map), a.block_map)
-    tb, _ = minimal_compress(dilate(b.block_map), b.block_map)
+    ta, _ = minimal_compress(dilate(a.block_map))
+    tb, _ = minimal_compress(dilate(b.block_map))
     if ta.kappa != tb.kappa:
         with pytest.raises(ValueError, match="dimension mismatch"):
             unitary_equivalence(ta, tb)
