@@ -13,7 +13,7 @@ nonzero if any check fails its tolerance.
 
 Usage:
     python scripts/run_corpus_verification.py [--seed 0] [--tmax 2]
-        [--restarts 2] [--iters 8] [--skip-norms]
+        [--restarts 2] [--iters 8] [--falsifier-trials 0] [--skip-norms]
 """
 
 import argparse

@@ -150,21 +150,27 @@ class Algebra:
     def validate_structure(self) -> None:
         """Check associativity, unit law, and involution exactly.
 
-        Raises ``AssertionError`` on violation; intended for tests and for
+        Raises ``ValueError`` naming the first law that fails (explicitly,
+        so that ``python -O`` keeps the checks); intended for tests and for
         CLI-level validation of small algebras.
         """
         m = self.mult_table
         lhs = np.einsum("pqs,sru->pqru", m, m)
         rhs = np.einsum("qrs,psu->pqru", m, m)
-        assert np.array_equal(lhs, rhs), "structure constants are not associative"
+        if not np.array_equal(lhs, rhs):
+            raise ValueError("structure constants are not associative")
         e = self.identity_coords.real
-        assert np.array_equal(np.einsum("p,pqr->qr", e, m), np.eye(self.dim)), "unit fails on the left"
-        assert np.array_equal(np.einsum("q,pqr->pr", e, m), np.eye(self.dim)), "unit fails on the right"
-        assert np.array_equal(self.star_perm[self.star_perm], np.arange(self.dim)), "star is not an involution"
+        if not np.array_equal(np.einsum("p,pqr->qr", e, m), np.eye(self.dim)):
+            raise ValueError("unit fails on the left")
+        if not np.array_equal(np.einsum("q,pqr->pr", e, m), np.eye(self.dim)):
+            raise ValueError("unit fails on the right")
+        if not np.array_equal(self.star_perm[self.star_perm], np.arange(self.dim)):
+            raise ValueError("star is not an involution")
         # star is an anti-homomorphism on basis elements: (e_p e_q)* = e_q* e_p*
         starred = m[:, :, self.star_perm]
         swapped = m[self.star_perm][:, self.star_perm].transpose(1, 0, 2)
-        assert np.array_equal(starred, swapped), "star is not anti-multiplicative"
+        if not np.array_equal(starred, swapped):
+            raise ValueError("star is not anti-multiplicative")
 
     # -- element constructors ----------------------------------------------
 
@@ -300,28 +306,54 @@ def is_positive_element(x: AlgebraElement, tol: float | None = None) -> bool:
 
 def random_element(algebra: Algebra, rng: np.random.Generator, scale: float = 1.0) -> AlgebraElement:
     """Complex-Gaussian element; deterministic given the generator state."""
-    blocks = [
-        scale * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2.0)
-        for d in algebra.block_dims
-    ]
-    return AlgebraElement(algebra, blocks)
+    return AlgebraElement(algebra, gaussian_blocks(algebra, rng.standard_normal(2 * algebra.dim), scale))
+
+
+def gaussian_blocks(algebra: Algebra, normals: np.ndarray, scale: float = 1.0) -> list[np.ndarray]:
+    """Blocks of complex-Gaussian elements made from standard normals in the
+    order ``random_element`` draws them: block by block, the real parts of a
+    block and then its imaginary parts.  ``normals`` has shape (..., 2 dim),
+    one element per leading index, and block b comes out as (..., d_b, d_b)."""
+    lead, blocks, start = normals.shape[:-1], [], 0
+    for d in algebra.block_dims:
+        re = normals[..., start : start + d * d].reshape(*lead, d, d)
+        im = normals[..., start + d * d : start + 2 * d * d].reshape(*lead, d, d)
+        blocks.append(scale * (re + 1j * im) / np.sqrt(2.0))
+        start += 2 * d * d
+    return blocks
 
 
 def random_psd(algebra: Algebra, rng: np.random.Generator, scale: float = 1.0) -> AlgebraElement:
     """Random positive element y*y, symmetrized so star fixes it bitwise."""
-    y = random_element(algebra, rng, scale)
-    p = multiply(y.star(), y)
-    return 0.5 * (p + p.star())
+    return AlgebraElement(algebra, positive_blocks(random_element(algebra, rng, scale).blocks))
 
 
-def project_unit_ball(x: AlgebraElement) -> AlgebraElement:
+def positive_blocks(blocks: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """y*y, symmetrized, for each block y (leading axes index elements)."""
+    out = []
+    for y in blocks:
+        p = _adjoint(y) @ y
+        out.append(0.5 * (p + _adjoint(p)))
+    return out
+
+
+def _adjoint(blk: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of the last two axes, laid out in C order."""
+    return np.ascontiguousarray(blk.conj().swapaxes(-1, -2))
+
+
+def project_unit_ball(x):
     """Clip each block's singular values at 1 (projection onto the operator-norm
-    unit ball, nearest point in Frobenius distance)."""
-    blocks = []
-    for blk in x.blocks:
+    unit ball, nearest point in Frobenius distance).
+
+    ``x`` is an element, or a list of block stacks: block b of many elements
+    at once, shape (..., d_b, d_b), projected by one SVD call per block."""
+    blocks = x.blocks if isinstance(x, AlgebraElement) else x
+    out = []
+    for blk in blocks:
         u, s, vh = np.linalg.svd(blk)
-        blocks.append((u * np.minimum(s, 1.0)) @ vh)
-    return AlgebraElement(x.algebra, blocks)
+        out.append((u * np.minimum(s, 1.0)[..., None, :]) @ vh)
+    return AlgebraElement(x.algebra, out) if isinstance(x, AlgebraElement) else out
 
 
 # -- amplification M_t(A) ------------------------------------------------------
@@ -415,24 +447,33 @@ class Amplification:
     def embed(self, x: MatrixOverAlgebra) -> AlgebraElement:
         if x.algebra != self.base or x.t != self.t:
             raise AlgebraMismatchError("matrix does not match this amplification")
-        t = self.t
-        blocks = []
-        for b, d in enumerate(self.base.block_dims):
-            off = self.base._offsets[b]
-            grid = x.coords[:, :, off : off + d * d].reshape(t, t, d, d)
-            blocks.append(grid.transpose(0, 2, 1, 3).reshape(t * d, t * d))
-        return AlgebraElement(self.algebra, blocks)
+        return AlgebraElement(self.algebra, self.embed_coords(x.coords))
 
     def extract(self, x: AlgebraElement) -> MatrixOverAlgebra:
         if x.algebra != self.algebra:
             raise AlgebraMismatchError("element does not live in the amplified algebra")
-        t = self.t
-        coords = np.zeros((t, t, self.base.dim), dtype=np.complex128)
+        return MatrixOverAlgebra(self.base, self.extract_blocks(x.blocks))
+
+    def embed_coords(self, coords: np.ndarray) -> list[np.ndarray]:
+        """Blocks of ``embed`` from (..., t, t, dim) coordinates: block b is
+        (..., t d_b, t d_b), with the leading axes kept."""
+        t, lead = self.t, coords.shape[:-3]
+        blocks = []
         for b, d in enumerate(self.base.block_dims):
             off = self.base._offsets[b]
-            grid = x.blocks[b].reshape(t, d, t, d).transpose(0, 2, 1, 3)
-            coords[:, :, off : off + d * d] = grid.reshape(t, t, d * d)
-        return MatrixOverAlgebra(self.base, coords)
+            grid = coords[..., off : off + d * d].reshape(*lead, t, t, d, d)
+            blocks.append(grid.swapaxes(-3, -2).reshape(*lead, t * d, t * d))
+        return blocks
+
+    def extract_blocks(self, blocks: Sequence[np.ndarray]) -> np.ndarray:
+        """Inverse of ``embed_coords``: (..., t, t, dim) coordinates."""
+        t, lead = self.t, blocks[0].shape[:-2]
+        coords = np.zeros((*lead, t, t, self.base.dim), dtype=np.complex128)
+        for b, d in enumerate(self.base.block_dims):
+            off = self.base._offsets[b]
+            grid = blocks[b].reshape(*lead, t, d, t, d).swapaxes(-3, -2)
+            coords[..., off : off + d * d] = grid.reshape(*lead, t, t, d * d)
+        return coords
 
 
 @functools.lru_cache(maxsize=64)

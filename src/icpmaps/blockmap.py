@@ -82,7 +82,7 @@ class BlockMultilinearMap:
                 raise AlgebraMismatchError("argument is not an n-matrix over the shared algebra")
         if self.n == 1:
             return self.entries[0][0].evaluate([x.entry(0, 0) for x in mats])
-        return self.chain_grid().value(1, [x.coords.transpose(0, 2, 1) for x in mats])
+        return self.chain_grid().value(1, [x.coords.transpose(0, 2, 1)[None] for x in mats])[0]
 
     def chain_grid(self) -> ChainGrid:
         """The grid in the form ``amplified_evaluate`` reads.  Its unit index is

@@ -411,7 +411,7 @@ def main(argv=None) -> int:
     except NonHermitianGramError as exc:
         sys.stderr.write(f"construction obstruction: {exc}\n")
         return EXIT_OBSTRUCTION
-    except (AssertionError, ValueError) as exc:
+    except ValueError as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return EXIT_INPUT
     except NotCompletelyPositiveError as exc:

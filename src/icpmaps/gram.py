@@ -7,7 +7,10 @@ amplification level.  Two complementary instruments live here:
 
 * a falsifier that samples admissible tuples at chosen levels and reports a
   certified counterexample when a value matrix has a negative eigenvalue
-  (absence of a counterexample is evidence only);
+  (absence of a counterexample is evidence only).  Its trials run as row
+  batches of one sampler call, one kernel call and one stacked eigensolve,
+  and it returns the first hit in trial order, the one a trial-by-trial
+  loop over the same generator finds;
 * the Gram matrix of the semi-inner product on A^{tensor m} (x) H^n.  A CP
   map always yields a PSD Gram, so a negative eigenvalue soundly refutes
   complete positivity; the PSD direction feeds the dilation construction.
@@ -26,8 +29,8 @@ from .algebra import (
     Algebra,
     MatrixOverAlgebra,
     amplified_algebra,
-    random_element,
-    random_psd,
+    gaussian_blocks,
+    positive_blocks,
 )
 from .blockmap import as_block_map
 from .errors import NonHermitianGramError
@@ -42,25 +45,34 @@ GRAM_HERMITIAN_TOL = 1e-8
 
 
 def sample_admissible_tuple(
-    algebra: Algebra, k: int, t: int, rng: np.random.Generator
-) -> list[MatrixOverAlgebra]:
+    algebra: Algebra, k: int, t: int, rng: np.random.Generator, rows: int | None = None
+) -> list:
     """Random level-t tuple satisfying (a_1,..,a_k) = (a_k*,..,a_1*) exactly.
 
     For odd k = 2m-1 the tuple is (b_1,..,b_{m-1}, p, b_{m-1}*,..,b_1*) with
-    p positive; for even k = 2m it is (b_1,..,b_m, b_m*,..,b_1*).
+    p = y*y positive; for even k = 2m it is (b_1,..,b_m, b_m*,..,b_1*).
+
+    With ``rows`` the result is that many tuples, drawn from one
+    ``standard_normal`` call in the order successive calls would draw them,
+    as k coordinate stacks of shape (rows, t, t, dim); without it, one tuple
+    (the one-row case) as k t-matrices.
     """
     if t < 1:
         raise ValueError(f"level must be >= 1, got {t}")
     amp = amplified_algebra(algebra, t)
     m = (k + 1) // 2
+    normals = rng.standard_normal((1 if rows is None else rows, m, 2 * amp.algebra.dim))
+    blocks = gaussian_blocks(amp.algebra, normals)
     if k % 2 == 1:
-        bs = [random_element(amp.algebra, rng) for _ in range(m - 1)]
-        mid = random_psd(amp.algebra, rng)
-        elems = bs + [mid] + [b.star() for b in reversed(bs)]
-    else:
-        bs = [random_element(amp.algebra, rng) for _ in range(m)]
-        elems = bs + [b.star() for b in reversed(bs)]
-    return [amp.extract(e) for e in elems]
+        blocks = [
+            np.concatenate([blk[:, :-1], positive_blocks([blk[:, -1:]])[0]], axis=1) for blk in blocks
+        ]
+    coords = amp.extract_blocks(blocks)
+    star = np.conj(coords.swapaxes(2, 3))[..., algebra.star_perm]
+    stacks = [coords[:, j] for j in range(m)] + [star[:, j] for j in reversed(range(k - m))]
+    if rows is None:
+        return [MatrixOverAlgebra(algebra, x[0]) for x in stacks]
+    return stacks
 
 
 def admissibility_report(mats: Sequence[MatrixOverAlgebra], tol: float = 1e-12) -> dict:
@@ -117,23 +129,32 @@ def positivity_falsify(
     A returned counterexample is a proof of non-(complete-)positivity;
     returning None is only evidence.  The eigenvalue threshold is relative
     to the value norm so different levels compare on equal footing.
+
+    The trials of a level run as rows of batches (``ChainGrid.batch_rows``)
+    of one sampler and one kernel call each; every row is its own slice of
+    every batched operation, so the first hit in trial order is the tuple a
+    one-at-a-time loop over the same generator returns, bit for bit.
     """
     block = as_block_map(phi)
     algebra = block.amplification.algebra  # M_n(A): tuples are t-matrices over it
+    grid = block.chain_grid()
     rng = np.random.default_rng(seed)
     for t in levels:
-        for _ in range(trials):
-            mats = sample_admissible_tuple(algebra, block.k, t, rng)
-            value = amplified_evaluate(block, t, mats)
-            herm = (value + value.conj().T) / 2.0
-            eigs = np.linalg.eigvalsh(herm)
-            scale = 1.0 + float(np.abs(value).max())
-            if eigs.min() < -tol * scale:
+        batch = grid.batch_rows(t)
+        for start in range(0, trials, batch):
+            mats = sample_admissible_tuple(algebra, block.k, t, rng, min(batch, trials - start))
+            values = amplified_evaluate(block, t, mats)
+            herm = (values + values.conj().swapaxes(1, 2)) / 2.0
+            lowest = np.linalg.eigvalsh(herm).min(axis=1)
+            scale = 1.0 + np.abs(values).max(axis=(1, 2))
+            hits = np.flatnonzero(lowest < -tol * scale)
+            if len(hits):
+                r = hits[0]
                 return Counterexample(
-                    mats=mats,
+                    mats=[MatrixOverAlgebra(algebra, x[r]) for x in mats],
                     level=t,
-                    min_eigenvalue=float(eigs.min()),
-                    value_norm=float(np.linalg.norm(value, 2)),
+                    min_eigenvalue=float(lowest[r]),
+                    value_norm=float(np.linalg.norm(values[r], 2)),
                 )
     return None
 

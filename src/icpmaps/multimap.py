@@ -11,6 +11,11 @@ the base map applied to the chained entries.  ``amplified_evaluate`` is the
 one chain kernel, for plain maps and for n-by-n grids of them (``blockmap``),
 whose chain end indices pick the grid entry; ``MultilinearMap.amplify``
 materializes the amplified coefficient tensor (guarded by a size limit).
+
+The kernel's stacks carry a leading row axis, so one call evaluates many
+tuples (the seeded probes of the estimator and the falsifier), each row its
+own slice of every matrix product; one tuple is the one-row case.
+``ChainGrid.batch_rows`` sizes those batches by ``PROBE_BATCH_BYTES``.
 """
 
 from __future__ import annotations
@@ -35,6 +40,11 @@ EXHAUSTIVE_TUPLE_LIMIT = 10**7
 # Support tuples gathered at once: bounds the gather's temporaries to a few
 # hundred rows of coefficient blocks per factorization choice.
 GATHER_ROWS = 256
+# Bytes of chain temporary a batch of seeded probes (estimator restarts,
+# falsifier trials) may hold: one row holds (tn)^2 d^k complex scalars, and
+# larger batches page-fault more than batching saves, so a row above the
+# budget runs alone.
+PROBE_BATCH_BYTES = 128 * 1024
 AMPLIFY_SIZE_LIMIT = 5 * 10**6
 
 
@@ -190,27 +200,38 @@ class ChainGrid:
         self.ends, self.unit_index = ends, unit_index
         self.n = ends.shape[0]
 
-    def regroup(self, x: MatrixOverAlgebra) -> np.ndarray:
+    def batch_rows(self, t: int) -> int:
+        """Rows per call of a batch of level-t probes: as many as keep one
+        batch's chain temporary, (tn)^2 d^k complex scalars a row, within
+        ``PROBE_BATCH_BYTES``, and at least one."""
+        d = self.unit_index.shape[0]
+        return max(1, PROBE_BATCH_BYTES // ((t * self.n) ** 2 * d**self.k * 16))
+
+    def regroup(self, coords: np.ndarray) -> np.ndarray:
+        """(rows, t, t, dim M_n(A)) coordinates to (rows, tn, d, tn) stacks."""
+        rows, t = coords.shape[:2]
         if self.n == 1:
-            return x.coords.transpose(0, 2, 1)
-        tn = x.t * self.n
-        return x.coords[:, :, self.unit_index].transpose(0, 3, 2, 1, 4).reshape(tn, -1, tn)
+            return coords.transpose(0, 1, 3, 2)
+        tn = t * self.n
+        return coords[..., self.unit_index].transpose(0, 1, 4, 3, 2, 5).reshape(rows, tn, -1, tn)
 
     def ungroup(self, z: np.ndarray) -> np.ndarray:
-        """Inverse of ``regroup``: (t, t, dim M_n(A)) coordinates of a stack."""
-        n, t = self.n, z.shape[0] // self.n
-        out = np.empty((t, t, self.arg_algebra.dim), dtype=z.dtype)
-        out[:, :, self.unit_index] = z.reshape(t, n, -1, t, n).transpose(0, 3, 2, 1, 4)
+        """Inverse of ``regroup``: (rows, t, t, dim M_n(A)) coordinates of stacks."""
+        rows, n, t = z.shape[0], self.n, z.shape[1] // self.n
+        out = np.empty((rows, t, t, self.arg_algebra.dim), dtype=z.dtype)
+        out[..., self.unit_index] = z.reshape(rows, t, n, -1, t, n).transpose(0, 1, 4, 3, 2, 5)
         return out
 
     def value(self, t: int, stacks: Sequence[np.ndarray]) -> np.ndarray:
-        """Value on regrouped stacks; entry (u, v) of phi_ij's term in block
-        (s, s') sits at row s*n*h + i*h + u, column s'*n*h + j*h + v."""
+        """Values on rows of regrouped stacks, (rows, tnh, tnh); entry (u, v)
+        of phi_ij's term in block (s, s') sits at row s*n*h + i*h + u, column
+        s'*n*h + j*h + v."""
         n, h = self.n, self.h
         chain = chain_product(stacks, t * n)
-        by_ends = chain.reshape(t, n, -1, t, n).transpose(1, 4, 0, 3, 2).reshape(n, n, t * t, -1)
-        value = np.matmul(by_ends, self.ends).reshape(n, n, t, t, h, h)
-        return value.transpose(2, 0, 4, 3, 1, 5).reshape(t * n * h, t * n * h)
+        rows = chain.shape[0]
+        by_ends = chain.reshape(rows, t, n, -1, t, n).transpose(0, 2, 5, 1, 4, 3).reshape(rows, n, n, t * t, -1)
+        value = np.matmul(by_ends, self.ends).reshape(rows, n, n, t, t, h, h)
+        return value.transpose(0, 3, 1, 5, 4, 2, 6).reshape(rows, t * n * h, t * n * h)
 
     # -- coefficient blocks over M_n(A) and the invariance gather -----------
 
@@ -364,7 +385,7 @@ class ChainGrid:
         n_c = k // 2
 
         def evaluate(args):
-            return self.value(1, [self.regroup(MatrixOverAlgebra.from_entries(alg, [[x]])) for x in args])
+            return self.value(1, [self.regroup(x.coords()[None, None, None]) for x in args])[0]
 
         worst = 0.0
         for _ in range(trials):
@@ -378,29 +399,45 @@ class ChainGrid:
 
 
 def chain_product(stacks: Sequence[np.ndarray], size: int) -> np.ndarray:
-    """Chain of (size, d, size) stacks: out[a, (p_1..p_l), b] is entry (a, b)
-    of the product of their slices p_1, .., p_l (the identity when empty)."""
+    """Chain of (rows, size, d, size) stacks: out[r, a, (p_1..p_l), b] is entry
+    (a, b) of the product of row r's slices p_1, .., p_l (the identity when
+    empty, as one row that broadcasts against any number of rows).  Each row
+    is its own slice of every matrix product."""
     if not stacks:
-        return np.eye(size, dtype=np.complex128)[:, None, :]
+        return np.eye(size, dtype=np.complex128)[None, :, None, :]
     chain = stacks[0]
     for z in stacks[1:]:
-        chain = (chain.reshape(-1, size) @ z.reshape(size, -1)).reshape(size, -1, size)
+        chain = chain.reshape(len(chain), -1, size) @ z.reshape(len(z), size, -1)
+        chain = chain.reshape(len(chain), size, -1, size)
     return chain
 
 
-def amplified_evaluate(phi, t: int, mats: Sequence[MatrixOverAlgebra]) -> np.ndarray:
+def amplified_evaluate(phi, t: int, mats: Sequence) -> np.ndarray:
     """Value of the level-t amplification of a map (arguments: t-matrices
     over its algebra A) or a block map (t-matrices over M_n(A)), laid out as
     for the map induced over M_n(A).  The chain runs over the d^k basis
     tuples of A, at O(d^k (tn)^3 + d^k (tnh)^2) cost; no amplified or induced
-    coefficient tensor is formed."""
+    coefficient tensor is formed.
+
+    Each argument is a ``MatrixOverAlgebra``, or the coordinates of many,
+    shape (rows, t, t, dim): with any such stack the value is the stack of
+    the values at each row's tuple, shape (rows, tnh, tnh).  One tuple is
+    the one-row case."""
     if len(mats) != phi.k:
         raise ArityError(f"expected {phi.k} arguments, got {len(mats)}")
     grid = phi.chain_grid()
+    shape = (t, t, grid.arg_algebra.dim)
+    stacks = []
     for x in mats:
-        if x.algebra != grid.arg_algebra or x.t != t:
+        if isinstance(x, MatrixOverAlgebra):
+            if x.algebra != grid.arg_algebra:
+                raise AlgebraMismatchError("argument is not a t-matrix over the map's argument algebra")
+            x = x.coords[None]
+        if x.shape[1:] != shape:
             raise AlgebraMismatchError("argument is not a t-matrix over the map's argument algebra")
-    return grid.value(t, [grid.regroup(x) for x in mats])
+        stacks.append(grid.regroup(x))
+    value = grid.value(t, stacks)
+    return value[0] if all(isinstance(x, MatrixOverAlgebra) for x in mats) else value
 
 
 def slot_linearity_deviation(

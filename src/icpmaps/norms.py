@@ -9,6 +9,12 @@ projection onto the operator-norm unit ball of the amplified algebra
 LOWER bound of the true supremum; every theorem check here is therefore a
 one-sided inequality with an explicit margin.
 
+Restarts ascend in lockstep as rows of batches: each step of a sweep is one
+stacked SVD, projection, gradient and kernel call over the rows still
+ascending.  Each row is its own slice of every stacked operation, so every
+restart ends where it would running alone, bit for bit, and the estimate
+records per restart its value, the sweeps it ran and why it stopped.
+
 For scalar-valued maps on commutative algebras the supremum is attained on
 the torus of unimodular coordinates and each slot has one removable global
 phase, which yields the independent dense-grid oracle used to calibrate the
@@ -27,8 +33,8 @@ from .algebra import (
     MatrixOverAlgebra,
     amplified_algebra,
     element_norm,
+    gaussian_blocks,
     project_unit_ball,
-    random_element,
 )
 from .blockmap import BlockMultilinearMap, as_block_map
 from .gram import positivity_falsify
@@ -58,6 +64,10 @@ class NormEstimate:
     restarts: int
     iters: int
     restart_values: list = field(default_factory=list)
+    restart_sweeps: list = field(default_factory=list)
+    # per restart: "converged" after a sweep that accepted no step,
+    # "iters" when the sweep cap stopped it
+    restart_stops: list = field(default_factory=list)
 
     def witness_norms(self, amp: Amplification) -> list[float]:
         return [element_norm(amp.embed(x)) for x in self.witness]
@@ -71,48 +81,105 @@ class NormEstimate:
             "seed": self.seed,
             "restarts": self.restarts,
             "iters": self.iters,
+            "restart_values": self.restart_values,
+            "restart_sweeps": self.restart_sweeps,
+            "restart_stops": self.restart_stops,
             "witness": [serialize.matrix_over_algebra_to_json(x) for x in self.witness],
         }
 
 
 class _AscentProblem:
     """Alternating singular-value ascent at a fixed amplification level, on
-    level-t matrices over M_n(A) (over A when n = 1)."""
+    level-t matrices over M_n(A) (over A when n = 1), for rows of restarts
+    at once: each slot holds a (rows, t, t, dim) coordinate stack."""
 
-    def __init__(self, block: BlockMultilinearMap, t: int):
+    def __init__(self, block: BlockMultilinearMap, t: int, pinned: dict):
         self.block = block
         self.t = t
         self.grid = block.chain_grid()
         self.amp = amplified_algebra(self.grid.arg_algebra, t)
+        self.pinned = {slot: mat.coords for slot, mat in pinned.items()}
+        self.free = [slot for slot in range(block.k) if slot not in pinned]
 
-    def value(self, mats: Sequence[MatrixOverAlgebra]) -> np.ndarray:
+    def value(self, mats: Sequence[np.ndarray]) -> np.ndarray:
         return amplified_evaluate(self.block, self.t, mats)
 
-    def project(self, coords: np.ndarray) -> MatrixOverAlgebra:
-        x = MatrixOverAlgebra(self.grid.arg_algebra, coords)
-        return self.amp.extract(project_unit_ball(self.amp.embed(x)))
+    def project(self, coords: np.ndarray) -> np.ndarray:
+        return self.amp.extract_blocks(project_unit_ball(self.amp.embed_coords(coords)))
 
-    def random_start(self, rng: np.random.Generator) -> MatrixOverAlgebra:
-        el = project_unit_ball(random_element(self.amp.algebra, rng))
-        return self.amp.extract(el)
+    def random_starts(self, rngs: Sequence[np.random.Generator]) -> list[np.ndarray]:
+        """Each slot's stack of starts: row r of the free slots drawn from
+        ``rngs[r]`` as ``random_element`` draws them slot by slot, then
+        projected; a pinned slot repeats its argument in every row."""
+        normals = np.stack([rng.standard_normal((len(self.free), 2 * self.amp.algebra.dim)) for rng in rngs])
+        starts = self.amp.extract_blocks(project_unit_ball(gaussian_blocks(self.amp.algebra, normals)))
+        free = dict(zip(self.free, starts.swapaxes(0, 1)))
+        return [
+            free[slot] if slot in free else np.broadcast_to(self.pinned[slot], (len(rngs), *self.pinned[slot].shape))
+            for slot in range(self.block.k)
+        ]
 
-    def gradient(self, mats: Sequence[MatrixOverAlgebra], slot: int, value: np.ndarray) -> np.ndarray:
-        """d(sigma)/d(slot coords) as a (t, t, dim) array (ascent direction) from
-        the value at ``mats``: the chain over the stacks, with that slot open."""
+    def gradient(self, mats: Sequence[np.ndarray], slot: int, values: np.ndarray) -> np.ndarray:
+        """d(sigma)/d(slot coords) of each row as a (rows, t, t, dim) stack
+        (ascent direction) from the values at ``mats``: the chain over the
+        stacks, with that slot open."""
         grid, t, n, h = self.grid, self.t, self.grid.n, self.grid.h
-        size = t * n
-        u_mat, _, vh_mat = np.linalg.svd(value)
-        u = u_mat[:, 0].reshape(t, n, h).conj()
-        v = vh_mat[0].conj().reshape(t, n, h)
-        # weight[s*n+i, P, s'*n+j] = u[s, i]^* (phi_ij coefficients at P) v[s', j]
-        uv = np.einsum("siu,tjv->ijuvst", u, v).reshape(n, n, h * h, t * t)
-        weight = np.matmul(grid.ends, uv).reshape(n, n, -1, t, t).transpose(3, 0, 2, 4, 1)
+        size, rows = t * n, len(values)
+        u_mat, _, vh_mat = np.linalg.svd(values)
+        u = u_mat[:, :, 0].reshape(rows, t, n, h).conj()
+        v = vh_mat[:, 0].conj().reshape(rows, t, n, h)
+        # weight[r, s*n+i, P, s'*n+j] = u[r, s, i]^* (phi_ij coefficients at P) v[r, s', j]
+        uv = np.einsum("rsiu,rtjv->rijuvst", u, v).reshape(rows, n, n, h * h, t * t)
+        weight = np.matmul(grid.ends, uv).reshape(rows, n, n, -1, t, t).transpose(0, 4, 1, 3, 5, 2)
         stacks = [grid.regroup(x) for x in mats]
         prefix = chain_product(stacks[:slot], size)
         suffix = chain_product(stacks[slot + 1 :], size)
-        left = prefix.reshape(-1, size).T @ weight.reshape(prefix.shape[0] * prefix.shape[1], -1)
-        grad = left.reshape(-1, suffix.shape[1] * size) @ suffix.reshape(size, -1).T
-        return grid.ungroup(np.conj(grad).reshape(size, -1, size))
+        opened = weight.reshape(rows, size * prefix.shape[2], -1)
+        left = prefix.reshape(len(prefix), -1, size).swapaxes(1, 2) @ opened
+        closed = suffix.reshape(len(suffix), size, -1).swapaxes(1, 2)
+        grad = left.reshape(rows, -1, suffix.shape[2] * size) @ closed
+        return grid.ungroup(np.conj(grad).reshape(rows, size, -1, size))
+
+    def ascend(self, restarts: range, seed: int, iters: int) -> tuple:
+        """Ascend the restarts in lockstep, one row each, until each one
+        stops: a row leaves the batch after a sweep that accepted no step.
+        Every step of a sweep is one batched SVD, projection, gradient and
+        kernel call over the rows still ascending, or still backtracking.
+        Returns each slot's stack and, per row, sigma, the sweeps run and
+        the stop reason."""
+        mats = self.random_starts([np.random.default_rng([seed, r]) for r in restarts])
+        values = self.value(mats)
+        sigma = np.linalg.norm(values, 2, axis=(1, 2))
+        sweeps = np.zeros(len(restarts), dtype=int)
+        ascending = np.arange(len(restarts))
+        for _ in range(iters):
+            if not len(ascending):
+                break
+            sweeps[ascending] += 1
+            improved = np.zeros(len(restarts), dtype=bool)
+            for slot in self.free:
+                direction = self.gradient([x[ascending] for x in mats], slot, values[ascending])
+                pending, step = np.arange(len(ascending)), 1.0
+                for _ in range(BACKTRACK_STEPS):
+                    rows = ascending[pending]
+                    cand = self.project(mats[slot][rows] + step * direction[pending])
+                    trial = [x[rows] for x in mats]
+                    trial[slot] = cand
+                    cand_values = self.value(trial)
+                    cand_sigma = np.linalg.norm(cand_values, 2, axis=(1, 2))
+                    up = cand_sigma > sigma[rows] * (1.0 + ASCENT_RTOL)
+                    taken = rows[up]
+                    mats[slot][taken] = cand[up]
+                    values[taken], sigma[taken] = cand_values[up], cand_sigma[up]
+                    improved[taken] = True
+                    pending = pending[~up]
+                    if not len(pending):
+                        break
+                    step /= 2.0
+            ascending = ascending[improved[ascending]]
+        stops = np.full(len(restarts), "converged", dtype=object)
+        stops[ascending] = "iters"
+        return mats, sigma, sweeps, stops
 
 
 def norm_estimate(
@@ -130,58 +197,39 @@ def norm_estimate(
     held and never updated, which realizes the restricted searches used by
     the attainment theorems.  Restart r uses generator seed (seed, r), so
     doubling ``restarts`` never decreases the returned value.
+
+    Restarts run as rows of batches of ``ChainGrid.batch_rows(t)``; each row
+    is its own slice of every batched operation, so every restart ends
+    where it would running alone, bit for bit.
     """
     if t < 1:
         raise ValueError(f"level must be >= 1, got {t}")
     if restarts < 1:
         raise ValueError(f"need at least one restart, got {restarts}")
     block = as_block_map(phi)
-    problem = _AscentProblem(block, t)
     pinned = dict(pinned or {})
     for slot, mat in pinned.items():
-        if mat.algebra != problem.grid.arg_algebra or mat.t != t:
+        if mat.algebra != block.chain_grid().arg_algebra or mat.t != t:
             raise ValueError(f"pinned argument for slot {slot} has the wrong shape")
-    best_sigma = -np.inf
-    best_mats = None
-    per_restart = []
-    for r in range(restarts):
-        rng = np.random.default_rng([seed, r])
-        mats = [
-            pinned[l] if l in pinned else problem.random_start(rng) for l in range(block.k)
-        ]
-        value = problem.value(mats)
-        sigma = float(np.linalg.norm(value, 2))
-        for _ in range(iters):
-            improved = False
-            for slot in range(block.k):
-                if slot in pinned:
-                    continue
-                direction = problem.gradient(mats, slot, value)
-                step = 1.0
-                for _ in range(BACKTRACK_STEPS):
-                    cand = problem.project(mats[slot].coords + step * direction)
-                    cand_value = problem.value(mats[:slot] + [cand] + mats[slot + 1 :])
-                    cand_sigma = float(np.linalg.norm(cand_value, 2))
-                    if cand_sigma > sigma * (1.0 + ASCENT_RTOL):
-                        mats[slot] = cand
-                        value, sigma = cand_value, cand_sigma
-                        improved = True
-                        break
-                    step /= 2.0
-            if not improved:
-                break
-        per_restart.append(sigma)
-        if sigma > best_sigma:
-            best_sigma = sigma
-            best_mats = mats
+    problem = _AscentProblem(block, t, pinned)
+    batch = problem.grid.batch_rows(t)
+    runs = [
+        problem.ascend(range(start, min(start + batch, restarts)), seed, iters)
+        for start in range(0, restarts, batch)
+    ]
+    mats = [np.concatenate(stacks) for stacks in zip(*(run[0] for run in runs))]
+    sigma, sweeps, stops = (np.concatenate(parts) for parts in zip(*(run[1:] for run in runs)))
+    best = int(np.argmax(sigma))  # the first restart with the largest value
     return NormEstimate(
-        value=best_sigma,
+        value=float(sigma[best]),
         level=t,
-        witness=best_mats,
+        witness=[MatrixOverAlgebra(problem.grid.arg_algebra, x[best]) for x in mats],
         seed=seed,
         restarts=restarts,
         iters=iters,
-        restart_values=per_restart,
+        restart_values=sigma.tolist(),
+        restart_sweeps=sweeps.tolist(),
+        restart_stops=stops.tolist(),
     )
 
 

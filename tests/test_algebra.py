@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +25,40 @@ from icpmaps.errors import AlgebraMismatchError
 @pytest.mark.parametrize("blocks", [[1, 1], [2], [2, 1], [3], [1, 1, 1, 1]])
 def test_structure_constants_exact(blocks):
     Algebra(blocks).validate_structure()
+
+
+# Corrupts one structure table of M_2 + C, then validates it.
+_CORRUPT_AND_VALIDATE = """
+import sys
+import numpy as np
+from icpmaps.algebra import Algebra
+alg = Algebra([2, 1])
+if sys.argv[1] == "product":
+    table = alg.mult_table.copy()
+    table[0, 0] = 0.0
+    alg._mult_table = table
+else:
+    alg.star_perm = np.roll(alg.star_perm, 1)
+try:
+    alg.validate_structure()
+except ValueError as exc:
+    print(exc)
+"""
+
+
+@pytest.mark.parametrize("table,message", [
+    ("product", "structure constants are not associative"),
+    ("star", "star is not an involution"),
+])
+def test_structure_validation_survives_optimized_mode(table, message):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _CORRUPT_AND_VALIDATE, table],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == message
 
 
 def test_matrix_unit_products_m2():

@@ -74,27 +74,29 @@ def test_block_evaluate_is_level_one_of_the_kernel(rng):
 def test_estimator_gradient_matches_central_differences(n):
     rng = np.random.default_rng(n)
     block = random_grid(Algebra([2]), n, 3, 2, rng)
-    t, eps = 2, 1e-6
-    problem = norms._AscentProblem(block, t)
-    mats = [problem.random_start(rng) for _ in range(block.k)]
+    t, eps, rows = 2, 1e-6, 3
+    problem = norms._AscentProblem(block, t, {})
+    mats = problem.random_starts([np.random.default_rng([n, r]) for r in range(rows)])
 
-    def sigma(args):
-        return np.linalg.norm(problem.value(args), 2)
+    def sigma(args, row):
+        return np.linalg.norm(problem.value([x[row : row + 1] for x in args])[0], 2)
 
     for slot in range(block.k):
         grad = problem.gradient(mats, slot, problem.value(mats))
-        assert grad.shape == mats[slot].coords.shape
-        direction = rng.standard_normal(grad.shape)
-        for unit, part in ((1.0, grad.real), (1j, grad.imag)):
-            step = eps * unit * direction
+        assert grad.shape == mats[slot].shape
+        for row in range(rows):
+            direction = rng.standard_normal(grad.shape[1:])
+            for unit, part in ((1.0, grad[row].real), (1j, grad[row].imag)):
+                step = eps * unit * direction
 
-            def moved(sign):
-                x = MatrixOverAlgebra(problem.grid.arg_algebra, mats[slot].coords + sign * step)
-                return sigma(mats[:slot] + [x] + mats[slot + 1 :])
+                def moved(sign):
+                    x = mats[slot].copy()
+                    x[row] += sign * step
+                    return sigma(mats[:slot] + [x] + mats[slot + 1 :], row)
 
-            slope = (moved(1) - moved(-1)) / (2 * eps)
-            expected = float((part * direction).sum())
-            assert abs(slope - expected) <= 1e-6 * (1 + abs(expected))
+                slope = (moved(1) - moved(-1)) / (2 * eps)
+                expected = float((part * direction).sum())
+                assert abs(slope - expected) <= 1e-6 * (1 + abs(expected))
 
 
 def test_falsifier_and_estimator_never_build_the_induced_map(monkeypatch):
@@ -109,26 +111,27 @@ def test_falsifier_and_estimator_never_build_the_induced_map(monkeypatch):
 
 
 def test_ascent_evaluates_each_point_once(monkeypatch):
-    """One kernel call per restart start and one per candidate step: the
-    gradient reuses the value at the current point."""
+    """One kernel row per restart start and one per projected candidate: the
+    gradient reuses the values at the current points."""
     block = random_grid(Algebra([2]), 2, 3, 1, np.random.default_rng(5))
-    calls = {"kernel": 0, "project": 0}
+    rows = {"kernel": 0, "project": 0}
     kernel, project = norms.amplified_evaluate, norms._AscentProblem.project
 
     def counted_kernel(*args):
-        calls["kernel"] += 1
-        return kernel(*args)
+        value = kernel(*args)
+        rows["kernel"] += len(value)
+        return value
 
     def counted_project(self, coords):
-        calls["project"] += 1
+        rows["project"] += len(coords)
         return project(self, coords)
 
     monkeypatch.setattr(norms, "amplified_evaluate", counted_kernel)
     monkeypatch.setattr(norms._AscentProblem, "project", counted_project)
     restarts = 2
     est = norms.norm_estimate(block, t=2, restarts=restarts, iters=3, seed=0)
-    assert calls["project"] > 0
-    assert calls["kernel"] == restarts + calls["project"]
+    assert rows["project"] > 0
+    assert rows["kernel"] == restarts + rows["project"]
     monkeypatch.undo()
     assert np.linalg.norm(amplified_evaluate(block, 2, est.witness), 2) == est.value
 

@@ -173,3 +173,21 @@ def test_unit_witness_value_reads_the_chain_kernel(monkeypatch):
     monkeypatch.setattr(norms, "amplified_evaluate", lambda *args: 2.0 * amplified_evaluate(*args))
     report = russo_dye_check(phi, restarts=1, iters=1, trials=1)
     assert abs(report.unit_witness_value - 2.0 * report.unit_norm) <= 1e-12
+
+
+def test_restart_sweeps_and_stops_are_reported():
+    rng = np.random.default_rng(2)
+    coeffs = rng.standard_normal((5, 5, 1, 1)) + 1j * rng.standard_normal((5, 5, 1, 1))
+    phi = MultilinearMap(Algebra([2, 1]), 2, 1, coeffs)
+    est = norm_estimate(phi, t=1, restarts=4, iters=50, seed=0)
+    # restarts 0 and 2 still climb after 50 sweeps; 1 and 3 stop on a sweep with no step
+    assert est.restart_sweeps == [50, 45, 50, 46]
+    assert est.restart_stops == ["iters", "converged", "iters", "converged"]
+    report = est.to_dict()
+    assert report["restart_values"] == est.restart_values and len(est.restart_values) == 4
+    assert report["restart_sweeps"] == est.restart_sweeps
+    assert report["restart_stops"] == est.restart_stops
+    assert norm_estimate(phi, t=1, restarts=2, iters=0).restart_stops == ["iters", "iters"]
+    one = MatrixOverAlgebra.identity(phi.algebra, 1)
+    pinned = norm_estimate(phi, t=1, restarts=2, iters=5, pinned={0: one, 1: one})
+    assert pinned.restart_sweeps == [1, 1] and pinned.restart_stops == ["converged", "converged"]
