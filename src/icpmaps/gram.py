@@ -299,7 +299,7 @@ class RefutationRecord:
         return {
             "min_eigenvalue": self.min_eigenvalue,
             "gram_norm": self.gram_norm,
-            "witness": serialize.vector_to_json(self.witness),
+            "witness": serialize.matrix_to_json(self.witness),
         }
 
 

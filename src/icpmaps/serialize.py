@@ -1,13 +1,17 @@
 """JSON forms for every on-disk object.
 
 Complex numbers are [re, im] pairs of doubles; matrices are row-major
-nested lists.  Loaders validate shapes and raise :class:`SpecFormatError`
-so the CLI can map malformed input to its own exit code.
+nested lists.  In memory a complex array leaves the ``*_to_json`` helpers
+as one float64 array whose last axis holds (re, im), and :func:`dumps`
+writes it as those nested lists.  Loaders validate shapes and raise
+:class:`SpecFormatError` so the CLI can map malformed input to its own exit
+code.
 """
 
 from __future__ import annotations
 
-import json
+import math
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -16,10 +20,103 @@ from .blockmap import BlockMultilinearMap
 from .errors import SpecFormatError
 from .multimap import MultilinearMap
 
+_INDENT = "  "
+
 
 def dumps(obj) -> str:
-    """Deterministic JSON: sorted keys, fixed layout, trailing newline."""
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Deterministic JSON: sorted keys, fixed layout, trailing newline.
+
+    The text is ``json.dumps(obj, sort_keys=True, indent=2) + "\\n"`` with
+    every float64 ndarray in ``obj`` read as its ``tolist()``; an array is
+    written with one ``float.__repr__`` pass over its entries and one join
+    per axis.  Anything else json rejects raises TypeError, as it does there.
+    """
+    out: list[str] = []
+    _write(obj, 0, out, set())
+    out.append("\n")
+    return "".join(out)
+
+
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _key_text(key) -> str:
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float):
+        return _float_text(key)
+    if key is True:
+        return "true"
+    if key is False:
+        return "false"
+    if key is None:
+        return "null"
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _write(o, level: int, out: list, open_ids: set) -> None:
+    """Append o's text at indent ``level``, in the order json's encoder
+    tests the types (bool before int, int and float subclasses as such)."""
+    if isinstance(o, str):
+        out.append(encode_basestring_ascii(o))
+    elif o is None:
+        out.append("null")
+    elif o is True:
+        out.append("true")
+    elif o is False:
+        out.append("false")
+    elif isinstance(o, int):
+        out.append(int.__repr__(o))
+    elif isinstance(o, float):
+        out.append(_float_text(o))
+    elif isinstance(o, np.ndarray) and o.dtype == np.float64:
+        out.append(_array_text(o, level))
+    elif isinstance(o, (list, tuple, dict)):
+        is_dict = isinstance(o, dict)
+        if not o:
+            out.append("{}" if is_dict else "[]")
+            return
+        if id(o) in open_ids:
+            raise ValueError("Circular reference detected")
+        open_ids.add(id(o))
+        inner = "\n" + _INDENT * (level + 1)
+        out.append(("{" if is_dict else "[") + inner)
+        for i, item in enumerate(sorted(o.items()) if is_dict else o):
+            if i:
+                out.append("," + inner)
+            if is_dict:
+                key, item = item
+                out.append(encode_basestring_ascii(_key_text(key)) + ": ")
+            _write(item, level + 1, out, open_ids)
+        out.append("\n" + _INDENT * level + ("}" if is_dict else "]"))
+        open_ids.discard(id(o))
+    else:
+        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
+def _array_text(arr: np.ndarray, level: int) -> str:
+    """``arr.tolist()`` laid out as json lays out a list at indent ``level``:
+    the entries' texts are grouped into lists from the last axis outwards."""
+    flat = arr.ravel().tolist()
+    texts = list(map(float.__repr__ if np.isfinite(arr).all() else _float_text, flat))
+    for axis in range(arr.ndim - 1, -1, -1):
+        size = arr.shape[axis]
+        if size == 0:
+            texts = ["[]"] * math.prod(arr.shape[:axis])
+            continue
+        inner = "\n" + _INDENT * (level + axis + 1)
+        head, sep, tail = "[" + inner, "," + inner, "\n" + _INDENT * (level + axis) + "]"
+        texts = [head + row + tail for row in map(sep.join, zip(*[iter(texts)] * size))]
+    return texts[0]
 
 
 # -- scalars / matrices -----------------------------------------------------
@@ -30,31 +127,35 @@ def complex_to_pair(z) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
-def pair_to_complex(pair) -> complex:
+def matrix_to_json(mat) -> np.ndarray:
+    """A complex array of any shape (a matrix, a vector, a coefficient
+    tensor) as a float64 copy with a trailing (re, im) axis."""
+    mat = np.array(mat, dtype=np.complex128, order="C")
+    return mat.view(np.float64).reshape(mat.shape + (2,))
+
+
+def matrix_from_json(data, shape=None, what: str = "matrix") -> np.ndarray:
+    """Nested [re, im] pairs as a complex128 array of ``shape`` (any matrix
+    when None), from one float64 conversion; the complex view keeps every
+    double as written, -0.0 and infinities included.  ``what`` names the
+    array in error messages."""
     try:
-        re, im = pair
-        return complex(float(re), float(im))
-    except (TypeError, ValueError) as exc:
-        raise SpecFormatError(f"expected a [re, im] pair, got {pair!r}") from exc
+        pairs = np.ascontiguousarray(data, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SpecFormatError(f"malformed {what}: {exc}") from exc
+    fits = pairs.ndim == 3 if shape is None else pairs.shape[:-1] == tuple(shape)
+    if pairs.shape[-1:] != (2,) or not fits:
+        expected = "(rows, cols, 2)" if shape is None else tuple(shape) + (2,)
+        raise SpecFormatError(f"{what} of [re, im] pairs has shape {pairs.shape}, expected {expected}")
+    if np.isnan(pairs).any() and _holds_none(data):  # float64 conversion reads null as nan
+        raise SpecFormatError(f"malformed {what}: null entry")
+    return pairs.view(np.complex128)[..., 0]
 
 
-def matrix_to_json(mat) -> list:
-    mat = np.asarray(mat, dtype=np.complex128)
-    return [[complex_to_pair(z) for z in row] for row in mat]
-
-
-def matrix_from_json(data, shape=None) -> np.ndarray:
-    try:
-        out = np.array([[pair_to_complex(z) for z in row] for row in data])
-    except (TypeError, SpecFormatError) as exc:
-        raise SpecFormatError(f"malformed matrix: {exc}") from exc
-    if out.ndim != 2 or (shape is not None and out.shape != tuple(shape)):
-        raise SpecFormatError(f"matrix has shape {out.shape}, expected {shape}")
-    return out
-
-
-def vector_to_json(vec) -> list:
-    return [complex_to_pair(z) for z in np.asarray(vec, dtype=np.complex128)]
+def _holds_none(node) -> bool:
+    if node is None:
+        return True
+    return isinstance(node, list) and any(map(_holds_none, node))
 
 
 # -- algebra / elements -------------------------------------------------------
@@ -114,31 +215,12 @@ def matrix_over_algebra_from_json(data) -> MatrixOverAlgebra:
 # -- maps ---------------------------------------------------------------------
 
 
-def _coeffs_to_json(coeffs: np.ndarray, depth: int):
-    if depth == 0:
-        return matrix_to_json(coeffs)
-    return [_coeffs_to_json(sub, depth - 1) for sub in coeffs]
-
-
-def _coeffs_from_json(data, k: int, d: int, h: int) -> np.ndarray:
-    def parse(node, depth):
-        if depth == 0:
-            return matrix_from_json(node, (h, h))
-        if not isinstance(node, list) or len(node) != d:
-            raise SpecFormatError(
-                f"coefficient tensor level {k - depth} must list {d} entries"
-            )
-        return np.stack([parse(sub, depth - 1) for sub in node])
-
-    return parse(data, k)
-
-
 def map_to_json(phi: MultilinearMap) -> dict:
     return {
         "algebra": algebra_to_json(phi.algebra),
         "k": phi.k,
         "h": phi.h,
-        "coeffs": _coeffs_to_json(phi.coeffs, phi.k),
+        "coeffs": matrix_to_json(phi.coeffs),
     }
 
 
@@ -152,7 +234,7 @@ def map_from_json(data) -> MultilinearMap:
         raise SpecFormatError(f"malformed map spec: {exc}") from exc
     if k < 1 or h < 1:
         raise SpecFormatError(f"arity and codomain dimension must be >= 1, got k={k}, h={h}")
-    coeffs = _coeffs_from_json(raw, k, algebra.dim, h)
+    coeffs = matrix_from_json(raw, (algebra.dim,) * k + (h, h), "map coefficients")
     return MultilinearMap(algebra, k, h, coeffs)
 
 
@@ -224,7 +306,7 @@ def triple_to_json(triple, residuals: dict | None = None) -> dict:
         "rank_tol": triple.rank_tol,
         "basis_legend": basis_legend,
         "reps": [
-            {f"e{b}": matrix_to_json(images[b]) for b in range(triple.algebra.dim)}
+            {f"e{b}": image for b, image in enumerate(matrix_to_json(images))}
             for images in triple.reps
         ],
         "V": [matrix_to_json(vj) for vj in triple.V],
@@ -253,15 +335,23 @@ def triple_from_json(data):
     if not (isinstance(reps_raw, list) and len(reps_raw) == m and isinstance(v_raw, list) and len(v_raw) == n):
         raise SpecFormatError(f"dilation triple with k={k}, n={n} needs a list of {m} reps and one of {n} V")
     reps = []
-    for per_p in reps_raw:
+    for p, per_p in enumerate(reps_raw):
         try:
-            images = np.stack(
-                [matrix_from_json(per_p[f"e{b}"], (kappa, kappa)) for b in range(algebra.dim)]
-            ) if kappa else np.zeros((algebra.dim, 0, 0), dtype=np.complex128)
+            raw_images = [per_p[f"e{b}"] for b in range(algebra.dim)]
         except (KeyError, TypeError) as exc:
             raise SpecFormatError(f"dilation triple reps must map e0..e{algebra.dim - 1}: {exc}") from exc
-        reps.append(images)
-    v_ops = tuple(matrix_from_json(vj, (kappa, h)) if kappa else np.zeros((0, h)) for vj in v_raw)
+        reps.append(
+            np.stack([
+                matrix_from_json(raw, (kappa, kappa), f"dilation triple reps[{p}].e{b}")
+                for b, raw in enumerate(raw_images)
+            ])
+            if kappa
+            else np.zeros((algebra.dim, 0, 0), dtype=np.complex128)
+        )
+    v_ops = tuple(
+        matrix_from_json(vj, (kappa, h), f"dilation triple V[{j}]") if kappa else np.zeros((0, h))
+        for j, vj in enumerate(v_raw)
+    )
     return DilationTriple(
         algebra=algebra,
         k=k,

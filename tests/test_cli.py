@@ -317,8 +317,25 @@ def _minimal_triple(tmp_path):
         lambda t: t.update(k=0),
         lambda t: t.update(kappa=-1),
         lambda t: t["reps"][0].pop("e0"),
+        lambda t: t["reps"][0]["e1"][-1].pop(),
+        lambda t: t["reps"][-1]["e0"][0][0].append(0.0),
+        lambda t: t["V"][0][0].__setitem__(0, ["one", 0.0]),
+        lambda t: t["reps"][0]["e2"][0][-1].__setitem__(1, None),
+        lambda t: t["reps"][0].update(e3=[row[:-1] for row in t["reps"][0]["e3"][:-1]]),
     ],
-    ids=["one-of-two-reps", "no-reps", "empty-V", "zero-arity", "negative-kappa", "rep-without-e0"],
+    ids=[
+        "one-of-two-reps",
+        "no-reps",
+        "empty-V",
+        "zero-arity",
+        "negative-kappa",
+        "rep-without-e0",
+        "ragged-row",
+        "three-element-pair",
+        "non-numeric-string",
+        "null-entry",
+        "wrong-kappa-matrix",
+    ],
 )
 def test_equiv_malformed_triple_is_input_error(tmp_path, capsys, defect):
     spec, triple = _minimal_triple(tmp_path)
@@ -327,7 +344,9 @@ def test_equiv_malformed_triple_is_input_error(tmp_path, capsys, defect):
     broken = write_spec(tmp_path, "broken.json", data)
     capsys.readouterr()
     assert main(["equiv", broken, triple, spec]) == 2
-    assert "dilation triple" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and "dilation triple" in err
+    assert "Traceback" not in err
 
 
 def test_dilate_output_is_deterministic(tmp_path, capsys):

@@ -4,6 +4,7 @@ on it, against their einsum definitions."""
 import numpy as np
 import pytest
 
+from icpmaps import stinespring
 from icpmaps.algebra import Algebra
 from icpmaps.factory import (
     REP_TOL,
@@ -18,7 +19,9 @@ from icpmaps.factory import (
 )
 from icpmaps.stinespring import (
     DilationTriple,
+    dilate,
     law_residuals,
+    minimal_compress,
     pair_products,
     verify_dilation,
 )
@@ -166,3 +169,100 @@ def test_validation_bounds_the_spectral_norm():
     assert np.abs(images[0] - np.eye(kappa)).max() < REP_TOL < res["unitality"]
     with pytest.raises(ValueError, match="not a unital"):
         validate_representation(Algebra([1]), images)
+
+
+def _full_svd_max(mats):
+    """The unpruned maximum: one batched SVD of the whole stack."""
+    flat = mats.reshape(-1, mats.shape[-2], mats.shape[-1])
+    return float(np.linalg.svd(flat, compute_uv=False)[:, 0].max())
+
+
+def _opnorm_stacks():
+    rng = np.random.default_rng(5)
+    dense = _gaussian(rng, 81, 6, 6)
+    u, v = _gaussian(rng, 30, 5, 1), _gaussian(rng, 30, 1, 4)
+    a = _gaussian(rng, 6, 6)
+    conjugates = np.stack([q @ a @ q.conj().T for q in (haar_unitary(6, rng) for _ in range(8))])
+    mixed = dense.copy()
+    mixed[3] *= 1e-160
+    # unit rank-one matrices: the bounds equal the spectral norms up to rounding,
+    # and some SVD values land an ulp above the bound computed for their matrix
+    unit_rng = np.random.default_rng(5)
+    uu, vv = _gaussian(unit_rng, 50, 6, 1), _gaussian(unit_rng, 50, 1, 6)
+    uu /= np.linalg.norm(uu, axis=(1, 2), keepdims=True)
+    vv /= np.linalg.norm(vv, axis=(1, 2), keepdims=True)
+    # a rotation's bounds exceed its norm 1 by sqrt(2); a slightly longer rank-one matrix follows it
+    rotation_then_rank_one = np.array([[[1.0, 1.0], [1.0, -1.0]], [[1.0005 * np.sqrt(2), 0.0], [0.0, 0.0]]])
+    rotation_then_rank_one /= np.sqrt(2)
+    # squares of 1e-162 round to zero, so the ones matrix gets a zero Frobenius bound
+    underflowing = np.stack([np.full((4, 4), 1e-162), np.diag([2e-162, 0.0, 0.0, 0.0])])
+    return {
+        "dense-square": dense,
+        "dense-wide": _gaussian(rng, 40, 3, 7),
+        "dense-real-2x2": rng.standard_normal((6561, 2, 2)),
+        "dense-36": _gaussian(rng, 9, 36, 36),
+        "dense-nested-axes": _gaussian(rng, 3, 4, 5, 5),
+        "rank-one": u @ v,
+        "rank-one-copies": np.repeat(u[:1] @ v[:1], 5, axis=0),
+        "tied-copies": np.repeat(a[None], 7, axis=0),
+        "unitary-conjugates": conjugates,
+        "zero": np.zeros((9, 4, 4), dtype=np.complex128),
+        "one-zero-among-many": np.concatenate([np.zeros((1, 6, 6)), dense]),
+        "single": _gaussian(rng, 1, 5, 3),
+        "single-2d": _gaussian(rng, 4, 4),
+        "rank-one-unit-norms": uu @ vv,
+        "rotation-then-rank-one": rotation_then_rank_one,
+        "underflowing-bounds": underflowing,
+        "tiny": 1e-160 * dense,
+        "tiny-and-normal": mixed,
+        "huge": 1e200 * dense,
+        "empty": np.zeros((0, 3, 3)),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_opnorm_stacks()))
+def test_pruned_opnorm_max_equals_full_svd_bit_for_bit(name):
+    mats = _opnorm_stacks()[name]
+    got = stinespring._batched_opnorm_max(mats)
+    want = _full_svd_max(mats) if mats.size else 0.0
+    assert type(got) is float
+    assert got == want and np.signbit(got) == np.signbit(want)
+
+
+def test_pruned_opnorm_max_keeps_nonfinite_results():
+    mats = _gaussian(np.random.default_rng(6), 9, 4, 4)
+    mats[4, 1, 2] = np.nan
+    with pytest.raises(np.linalg.LinAlgError):
+        _full_svd_max(mats)
+    with pytest.raises(np.linalg.LinAlgError):
+        stinespring._batched_opnorm_max(mats)
+    mats[4, 1, 2] = np.inf
+    assert np.isnan(_full_svd_max(mats))
+    assert np.isnan(stinespring._batched_opnorm_max(mats))
+
+
+def test_pruned_law_residuals_decompose_fewer_matrices(monkeypatch):
+    """On the wide benchmark shape (M_3, k = 4, kappa 36) the laws read the
+    same bits as with one SVD per matrix, from fewer decompositions."""
+    alg = Algebra([3])
+    block, generated = random_icp(alg, 4, 1, 2, seed=0)
+    minimal, _ = minimal_compress(dilate(block))
+    decomposed = []
+    real_svd = np.linalg.svd
+
+    def counting_svd(a, *args, **kwargs):
+        decomposed.append(len(a) if a.ndim == 3 else 1)
+        return real_svd(a, *args, **kwargs)
+
+    for reps in (generated.reps, minimal.reps):
+        assert reps[0].shape == (9, 36, 36)
+        monkeypatch.setattr(stinespring, "_batched_opnorm_max", _full_svd_max)
+        want = law_residuals(alg, reps)
+        monkeypatch.undo()
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        decomposed.clear()
+        got = law_residuals(alg, reps)
+        monkeypatch.undo()
+        assert got == want
+        stack_sizes = 2 * (81 + 9 + 1) + 81  # per factor: products, adjoints, unit; then the commuting pair
+        assert 0 < sum(decomposed) < stack_sizes // 2, decomposed  # 39 and 100 when written
