@@ -107,6 +107,9 @@ def cmd_check(args) -> int:
     obj = serialize.load_map_spec(data)
     block = as_block_map(obj)
     levels = [int(x) for x in args.levels.split(",")] if args.levels else [1, 2]
+    if min(levels) < 1:
+        # echoed in every report, so rejected whichever checks run
+        raise SpecFormatError(f"--levels must list amplification levels >= 1, got {levels}")
     wanted = {
         name
         for name, on in [

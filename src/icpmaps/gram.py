@@ -130,17 +130,20 @@ def positivity_falsify(
     returning None is only evidence.  The eigenvalue threshold is relative
     to the value norm so different levels compare on equal footing.
 
-    The trials of a level run as rows of batches (``ChainGrid.batch_rows``)
-    of one sampler and one kernel call each; every row is its own slice of
-    every batched operation, so the first hit in trial order is the tuple a
-    one-at-a-time loop over the same generator returns, bit for bit.
+    The trials of a level run as rows of batches (``ChainGrid.batch_rows``
+    over the k slots of the kernel's chain) of one sampler and one kernel
+    call each; every row is its own slice of every batched operation, so the
+    first hit in trial order is the tuple a one-at-a-time loop over the same
+    generator returns, bit for bit.
     """
+    if not levels or min(levels) < 1:
+        raise ValueError(f"levels must be a nonempty list of integers >= 1, got {list(levels)}")
     block = as_block_map(phi)
     algebra = block.amplification.algebra  # M_n(A): tuples are t-matrices over it
     grid = block.chain_grid()
     rng = np.random.default_rng(seed)
     for t in levels:
-        batch = grid.batch_rows(t)
+        batch = grid.batch_rows(t, block.k)
         for start in range(0, trials, batch):
             mats = sample_admissible_tuple(algebra, block.k, t, rng, min(batch, trials - start))
             values = amplified_evaluate(block, t, mats)

@@ -16,6 +16,8 @@ The kernel's stacks carry a leading row axis, so one call evaluates many
 tuples (the seeded probes of the estimator and the falsifier), each row its
 own slice of every matrix product; one tuple is the one-row case.
 ``ChainGrid.batch_rows`` sizes those batches by ``PROBE_BATCH_BYTES``.
+The value is linear in each slot: ``ChainGrid.slot_operator`` contracts the
+same formula with one slot left open, the operator the estimator ascends on.
 """
 
 from __future__ import annotations
@@ -41,9 +43,9 @@ EXHAUSTIVE_TUPLE_LIMIT = 10**7
 # hundred rows of coefficient blocks per factorization choice.
 GATHER_ROWS = 256
 # Bytes of chain temporary a batch of seeded probes (estimator restarts,
-# falsifier trials) may hold: one row holds (tn)^2 d^k complex scalars, and
-# larger batches page-fault more than batching saves, so a row above the
-# budget runs alone.
+# falsifier trials) may hold: one row of a chain over l slots holds
+# (tn)^2 d^l complex scalars, and larger batches page-fault more than batching
+# saves, so a row above the budget runs alone.
 PROBE_BATCH_BYTES = 128 * 1024
 AMPLIFY_SIZE_LIMIT = 5 * 10**6
 
@@ -200,12 +202,13 @@ class ChainGrid:
         self.ends, self.unit_index = ends, unit_index
         self.n = ends.shape[0]
 
-    def batch_rows(self, t: int) -> int:
-        """Rows per call of a batch of level-t probes: as many as keep one
-        batch's chain temporary, (tn)^2 d^k complex scalars a row, within
-        ``PROBE_BATCH_BYTES``, and at least one."""
+    def batch_rows(self, t: int, slots: int) -> int:
+        """Rows per call of a batch of level-t probes whose longest chain runs
+        over ``slots`` slots (k for the kernel, k - 1 for a slot operator): as
+        many as keep one batch's chain temporary, (tn)^2 d^slots complex
+        scalars a row, within ``PROBE_BATCH_BYTES``, and at least one."""
         d = self.unit_index.shape[0]
-        return max(1, PROBE_BATCH_BYTES // ((t * self.n) ** 2 * d**self.k * 16))
+        return max(1, PROBE_BATCH_BYTES // ((t * self.n) ** 2 * d**slots * 16))
 
     def regroup(self, coords: np.ndarray) -> np.ndarray:
         """(rows, t, t, dim M_n(A)) coordinates to (rows, tn, d, tn) stacks."""
@@ -232,6 +235,58 @@ class ChainGrid:
         by_ends = chain.reshape(rows, t, n, -1, t, n).transpose(0, 2, 5, 1, 4, 3).reshape(rows, n, n, t * t, -1)
         value = np.matmul(by_ends, self.ends).reshape(rows, n, n, t, t, h, h)
         return value.transpose(0, 3, 1, 5, 4, 2, 6).reshape(rows, t * n * h, t * n * h)
+
+    @functools.cached_property
+    def _ends_by_entry(self) -> np.ndarray:
+        """``ends`` with the (u, v) entry ahead of the basis tuple, shape
+        (n, n, h*h, d^k): for every slot, the tuples after it are the columns
+        of a contiguous matrix."""
+        return np.ascontiguousarray(self.ends.swapaxes(2, 3))
+
+    def slot_operator(self, t: int, stacks: Sequence[np.ndarray], slot: int) -> np.ndarray:
+        """The values on rows of regrouped stacks as a linear map of the stack
+        in ``slot`` (which is not read): shape (rows, (tn)^2 d, (tnh)^2), such
+        that ``z.reshape(rows, 1, -1) @ op`` is ``value(t, stacks)`` with
+        ``z`` in ``slot``, flattened.
+
+        The chains before and after the slot are contracted with ``ends``,
+        the longer one first, so no chain over all k slots is formed: entry
+        ((c, q, e), (a, u, b, v)) is the sum over the tuples (P, P') before
+        and after the slot of prefix[a, P, c] suffix[e, P', b] times the
+        coefficient (u, v) of phi_ij at (P, q, P'), with a = s*n + i and
+        b = s'*n + j."""
+        n, h, t_n = self.n, self.h, t * self.n
+        d = self.unit_index.shape[0]
+        before, after = d**slot, d ** (self.k - 1 - slot)
+        prefix = chain_product(stacks[:slot], t_n).reshape(-1, t, n, before, t_n)
+        suffix = chain_product(stacks[slot + 1 :], t_n).reshape(-1, t_n, after, t, n)
+        # pre[r, i, (s, c), P] and suf[r, j, P', (e, s')]
+        pre = prefix.transpose(0, 2, 1, 4, 3).reshape(-1, n, t * t_n, before)
+        suf = suffix.transpose(0, 4, 2, 1, 3).reshape(-1, n, after, t_n * t)
+        # each intermediate is dropped as soon as it is used: the batch's
+        # temporaries are operator-sized, and a smaller peak page-faults less
+        if after >= before:
+            # the suffix first: x[r, i, j, (u, v, P, q), (e, s')], then P
+            x = self._ends_by_entry.reshape(n, n, -1, after) @ suf[:, None]
+            x = x.reshape(-1, n, n, h * h, before, d * t_n * t).transpose(0, 1, 4, 2, 3, 5)
+            op = pre @ x.reshape(-1, n, before, n * h * h * d * t_n * t)
+            del x
+            # op[r, i, s, c, j, u, v, q, e, s']
+            op = op.reshape(-1, n, t, t_n, n, h, h, d, t_n, t).transpose(0, 3, 7, 8, 2, 1, 5, 9, 4, 6)
+        else:
+            # the prefix first: y[r, i, j, (s, c), (q, P', u, v)], then P'
+            y = pre[:, :, None] @ self.ends.reshape(n, n, before, -1)
+            y = y.reshape(-1, n, n, t * t_n * d, after, h * h).transpose(0, 2, 1, 3, 5, 4)
+            op = y.reshape(-1, n, n * t * t_n * d * h * h, after) @ suf
+            del y
+            # op[r, j, i, s, c, q, u, v, e, s']
+            op = op.reshape(-1, n, n, t, t_n, d, h, h, t_n, t).transpose(0, 4, 5, 8, 3, 2, 6, 9, 1, 7)
+        # copied even where size-1 axes would let a reshape return a strided
+        # view: matmul rounds differently on strided operands, and every row
+        # must round as a lone row does
+        op = np.ascontiguousarray(op).reshape(len(op), t_n * d * t_n, (t_n * h) ** 2)
+        # at k = 1 both chains are the one-row identity
+        return np.broadcast_to(op, (max(len(z) for z in stacks), *op.shape[1:]))
 
     # -- coefficient blocks over M_n(A) and the invariance gather -----------
 

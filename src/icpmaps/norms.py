@@ -9,11 +9,21 @@ projection onto the operator-norm unit ball of the amplified algebra
 LOWER bound of the true supremum; every theorem check here is therefore a
 one-sided inequality with an explicit margin.
 
-Restarts ascend in lockstep as rows of batches: each step of a sweep is one
-stacked SVD, projection, gradient and kernel call over the rows still
-ascending.  Each row is its own slice of every stacked operation, so every
-restart ends where it would running alone, bit for bit, and the estimate
-records per restart its value, the sweeps it ran and why it stopped.
+The ascent runs on the free slot's linear operator
+(``ChainGrid.slot_operator``), built once per (sweep, slot) from the chains
+before and after the slot: the gradient is one product with it, and so is
+the value of every backtracking candidate, so no chain over all k slots is
+formed between a batch's start and its end.  One full SVD per candidate
+batch gives sigma and the singular pair of the next gradient.  The chain
+kernel evaluates each restart's start and final point, and a restart's
+value is the kernel's sigma at its final point.
+
+Restarts ascend in lockstep as rows of batches sized by the longest open
+chain: each step of a sweep is one stacked SVD, projection and operator
+product over the rows still ascending.  Each row is its own slice of every
+stacked operation, so every restart ends where it would running alone, bit
+for bit, and the estimate records per restart its value, the sweeps it ran
+and why it stopped.
 
 For scalar-valued maps on commutative algebras the supremum is attained on
 the torus of unimodular coordinates and each slot has one removable global
@@ -38,7 +48,7 @@ from .algebra import (
 )
 from .blockmap import BlockMultilinearMap, as_block_map
 from .gram import positivity_falsify
-from .multimap import MultilinearMap, amplified_evaluate, chain_product
+from .multimap import MultilinearMap, amplified_evaluate
 from .stinespring import DilationTriple, dilate
 
 RELATIVE_MARGIN = 1e-6
@@ -102,7 +112,13 @@ class _AscentProblem:
         self.free = [slot for slot in range(block.k) if slot not in pinned]
 
     def value(self, mats: Sequence[np.ndarray]) -> np.ndarray:
-        return amplified_evaluate(self.block, self.t, mats)
+        """Kernel values at rows of tuples, in batches of the falsifier's row
+        rule (a chain over all k slots)."""
+        batch, rows = self.grid.batch_rows(self.t, self.block.k), len(mats[0])
+        return np.concatenate([
+            amplified_evaluate(self.block, self.t, [x[start : start + batch] for x in mats])
+            for start in range(0, rows, batch)
+        ])
 
     def project(self, coords: np.ndarray) -> np.ndarray:
         return self.amp.extract_blocks(project_unit_ball(self.amp.embed_coords(coords)))
@@ -119,37 +135,37 @@ class _AscentProblem:
             for slot in range(self.block.k)
         ]
 
-    def gradient(self, mats: Sequence[np.ndarray], slot: int, values: np.ndarray) -> np.ndarray:
+    def slot_operator(self, mats: Sequence[np.ndarray], slot: int) -> np.ndarray:
+        """Each row's value as a linear map of the coordinates in ``slot``,
+        the other slots held at ``mats`` (``ChainGrid.slot_operator``)."""
+        return self.grid.slot_operator(self.t, [self.grid.regroup(x) for x in mats], slot)
+
+    def slot_values(self, op: np.ndarray, coords: np.ndarray) -> np.ndarray:
+        """Values of each row's operator at its (t, t, dim) slot coordinates."""
+        size = self.t * self.grid.n * self.grid.h
+        return (self.grid.regroup(coords).reshape(len(coords), 1, -1) @ op).reshape(-1, size, size)
+
+    def direction(self, op: np.ndarray, u: np.ndarray, vh: np.ndarray) -> np.ndarray:
         """d(sigma)/d(slot coords) of each row as a (rows, t, t, dim) stack
-        (ascent direction) from the values at ``mats``: the chain over the
-        stacks, with that slot open."""
-        grid, t, n, h = self.grid, self.t, self.grid.n, self.grid.h
-        size, rows = t * n, len(values)
-        u_mat, _, vh_mat = np.linalg.svd(values)
-        u = u_mat[:, :, 0].reshape(rows, t, n, h).conj()
-        v = vh_mat[:, 0].conj().reshape(rows, t, n, h)
-        # weight[r, s*n+i, P, s'*n+j] = u[r, s, i]^* (phi_ij coefficients at P) v[r, s', j]
-        uv = np.einsum("rsiu,rtjv->rijuvst", u, v).reshape(rows, n, n, h * h, t * t)
-        weight = np.matmul(grid.ends, uv).reshape(rows, n, n, -1, t, t).transpose(0, 4, 1, 3, 5, 2)
-        stacks = [grid.regroup(x) for x in mats]
-        prefix = chain_product(stacks[:slot], size)
-        suffix = chain_product(stacks[slot + 1 :], size)
-        opened = weight.reshape(rows, size * prefix.shape[2], -1)
-        left = prefix.reshape(len(prefix), -1, size).swapaxes(1, 2) @ opened
-        closed = suffix.reshape(len(suffix), size, -1).swapaxes(1, 2)
-        grad = left.reshape(rows, -1, suffix.shape[2] * size) @ closed
-        return grid.ungroup(np.conj(grad).reshape(rows, size, -1, size))
+        (ascent direction), from the top singular pair (u, vh) of its value:
+        the conjugate of ``op @ vec(conj(u) conj(vh))``."""
+        rows, t_n = len(op), self.t * self.grid.n
+        grad = op @ (u.conj()[:, :, None] * vh.conj()[:, None, :]).reshape(rows, -1, 1)
+        return self.grid.ungroup(np.conj(grad).reshape(rows, t_n, -1, t_n))
 
     def ascend(self, restarts: range, seed: int, iters: int) -> tuple:
         """Ascend the restarts in lockstep, one row each, until each one
         stops: a row leaves the batch after a sweep that accepted no step.
-        Every step of a sweep is one batched SVD, projection, gradient and
-        kernel call over the rows still ascending, or still backtracking.
-        Returns each slot's stack and, per row, sigma, the sweeps run and
-        the stop reason."""
+        Each (sweep, free slot) builds the slot operator of the rows still
+        ascending once; the gradient and every backtrack candidate's value
+        are products with it, and one full SVD per candidate batch gives
+        sigma and the singular pair of the next gradient.  The kernel runs
+        only at the starts and at the final points, whose sigma is the
+        restart's value.  Returns each slot's stack and, per row, sigma, the
+        sweeps run and the stop reason."""
         mats = self.random_starts([np.random.default_rng([seed, r]) for r in restarts])
-        values = self.value(mats)
-        sigma = np.linalg.norm(values, 2, axis=(1, 2))
+        u, s, vh = np.linalg.svd(self.value(mats))
+        sigma, u, vh = s[:, 0], u[:, :, 0], vh[:, 0]
         sweeps = np.zeros(len(restarts), dtype=int)
         ascending = np.arange(len(restarts))
         for _ in range(iters):
@@ -158,28 +174,27 @@ class _AscentProblem:
             sweeps[ascending] += 1
             improved = np.zeros(len(restarts), dtype=bool)
             for slot in self.free:
-                direction = self.gradient([x[ascending] for x in mats], slot, values[ascending])
+                op = self.slot_operator([x[ascending] for x in mats], slot)
+                direction = self.direction(op, u[ascending], vh[ascending])
                 pending, step = np.arange(len(ascending)), 1.0
                 for _ in range(BACKTRACK_STEPS):
                     rows = ascending[pending]
                     cand = self.project(mats[slot][rows] + step * direction[pending])
-                    trial = [x[rows] for x in mats]
-                    trial[slot] = cand
-                    cand_values = self.value(trial)
-                    cand_sigma = np.linalg.norm(cand_values, 2, axis=(1, 2))
-                    up = cand_sigma > sigma[rows] * (1.0 + ASCENT_RTOL)
+                    cand_u, cand_s, cand_vh = np.linalg.svd(self.slot_values(op, cand))
+                    up = cand_s[:, 0] > sigma[rows] * (1.0 + ASCENT_RTOL)
                     taken = rows[up]
                     mats[slot][taken] = cand[up]
-                    values[taken], sigma[taken] = cand_values[up], cand_sigma[up]
+                    sigma[taken], u[taken], vh[taken] = cand_s[up, 0], cand_u[up, :, 0], cand_vh[up, 0]
                     improved[taken] = True
-                    pending = pending[~up]
+                    # the operator keeps the rows still backtracking
+                    pending, op = pending[~up], op[~up]
                     if not len(pending):
                         break
                     step /= 2.0
             ascending = ascending[improved[ascending]]
         stops = np.full(len(restarts), "converged", dtype=object)
         stops[ascending] = "iters"
-        return mats, sigma, sweeps, stops
+        return mats, np.linalg.norm(self.value(mats), 2, axis=(1, 2)), sweeps, stops
 
 
 def norm_estimate(
@@ -198,9 +213,11 @@ def norm_estimate(
     the attainment theorems.  Restart r uses generator seed (seed, r), so
     doubling ``restarts`` never decreases the returned value.
 
-    Restarts run as rows of batches of ``ChainGrid.batch_rows(t)``; each row
-    is its own slice of every batched operation, so every restart ends
-    where it would running alone, bit for bit.
+    Restarts run as rows of batches of ``ChainGrid.batch_rows(t, k - 1)``,
+    sized by the longest chain a slot operator holds; each row is its own
+    slice of every batched operation, so every restart ends where it would
+    running alone, bit for bit.  A restart's value is the kernel's sigma at
+    its final point, so the witness evaluates to the estimate exactly.
     """
     if t < 1:
         raise ValueError(f"level must be >= 1, got {t}")
@@ -212,7 +229,7 @@ def norm_estimate(
         if mat.algebra != block.chain_grid().arg_algebra or mat.t != t:
             raise ValueError(f"pinned argument for slot {slot} has the wrong shape")
     problem = _AscentProblem(block, t, pinned)
-    batch = problem.grid.batch_rows(t)
+    batch = problem.grid.batch_rows(t, block.k - 1)
     runs = [
         problem.ascend(range(start, min(start + batch, restarts)), seed, iters)
         for start in range(0, restarts, batch)
@@ -365,6 +382,8 @@ def cb_russo_dye_check(
     Caller guarantees the hypotheses; passing a triple (or letting this
     function dilate) supplies the CP certificate.
     """
+    if t_max < 1:
+        raise ValueError(f"highest level must be >= 1, got {t_max}")
     block = as_block_map(phi)
     if triple is None:
         triple = dilate(block)
@@ -412,6 +431,8 @@ def cb_16_bound_check(
     seed: int = 0,
 ) -> CbBoundReport:
     """All level estimates stay below 2^4 times the unit value (arity 3 or 4)."""
+    if t_max < 1:
+        raise ValueError(f"highest level must be >= 1, got {t_max}")
     block = as_block_map(phi)
     if block.k not in (3, 4):
         raise ValueError(f"the 2^4 bound applies to arity 3 or 4, got {block.k}")

@@ -1,11 +1,16 @@
 """Batched seeded probes against one-at-a-time loops.
 
 The estimator runs its restarts, and the falsifier its trials, as rows of
-batches of one chain kernel call each. The loops below are the reference:
-one restart or one trial at a time, each a single tuple of t-matrices
-through the same kernel. Every row of a batch is its own slice of every
-batched operation, so restart values, witnesses and counterexamples must
-agree bit for bit, however the rows are split into batches.
+batches. The loops below are the reference: one restart or one trial at a
+time, each a single tuple of t-matrices. The estimator's loop ascends on
+each slot's linear operator, built pair of grid entries by pair with 2-D
+matrix products. Every row of a batch is its own slice of every batched
+operation, so restart values, witnesses and counterexamples must agree bit
+for bit, however the rows are split into batches.
+
+The ascent that evaluates every candidate through the chain kernel, over
+all k slots, is kept as a tolerance oracle: the slot operator only reorders
+the sums, so its restarts take the same steps and end within round-off.
 """
 
 import numpy as np
@@ -81,7 +86,106 @@ def _loop_chain(stacks, size):
     return chain
 
 
-def _loop_gradient(grid, t, mats, slot, value):
+def _loop_slot_operator(grid, t, stacks, slot):
+    """The value as a ((tn)^2 d, (tnh)^2) linear map of the stack in ``slot``:
+    the longer of the chains before and after the slot is contracted first,
+    with each phi_ij's coefficients, then the shorter, one grid row i (or
+    column j) at a time."""
+    n, h, k = grid.n, grid.h, grid.k
+    size, d = t * n, grid.unit_index.shape[0]
+    before, after = d**slot, d ** (k - 1 - slot)
+    pre = _loop_chain(stacks[:slot], size).reshape(t, n, before, size)
+    suf = _loop_chain(stacks[slot + 1 :], size).reshape(size, after, t, n)
+    # pre_i[(s, c), P] and suf_j[P', (e, s')]
+    pre_i = [pre[:, i].transpose(0, 2, 1).reshape(t * size, before) for i in range(n)]
+    suf_j = [suf[..., j].transpose(1, 0, 2).reshape(after, size * t) for j in range(n)]
+    op = np.empty((size, d, size, t, n, h, t, n, h), dtype=np.complex128)
+    if after >= before:
+        # the suffix first, then the prefix, one grid row i at a time
+        for i in range(n):
+            xs = []
+            for j in range(n):
+                coeffs = grid.ends[i, j].reshape(before, d, after, h, h).transpose(3, 4, 0, 1, 2)
+                x = np.ascontiguousarray(coeffs).reshape(-1, after) @ suf_j[j]
+                xs.append(x.reshape(h * h, before, -1).transpose(1, 0, 2))
+            out = (pre_i[i] @ np.stack(xs, axis=1).reshape(before, -1)).reshape(t, size, n, h, h, d, size, t)
+            op[:, :, :, :, i] = out.transpose(1, 5, 6, 0, 3, 7, 2, 4)
+    else:
+        # the prefix first, then the suffix, one grid column j at a time
+        for j in range(n):
+            ys = [
+                (pre_i[i] @ grid.ends[i, j].reshape(before, -1)).reshape(-1, after, h * h).transpose(0, 2, 1)
+                for i in range(n)
+            ]
+            out = (np.stack(ys).reshape(-1, after) @ suf_j[j]).reshape(n, t, size, d, h, h, size, t)
+            op[..., j, :] = out.transpose(2, 3, 6, 1, 0, 4, 7, 5)
+    return op.reshape(size * d * size, -1)
+
+
+def _loop_gradient(grid, t, op, u, vh):
+    """Ascent direction in the slot's coordinates from the value's top
+    singular pair: the conjugate of op @ vec(conj(u) conj(vh))."""
+    size = t * grid.n
+    grad = op @ np.outer(u.conj(), vh.conj()).reshape(-1, 1)
+    return grid.ungroup(np.conj(grad).reshape(1, size, -1, size))[0]
+
+
+def _loop_starts(block, amp, pinned, rng):
+    return [
+        pinned[l] if l in pinned else amp.extract(project_unit_ball(loop_element(amp.algebra, rng)))
+        for l in range(block.k)
+    ]
+
+
+def loop_norm_estimate(phi, t, restarts, iters, seed, pinned=None):
+    """(values, sweeps, stops, witness) of restarts run one at a time, each
+    (sweep, slot) on the slot's operator, with one full SVD per candidate;
+    a restart's value is the kernel's at its final point."""
+    block = as_block_map(phi)
+    grid = block.chain_grid()
+    amp = amplified_algebra(grid.arg_algebra, t)
+    pinned = pinned or {}
+    size = t * grid.n * grid.h
+
+    def project(coords):
+        return amp.extract(project_unit_ball(amp.embed(MatrixOverAlgebra(grid.arg_algebra, coords))))
+
+    best_sigma, best_mats, values, sweeps, stops = -np.inf, None, [], [], []
+    for r in range(restarts):
+        mats = _loop_starts(block, amp, pinned, np.random.default_rng([seed, r]))
+        u_mat, s, vh_mat = np.linalg.svd(amplified_evaluate(block, t, mats))
+        sigma, u, vh = s[0], u_mat[:, 0], vh_mat[0]
+        swept, stop = 0, "iters"
+        for _ in range(iters):
+            swept += 1
+            improved = False
+            for slot in range(block.k):
+                if slot in pinned:
+                    continue
+                op = _loop_slot_operator(grid, t, [grid.regroup(x.coords[None])[0] for x in mats], slot)
+                direction = _loop_gradient(grid, t, op, u, vh)
+                step = 1.0
+                for _ in range(norms.BACKTRACK_STEPS):
+                    cand = project(mats[slot].coords + step * direction)
+                    cand_value = (grid.regroup(cand.coords[None]).reshape(1, -1) @ op).reshape(size, size)
+                    cand_u, cand_s, cand_vh = np.linalg.svd(cand_value)
+                    if cand_s[0] > sigma * (1.0 + norms.ASCENT_RTOL):
+                        mats[slot], sigma, u, vh, improved = cand, cand_s[0], cand_u[:, 0], cand_vh[0], True
+                        break
+                    step /= 2.0
+            if not improved:
+                stop = "converged"
+                break
+        sigma = float(np.linalg.norm(amplified_evaluate(block, t, mats), 2))
+        values.append(sigma)
+        sweeps.append(swept)
+        stops.append(stop)
+        if sigma > best_sigma:
+            best_sigma, best_mats = sigma, mats
+    return values, sweeps, stops, best_mats
+
+
+def _kernel_loop_gradient(grid, t, mats, slot, value):
     n, h = grid.n, grid.h
     size = t * n
     u_mat, _, vh_mat = np.linalg.svd(value)
@@ -97,23 +201,19 @@ def _loop_gradient(grid, t, mats, slot, value):
     return grid.ungroup(np.conj(grad).reshape(1, size, -1, size))[0]
 
 
-def loop_norm_estimate(phi, t, restarts, iters, seed, pinned=None):
-    """(values, sweeps, stops, witness) of restarts run one at a time."""
+def kernel_loop_norm_estimate(phi, t, restarts, iters, seed):
+    """(values, sweeps, stops) of restarts run one at a time, every candidate
+    evaluated through the chain kernel over all k slots: the tolerance oracle."""
     block = as_block_map(phi)
     grid = block.chain_grid()
     amp = amplified_algebra(grid.arg_algebra, t)
-    pinned = pinned or {}
 
     def project(coords):
         return amp.extract(project_unit_ball(amp.embed(MatrixOverAlgebra(grid.arg_algebra, coords))))
 
-    best_sigma, best_mats, values, sweeps, stops = -np.inf, None, [], [], []
+    values, sweeps, stops = [], [], []
     for r in range(restarts):
-        rng = np.random.default_rng([seed, r])
-        mats = [
-            pinned[l] if l in pinned else amp.extract(project_unit_ball(loop_element(amp.algebra, rng)))
-            for l in range(block.k)
-        ]
+        mats = _loop_starts(block, amp, {}, np.random.default_rng([seed, r]))
         value = amplified_evaluate(block, t, mats)
         sigma = float(np.linalg.norm(value, 2))
         swept, stop = 0, "iters"
@@ -121,9 +221,7 @@ def loop_norm_estimate(phi, t, restarts, iters, seed, pinned=None):
             swept += 1
             improved = False
             for slot in range(block.k):
-                if slot in pinned:
-                    continue
-                direction = _loop_gradient(grid, t, mats, slot, value)
+                direction = _kernel_loop_gradient(grid, t, mats, slot, value)
                 step = 1.0
                 for _ in range(norms.BACKTRACK_STEPS):
                     cand = project(mats[slot].coords + step * direction)
@@ -139,9 +237,7 @@ def loop_norm_estimate(phi, t, restarts, iters, seed, pinned=None):
         values.append(sigma)
         sweeps.append(swept)
         stops.append(stop)
-        if sigma > best_sigma:
-            best_sigma, best_mats = sigma, mats
-    return values, sweeps, stops, best_mats
+    return values, sweeps, stops
 
 
 # -- the cases ---------------------------------------------------------------------
@@ -170,12 +266,14 @@ MAPS = {
 }
 
 
-def _split_budget(monkeypatch, phi, t, rows):
-    """Set the byte budget so that a level-t batch of ``phi`` holds ``rows`` rows."""
+def _split_budget(monkeypatch, phi, t, rows, slots):
+    """Set the byte budget so that a level-t batch of ``phi`` whose longest
+    chain runs over ``slots`` slots (k for the falsifier, k - 1 for the
+    estimator) holds ``rows`` rows."""
     grid = as_block_map(phi).chain_grid()
-    row_bytes = (t * grid.n) ** 2 * grid.unit_index.shape[0] ** grid.k * 16
+    row_bytes = (t * grid.n) ** 2 * grid.unit_index.shape[0] ** slots * 16
     monkeypatch.setattr(multimap, "PROBE_BATCH_BYTES", rows * row_bytes)
-    assert grid.batch_rows(t) == rows
+    assert grid.batch_rows(t, slots) == rows
 
 
 def _assert_estimate_matches_loop(phi, t, restarts, iters, seed, pinned=None):
@@ -244,14 +342,14 @@ def test_estimator_restarts_match_the_loop(name):
 @pytest.mark.parametrize("name", ["grid3", "random-c3-k3", "random-m2c-k2"])
 def test_estimator_restarts_split_unevenly_match_the_loop(name, monkeypatch):
     phi = MAPS[name]()
-    _split_budget(monkeypatch, phi, 2, 3)
+    _split_budget(monkeypatch, phi, 2, 3, phi.k - 1)
     _assert_estimate_matches_loop(phi, 2, restarts=8, iters=5, seed=7)
 
 
 def test_estimator_rows_leaving_the_batch_match_the_loop(monkeypatch):
     # restarts converge after different numbers of sweeps, some hit the cap
     phi = MAPS["random-m2c-k2"]()
-    _split_budget(monkeypatch, phi, 1, 3)
+    _split_budget(monkeypatch, phi, 1, 3, phi.k - 1)
     est = _assert_estimate_matches_loop(phi, 1, restarts=8, iters=50, seed=0)
     assert set(est.restart_stops) == {"converged", "iters"}
     assert len(set(est.restart_sweeps)) > 2
@@ -259,7 +357,7 @@ def test_estimator_rows_leaving_the_batch_match_the_loop(monkeypatch):
 
 def test_estimator_with_pinned_slots_matches_the_loop(monkeypatch):
     phi = MAPS["random-c3-k3"]()
-    _split_budget(monkeypatch, phi, 1, 3)
+    _split_budget(monkeypatch, phi, 1, 3, phi.k - 1)
     one = MatrixOverAlgebra.identity(phi.algebra, 1)
     other = MatrixOverAlgebra(phi.algebra, np.full((1, 1, 3), 0.5 + 0.25j))
     for pinned in ({0: one}, {1: other}, {0: one, 2: other}, {0: one, 1: other, 2: one}):
@@ -269,6 +367,34 @@ def test_estimator_with_pinned_slots_matches_the_loop(monkeypatch):
 def test_estimator_on_corpus_maps_matches_the_loop(small_corpus):
     for entry in small_corpus:
         _assert_estimate_matches_loop(entry.block_map, 2, restarts=3, iters=3, seed=0)
+
+
+@pytest.mark.parametrize("name", sorted(MAPS))
+def test_estimator_restarts_agree_with_the_kernel_ascent(name):
+    # the slot operator reorders the kernel's sums: the same steps, the
+    # same sweeps and stops, and values within round-off
+    phi = MAPS[name]()
+    for t in (1, 2, 3):
+        for seed in range(3):
+            est = norms.norm_estimate(phi, t=t, restarts=3, iters=4, seed=seed)
+            values, sweeps, stops = kernel_loop_norm_estimate(phi, t, 3, 4, seed)
+            assert (est.restart_sweeps, est.restart_stops) == (sweeps, stops)
+            for value, expected in zip(est.restart_values, values):
+                assert abs(value - expected) <= 1e-13 * expected
+
+
+@pytest.mark.parametrize("name", ["grid3", "grid3-wide", "plain-k5", "random-m2-k4"])
+def test_slot_operator_rows_match_the_loop(name):
+    phi = MAPS[name]()
+    grid = as_block_map(phi).chain_grid()
+    rng = np.random.default_rng(5)
+    for t in (1, 2):
+        shape = (3, t, t, grid.arg_algebra.dim)
+        stacks = [grid.regroup(rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) for _ in range(grid.k)]
+        for slot in range(grid.k):
+            op = grid.slot_operator(t, stacks, slot)
+            for row in range(3):
+                assert np.array_equal(op[row], _loop_slot_operator(grid, t, [z[row] for z in stacks], slot))
 
 
 # -- the falsifier ---------------------------------------------------------------------
@@ -287,14 +413,14 @@ def test_falsifier_finds_the_counterexamples():
 @pytest.mark.parametrize("name", ["psi", "random-c3-k3", "grid3"])
 def test_falsifier_trials_split_unevenly_match_the_loop(name, monkeypatch):
     phi = MAPS[name]()
-    _split_budget(monkeypatch, phi, 1, 3)
+    _split_budget(monkeypatch, phi, 1, 3, phi.k)
     for seed in range(4):
         _assert_falsifier_matches_loop(phi, (1, 2), trials=8, seed=seed)
 
 
 def test_falsifier_evaluates_each_trial_once(monkeypatch):
     phi = MAPS["grid3"]()
-    _split_budget(monkeypatch, phi, 1, 3)
+    _split_budget(monkeypatch, phi, 1, 3, phi.k)
     rows = []
 
     def counted(*args):

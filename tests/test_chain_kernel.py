@@ -5,7 +5,7 @@ independent reference."""
 import numpy as np
 import pytest
 
-from icpmaps import norms
+from icpmaps import multimap, norms
 from icpmaps.algebra import Algebra, MatrixOverAlgebra, amplified_algebra
 from icpmaps.blockmap import BlockMultilinearMap
 from icpmaps.gram import positivity_falsify
@@ -71,18 +71,37 @@ def test_block_evaluate_is_level_one_of_the_kernel(rng):
 
 
 @pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_slot_operator_matches_the_kernel(n, k):
+    rng = np.random.default_rng([n, k])
+    block = random_grid(Algebra([2, 1]), n, k, 2, rng)
+    for t in (1, 2, 3):
+        problem = norms._AscentProblem(block, t, {})
+        mats = problem.random_starts([np.random.default_rng([n, k, r]) for r in range(3)])
+        # a pinned slot: one argument broadcast over the rows
+        mats[k // 2] = np.broadcast_to(mats[k // 2][0], mats[k // 2].shape)
+        value = problem.value(mats)
+        for slot in range(k):
+            op = problem.slot_operator(mats, slot)
+            assert op.shape == (3, (t * n) ** 2 * 5, (t * n * 2) ** 2)
+            got = problem.slot_values(op, mats[slot])
+            assert np.abs(got - value).max() <= 1e-13 * np.abs(value).max()
+
+
+@pytest.mark.parametrize("n", [1, 2])
 def test_estimator_gradient_matches_central_differences(n):
     rng = np.random.default_rng(n)
     block = random_grid(Algebra([2]), n, 3, 2, rng)
     t, eps, rows = 2, 1e-6, 3
     problem = norms._AscentProblem(block, t, {})
     mats = problem.random_starts([np.random.default_rng([n, r]) for r in range(rows)])
+    u, _, vh = np.linalg.svd(problem.value(mats))
 
     def sigma(args, row):
         return np.linalg.norm(problem.value([x[row : row + 1] for x in args])[0], 2)
 
     for slot in range(block.k):
-        grad = problem.gradient(mats, slot, problem.value(mats))
+        grad = problem.direction(problem.slot_operator(mats, slot), u[:, :, 0], vh[:, 0])
         assert grad.shape == mats[slot].shape
         for row in range(rows):
             direction = rng.standard_normal(grad.shape[1:])
@@ -111,27 +130,44 @@ def test_falsifier_and_estimator_never_build_the_induced_map(monkeypatch):
 
 
 def test_ascent_evaluates_each_point_once(monkeypatch):
-    """One kernel row per restart start and one per projected candidate: the
-    gradient reuses the values at the current points."""
+    """Kernel rows only at each restart's start and final point, and one
+    slot-operator row per projected candidate; no chain outside the kernel
+    runs over all k slots."""
     block = random_grid(Algebra([2]), 2, 3, 1, np.random.default_rng(5))
-    rows = {"kernel": 0, "project": 0}
-    kernel, project = norms.amplified_evaluate, norms._AscentProblem.project
+    rows = {"kernel": 0, "operator": 0, "project": 0}
+    chains, calls = [], []
+    kernel, chain_product = norms.amplified_evaluate, multimap.chain_product
+    slot_values, project = norms._AscentProblem.slot_values, norms._AscentProblem.project
 
     def counted_kernel(*args):
         value = kernel(*args)
         rows["kernel"] += len(value)
+        calls.append(len(value))
         return value
+
+    def counted_chain(stacks, size):
+        chains.append(len(stacks))
+        return chain_product(stacks, size)
+
+    def counted_values(self, op, coords):
+        rows["operator"] += len(coords)
+        return slot_values(self, op, coords)
 
     def counted_project(self, coords):
         rows["project"] += len(coords)
         return project(self, coords)
 
     monkeypatch.setattr(norms, "amplified_evaluate", counted_kernel)
+    monkeypatch.setattr(multimap, "chain_product", counted_chain)
+    monkeypatch.setattr(norms._AscentProblem, "slot_values", counted_values)
     monkeypatch.setattr(norms._AscentProblem, "project", counted_project)
     restarts = 2
     est = norms.norm_estimate(block, t=2, restarts=restarts, iters=3, seed=0)
     assert rows["project"] > 0
-    assert rows["kernel"] == restarts + rows["project"]
+    assert rows["operator"] == rows["project"]
+    # one batch: a kernel call at its start and one at its end
+    assert calls == [restarts, restarts]
+    assert chains.count(block.k) == len(calls) and max(chains) == block.k
     monkeypatch.undo()
     assert np.linalg.norm(amplified_evaluate(block, 2, est.witness), 2) == est.value
 

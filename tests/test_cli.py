@@ -374,16 +374,40 @@ def test_equiv_echoes_the_tolerances_it_applies(tmp_path, capsys):
         assert not EquivalenceReport(U=None, **{name: 2 * tol}).within()
 
 
-def test_out_into_a_missing_directory_is_input_error(tmp_path):
-    out = tmp_path / "nodir" / "x.json"
+def _run_cli(*argv):
+    """The CLI in a fresh process, on this checkout's sources."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "icpmaps.cli", "gen", "dilation", "--k", "3", "--out", str(out)],
-        capture_output=True, text=True, env=env, timeout=120,
+    return subprocess.run(
+        [sys.executable, "-m", "icpmaps.cli", *argv], capture_output=True, text=True, env=env, timeout=120
     )
+
+
+def test_out_into_a_missing_directory_is_input_error(tmp_path):
+    out = tmp_path / "nodir" / "x.json"
+    proc = _run_cli("gen", "dilation", "--k", "3", "--out", str(out))
     assert proc.returncode == 2
     assert proc.stderr.startswith("input error: cannot write report to ")
     assert str(out) in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check", "{spec}", "--levels", "0"),
+        ("check", "{spec}", "--positivity", "--levels", "1,-1"),
+        ("check", "{spec}", "--invariant", "--levels", "0"),
+        ("russo-dye", "{spec}", "--cb", "--tmax", "0"),
+    ],
+    ids=["check-levels-0", "check-levels-negative", "check-invariant-levels-0", "russo-dye-tmax-0"],
+)
+def test_level_below_one_is_input_error(tmp_path, argv):
+    spec = write_spec(tmp_path, "trace.json", {"kind": "trace", "n": 2})
+    out = tmp_path / "report.json"
+    proc = _run_cli(*(a.format(spec=spec) for a in argv), "--out", str(out))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("input error: ")
     assert "Traceback" not in proc.stderr
     assert not out.exists()

@@ -293,3 +293,9 @@ def test_cp_refute_reads_the_gram_norm_from_the_spectrum(monkeypatch):
     expected = gram.norm()
     assert svds == [gram.matrix.shape]  # the count sees the SVD that norm() runs
     assert abs(record.gram_norm - expected) <= 1e-12 * expected
+
+
+@pytest.mark.parametrize("levels", [(), (0,), (1, 0), (-2,)])
+def test_falsifier_rejects_levels_below_one(levels):
+    with pytest.raises(ValueError, match="levels must be"):
+        positivity_falsify(trace_example(2), levels=levels, trials=1)

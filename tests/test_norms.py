@@ -152,12 +152,14 @@ def test_ascent_length_ignores_last_bit_round_off(seed, monkeypatch):
     noise = np.random.default_rng(seed).standard_normal(phi.coeffs.shape)
     nudged = MultilinearMap(phi.algebra, phi.k, phi.h, phi.coeffs * (1 + 1e-15 * noise))
     calls = []
+    project = norms._AscentProblem.project
 
-    def counted(*args):
-        calls.append(1)
-        return amplified_evaluate(*args)
+    def counted(self, coords):
+        # one row per candidate the ascent tries
+        calls.extend([1] * len(coords))
+        return project(self, coords)
 
-    monkeypatch.setattr(norms, "amplified_evaluate", counted)
+    monkeypatch.setattr(norms._AscentProblem, "project", counted)
     for t in (1, 2):
         runs = []
         for psi in (phi, nudged):
@@ -191,3 +193,13 @@ def test_restart_sweeps_and_stops_are_reported():
     one = MatrixOverAlgebra.identity(phi.algebra, 1)
     pinned = norm_estimate(phi, t=1, restarts=2, iters=5, pinned={0: one, 1: one})
     assert pinned.restart_sweeps == [1, 1] and pinned.restart_stops == ["converged", "converged"]
+
+
+@pytest.mark.parametrize("check", [cb_russo_dye_check, cb_16_bound_check])
+def test_cb_checks_reject_a_highest_level_below_one(check, monkeypatch):
+    # rejected before any dilation or batch sizing
+    monkeypatch.setattr(norms, "dilate", None)
+    block, _ = random_icp(Algebra([1, 1]), 3, 1, 1, seed=0)
+    for t_max in (0, -1):
+        with pytest.raises(ValueError, match="highest level must be >= 1"):
+            check(block, t_max=t_max)
