@@ -148,9 +148,9 @@ class BlockMultilinearMap:
     def block_is_symmetric(self, tol: float | None = None) -> bool:
         if tol is None:
             tol = 1e-9 * (1.0 + self.coefficient_scale())
-        adj = self.block_adjoint()
+        # entry (i, j) of the adjoint grid, one at a time: no second grid is held
         dev = max(
-            np.abs(self.entries[i][j].coeffs - adj.entries[i][j].coeffs).max()
+            np.abs(self.entries[i][j].coeffs - self.entries[j][i].adjoint().coeffs).max()
             for i in range(self.n)
             for j in range(self.n)
         )

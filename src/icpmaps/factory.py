@@ -150,6 +150,7 @@ def from_dilation_data(
         ]
         for i in range(n)
     ]
+    del vals  # the entries hold copies; the checks below run without the full tensor
     block = BlockMultilinearMap(entries)
     if check:
         for row in block.entries:

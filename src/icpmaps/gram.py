@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import functools
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -39,6 +39,8 @@ from .multimap import MultilinearMap, amplified_evaluate
 FALSIFIER_TOL = 1e-8
 GRAM_PSD_TOL = 1e-9
 GRAM_HERMITIAN_TOL = 1e-8
+# rows of the Gram per pass of the Hermiticity check: 256 rows of an N = 2048 Gram are 8 MiB
+GRAM_CHUNK_ROWS = 256
 
 
 # -- admissible tuples -------------------------------------------------------
@@ -173,6 +175,11 @@ class GramKernel:
     the first, so positivity of the form reads x^dagger G x >= 0.  The flat
     index is ((alpha, slot j), component s) with alpha = (p_1..p_m) raveled
     in C order.
+
+    The class of an index is the (block, row) label of each factor's unit.
+    A pair of factors enters an entry only through e_q* e_p, which vanishes
+    unless the two units share that label, so the Gram of an invariant map
+    is zero between classes and ``spectrum`` diagonalizes it class by class.
     """
 
     matrix: np.ndarray
@@ -180,33 +187,102 @@ class GramKernel:
     k: int
     n: int
     h: int
-    index_map: list = field(repr=False)
 
     @property
     def size(self) -> int:
         return self.matrix.shape[0]
 
+    @functools.cached_property
+    def index_map(self) -> list:
+        """Legend of the flat index: each factor's unit, the slot and the component."""
+        d, m = self.algebra.dim, (self.k + 1) // 2
+        return [
+            {"factors": list(np.unravel_index(a, (d,) * m)), "slot": j, "component": s}
+            for a in range(d**m)
+            for j in range(self.n)
+            for s in range(self.h)
+        ]
+
     def hermiticity_residual(self) -> float:
+        """max |G - G*| / (1 + max |G|), over ``GRAM_CHUNK_ROWS`` rows at a
+        time so that no temporary is as large as the matrix."""
         g = self.matrix
-        scale = 1.0 + float(np.abs(g).max())
-        return float(np.abs(g - g.conj().T).max() / scale)
+        chunks = [slice(s, s + GRAM_CHUNK_ROWS) for s in range(0, self.size, GRAM_CHUNK_ROWS)]
+        scale = 1.0 + float(max(np.abs(g[rows]).max() for rows in chunks))
+        return float(max(np.abs(g[rows] - g[:, rows].conj().T).max() for rows in chunks) / scale)
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.matrix, 2))
 
+    def _class_indices(self) -> list[np.ndarray]:
+        """The flat indices of each class, one (classes, size) array per
+        class size, classes in order of their labels raveled in C order."""
+        alg, m = self.algebra, (self.k + 1) // 2
+        starts = np.cumsum((0,) + alg.block_dims)
+        label = np.array([starts[b] + r for b, r, _ in map(alg.basis_label, range(alg.dim))])
+        digits = np.indices((alg.dim,) * m).reshape(m, -1)
+        cls = np.repeat(np.ravel_multi_index(label[digits], (starts[-1],) * m), self.n * self.h)
+        order = np.argsort(cls, kind="stable")
+        sizes = np.bincount(cls)
+        first = np.cumsum(sizes) - sizes
+        return [order[first[sizes == s][:, None] + np.arange(s)] for s in np.unique(sizes)]
+
+    @functools.cached_property
+    def spectrum(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+        """Eigenpairs of the Hermitian part, read by the PSD test, refuter and
+        dilation: one (index, lam, u) group per class size, with ``index``
+        (classes, size) the flat indices of its classes, ``lam`` their
+        eigenvalues, ascending per class, and ``u`` (classes, size, size)
+        their eigenvectors as columns over those indices.  One batched
+        ``eigh`` per group.  Unless every entry between two classes is
+        exactly 0.0 (a map that is not invariant), the whole matrix is one
+        class and one ``eigh``."""
+        g = self.matrix
+        groups = self._class_indices()
+        blocks = [g[idx[:, :, None], idx[:, None, :]] for idx in groups]
+        if sum(map(np.count_nonzero, blocks)) != np.count_nonzero(g):
+            groups, blocks = [np.arange(self.size)[None]], [g[None]]
+        out = []
+        for idx, blk in zip(groups, blocks):
+            lam, u = np.linalg.eigh((blk + blk.conj().swapaxes(1, 2)) / 2.0)
+            for arr in (idx, lam, u):
+                arr.setflags(write=False)
+            out.append((idx, lam, u))
+        return tuple(out)
+
+    def extreme_eigenvalues(self) -> tuple[float, float]:
+        """(lowest, highest) eigenvalue of the Hermitian part."""
+        return (
+            float(min(lam[:, 0].min() for _, lam, _ in self.spectrum)),
+            float(max(lam[:, -1].max() for _, lam, _ in self.spectrum)),
+        )
+
     def spectral_norm(self) -> float:
         """Largest |eigenvalue| of the Hermitian part, read from ``spectrum``:
         the 2-norm of a Hermitian Gram without a second factorization."""
-        lam = self.spectrum[0]
-        return float(max(-lam[0], lam[-1]))
+        low, high = self.extreme_eigenvalues()
+        return max(-low, high)
 
-    @functools.cached_property
-    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
-        """``eigh`` of the Hermitian part, ascending: read by the PSD test, refuter and dilation."""
-        lam, u = np.linalg.eigh((self.matrix + self.matrix.conj().T) / 2.0)
-        lam.setflags(write=False)
-        u.setflags(write=False)
-        return lam, u
+    def lowest_eigenvector(self) -> np.ndarray:
+        """A unit eigenvector of the lowest eigenvalue, over all N indices."""
+        idx, lam, u = min(self.spectrum, key=lambda group: group[1][:, 0].min())
+        c = int(np.argmin(lam[:, 0]))
+        x = np.zeros(self.size, dtype=np.complex128)
+        x[idx[c]] = u[c, :, 0]
+        return x
+
+    def pairs_above(self, cut: float) -> tuple[np.ndarray, np.ndarray]:
+        """The eigenvalues above ``cut`` and their eigenvectors as columns
+        over all N indices, (kappa,) and (N, kappa): class by class, and
+        ascending within a class."""
+        lams, rows = [], []
+        for idx, lam, u in self.spectrum:
+            c, e = np.nonzero(lam > cut)
+            vec = np.zeros((len(c), self.size), dtype=np.complex128)
+            vec[np.arange(len(c))[:, None], idx[c]] = u[c, :, e]
+            lams.append(lam[c, e])
+            rows.append(vec)
+        return np.concatenate(lams), np.concatenate(rows).T
 
 
 _HELD_GRAMS = weakref.WeakKeyDictionary()  # map -> weak reference to its kernel
@@ -232,21 +308,19 @@ def build_gram(phi) -> GramKernel:
     alg, k, n, h = block.algebra, block.k, block.n, block.h
     d, m = alg.dim, block.m
     dm = d**m
-    blocks = np.empty((dm, n, h, dm, n, h), dtype=np.complex128)
+    size = dm * n * h
+    matrix = np.empty((size, size), dtype=np.complex128)
+    # axes (q_1..q_m, i, u, p_1..p_m, j, s); each core, (q.., p.., u, s), is written
+    # through a view, so no reshaped copy of it is made
+    blocks = matrix.reshape((d,) * m + (n, h) + (d,) * m + (n, h))
+    whole = (slice(None),) * m
+    axes = list(range(m)) + [2 * m] + list(range(m, 2 * m)) + [2 * m + 1]
     for i in range(n):
         for j in range(n):
             tij = _gram_core(block.entries[i][j], m)
-            blocks[:, i, :, :, j, :] = tij.reshape(dm, dm, h, h).transpose(0, 2, 1, 3)
-    size = dm * n * h
-    matrix = blocks.reshape(size, size)
+            blocks[whole + (i, slice(None)) + whole + (j, slice(None))] = tij.transpose(axes)
     matrix.setflags(write=False)
-    index_map = [
-        {"factors": list(np.unravel_index(a, (d,) * m)), "slot": j, "component": s}
-        for a in range(dm)
-        for j in range(n)
-        for s in range(h)
-    ]
-    gram = GramKernel(matrix=matrix, algebra=alg, k=k, n=n, h=h, index_map=index_map)
+    gram = GramKernel(matrix=matrix, algebra=alg, k=k, n=n, h=h)
     _HELD_GRAMS[phi] = weakref.ref(gram)
     return gram
 
@@ -255,22 +329,28 @@ def _gram_core(phi: MultilinearMap, m: int) -> np.ndarray:
     """Kernel tensor of one entry map, axes (q_1..q_m, p_1..p_m, u, s)."""
     alg, k = phi.algebra, phi.k
     perm = alg.star_perm
-    coeffs = phi.coeffs
     if k % 2 == 1:
         # slots 0..m-2 hold e_{q_m}*..e_{q_2}*, slot m-1 the product, rest p's
-        a = coeffs
-        for ax in range(m - 1):
-            a = np.take(a, perm, axis=ax)
+        a = _star_leading(phi, m - 1)
         msp = alg.mult_table[perm]  # msp[q_1, p_1, r] = M[q_1*, p_1, r]
         t = np.tensordot(msp, a, axes=(2, m - 1))
         # axes now (q_1, p_1, q_m, .., q_2, p_2, .., p_m, u, s)
         axes = [0] + list(range(m, 1, -1)) + [1] + list(range(m + 1, 2 * m)) + [2 * m, 2 * m + 1]
         return t.transpose(axes)
-    a = coeffs
-    for ax in range(m):
-        a = np.take(a, perm, axis=ax)
     axes = list(range(m - 1, -1, -1)) + list(range(m, 2 * m + 2))
-    return a.transpose(axes)
+    return _star_leading(phi, m).transpose(axes)
+
+
+def _star_leading(phi: MultilinearMap, lead: int) -> np.ndarray:
+    """The coefficients with the basis of the first ``lead`` slots starred,
+    e_p -> e_p*, as one gather over their raveled tuples (one copy)."""
+    d, perm = phi.algebra.dim, phi.algebra.star_perm
+    if lead == 0:
+        return phi.coeffs
+    tuples = perm
+    for _ in range(lead - 1):
+        tuples = (tuples[:, None] * d + perm[None, :]).ravel()
+    return np.take(phi.coeffs.reshape(d**lead, -1), tuples, axis=0).reshape(phi.coeffs.shape)
 
 
 def gram_is_psd(gram: GramKernel, tol: float | None = None) -> tuple[bool, float]:
@@ -281,7 +361,7 @@ def gram_is_psd(gram: GramKernel, tol: float | None = None) -> tuple[bool, float
             f"Gram matrix is non-Hermitian (relative residual {herm_res:.3e}); "
             "source map is malformed or not symmetric"
         )
-    min_eig = float(gram.spectrum[0][0])
+    min_eig = gram.extreme_eigenvalues()[0]
     if tol is None:
         tol = GRAM_PSD_TOL * max(1.0, gram.spectral_norm())
     return bool(min_eig >= -tol), min_eig
@@ -294,7 +374,6 @@ class RefutationRecord:
     min_eigenvalue: float
     witness: np.ndarray
     gram_norm: float
-    index_map: list = field(repr=False)
 
     def to_dict(self) -> dict:
         from . import serialize
@@ -318,7 +397,6 @@ def cp_refute(phi, tol: float | None = None) -> RefutationRecord | None:
         return None
     return RefutationRecord(
         min_eigenvalue=min_eig,
-        witness=gram.spectrum[1][:, 0],
+        witness=gram.lowest_eigenvector(),
         gram_norm=gram.spectral_norm(),
-        index_map=gram.index_map,
     )

@@ -164,6 +164,9 @@ class _AscentProblem:
         restart's value.  Returns each slot's stack and, per row, sigma, the
         sweeps run and the stop reason."""
         mats = self.random_starts([np.random.default_rng([seed, r]) for r in restarts])
+        # the slot operator reads regrouped stacks: each slot is regrouped once here,
+        # and afterwards only the rows of the slot that moved
+        grouped = [self.grid.regroup(x) for x in mats]
         u, s, vh = np.linalg.svd(self.value(mats))
         sigma, u, vh = s[:, 0], u[:, :, 0], vh[:, 0]
         sweeps = np.zeros(len(restarts), dtype=int)
@@ -174,7 +177,7 @@ class _AscentProblem:
             sweeps[ascending] += 1
             improved = np.zeros(len(restarts), dtype=bool)
             for slot in self.free:
-                op = self.slot_operator([x[ascending] for x in mats], slot)
+                op = self.grid.slot_operator(self.t, [x[ascending] for x in grouped], slot)
                 direction = self.direction(op, u[ascending], vh[ascending])
                 pending, step = np.arange(len(ascending)), 1.0
                 for _ in range(BACKTRACK_STEPS):
@@ -183,7 +186,9 @@ class _AscentProblem:
                     cand_u, cand_s, cand_vh = np.linalg.svd(self.slot_values(op, cand))
                     up = cand_s[:, 0] > sigma[rows] * (1.0 + ASCENT_RTOL)
                     taken = rows[up]
-                    mats[slot][taken] = cand[up]
+                    if len(taken):
+                        mats[slot][taken] = cand[up]
+                        grouped[slot][taken] = self.grid.regroup(cand[up])
                     sigma[taken], u[taken], vh[taken] = cand_s[up, 0], cand_u[up, :, 0], cand_vh[up, 0]
                     improved[taken] = True
                     # the operator keeps the rows still backtracking

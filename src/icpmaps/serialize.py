@@ -136,26 +136,37 @@ def matrix_to_json(mat) -> np.ndarray:
 
 def matrix_from_json(data, shape=None, what: str = "matrix") -> np.ndarray:
     """Nested [re, im] pairs as a complex128 array of ``shape`` (any matrix
-    when None), from one float64 conversion; the complex view keeps every
-    double as written, -0.0 and infinities included.  ``what`` names the
+    when None), from one conversion that infers the entries' type; the
+    complex view keeps every double as written, -0.0 and infinities
+    included.  Strings, booleans and nulls are refused.  ``what`` names the
     array in error messages."""
     try:
-        pairs = np.ascontiguousarray(data, dtype=np.float64)
+        entries = np.asarray(data)
+    except ValueError as exc:  # ragged lists
+        raise SpecFormatError(f"malformed {what}: {exc}") from exc
+    if entries.dtype.kind in "USb":
+        kind = "boolean" if entries.dtype.kind == "b" else "string"
+        raise SpecFormatError(f"malformed {what}: {kind} entries, expected numbers")
+    if entries.dtype.kind == "O":  # a null, an integer beyond int64 or a non-list among the numbers
+        _check_leaves(data, what)
+    try:
+        pairs = np.ascontiguousarray(entries, dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as exc:
         raise SpecFormatError(f"malformed {what}: {exc}") from exc
     fits = pairs.ndim == 3 if shape is None else pairs.shape[:-1] == tuple(shape)
     if pairs.shape[-1:] != (2,) or not fits:
         expected = "(rows, cols, 2)" if shape is None else tuple(shape) + (2,)
         raise SpecFormatError(f"{what} of [re, im] pairs has shape {pairs.shape}, expected {expected}")
-    if np.isnan(pairs).any() and _holds_none(data):  # float64 conversion reads null as nan
-        raise SpecFormatError(f"malformed {what}: null entry")
     return pairs.view(np.complex128)[..., 0]
 
 
-def _holds_none(node) -> bool:
-    if node is None:
-        return True
-    return isinstance(node, list) and any(map(_holds_none, node))
+def _check_leaves(node, what: str) -> None:
+    """Refuse a null, a string or a boolean anywhere in nested lists."""
+    if isinstance(node, list):
+        for item in node:
+            _check_leaves(item, what)
+    elif node is None or isinstance(node, (str, bool)):
+        raise SpecFormatError(f"malformed {what}: {'null' if node is None else type(node).__name__} entry")
 
 
 # -- algebra / elements -------------------------------------------------------

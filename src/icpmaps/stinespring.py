@@ -2,12 +2,14 @@
 minimal compression, and unitary equivalence.
 
 The quotient of A^{tensor m} (x) H^n by the null space of the Gram form is
-realized numerically through a truncated eigendecomposition G = U L U*:
-eigenpairs above a relative rank threshold define W = L_+^{1/2} U_+^* so
-that G = W^* W, and the quotient space is C^kappa with kappa the kept
-count.  Left multiplication on the p-th tensor factor is a partial
-permutation applied as a column gather; it descends to the quotient
-precisely when it preserves ker G, which is verified, not assumed.
+realized numerically through a truncated eigendecomposition G = U L U*,
+read class by class from ``GramKernel.spectrum``: eigenpairs above a
+relative rank threshold define W = L_+^{1/2} U_+^* so that G = W^* W, and
+the quotient space is C^kappa with kappa the kept count.  Left
+multiplication on the p-th tensor factor is a partial permutation applied
+as a column gather; it descends to the quotient precisely when it
+preserves ker G, which is verified, not assumed: W L vanishes on ker G iff
+W L equals its restriction to the kept eigenvectors, W L U_+ U_+^*.
 Representations are W P W^+, the operators V_j are W applied to the
 unit-tensor embeddings of H at slot j.
 
@@ -40,6 +42,8 @@ CERTIFICATE_TOLS = {"reconstruction": 1e-8, "structural": 1e-6}
 # bound below which squares and products of entries may underflow
 OPNORM_BOUND_SLACK = 1e-12
 OPNORM_BOUND_FLOOR = 1e-140
+# verify_dilation: bytes of value differences per pass of the reconstruction residual
+RECONSTRUCTION_CHUNK_BYTES = 16 * 2**20
 
 
 @dataclass
@@ -177,13 +181,12 @@ def dilate(
     psd, min_eig = gram_is_psd(gram, psd_tol)
     if not psd:
         raise NotCompletelyPositiveError(min_eig)
-    lam, u = gram.spectrum
-    lam_max = float(lam.max(initial=0.0))
-    kept = lam > rank_tol * lam_max
-    kappa = int(kept.sum())
-    w = (np.sqrt(lam[kept])[:, None]) * u[:, kept].conj().T  # (kappa, N)
-    winv = u[:, kept] / np.sqrt(lam[kept])[None, :]  # (N, kappa)
-    null = u[:, ~kept]
+    lam_max = max(gram.extreme_eigenvalues()[1], 0.0)
+    lam, u = gram.pairs_above(rank_tol * lam_max)  # u: (N, kappa), the kept eigenvectors U_kappa
+    kappa = len(lam)
+    root = np.sqrt(lam)
+    uh = u.conj().T
+    w = root[:, None] * uh  # (kappa, N)
     scale = np.sqrt(lam_max) if lam_max > 0 else 1.0
     # W's columns grouped by alpha = (p_1..p_m), then a zero column d^m: column alpha of
     # W L_{p,b} is column alpha + (r - q) d^(m-1-p) of W if e_b e_q = e_r on factor p, else d^m
@@ -196,10 +199,12 @@ def dilate(
         images = np.empty((d, kappa, kappa), dtype=np.complex128)
         for b in range(d):
             wl = w_pad[:, moved[b]].reshape(w.shape)
-            residual = float(np.linalg.norm(wl @ null, 2)) if null.size and kappa else 0.0
+            wlu = wl @ u
+            # ||W L - (W L U_kappa) U_kappa*|| = ||W L (I - U_kappa U_kappa*)||: W L on ker G
+            residual = float(np.linalg.norm(wl - wlu @ uh, 2)) if 0 < kappa < gram.size else 0.0
             if residual > descent_tol * scale:
                 raise QuotientDescentError(p, b, residual)
-            images[b] = wl @ winv
+            images[b] = wlu / root[None, :]  # W L W^+, with W^+ = U_kappa L_kappa^(-1/2)
         reps.append(images)
     # V_j = W iota_j, iota_j : H -> A^{tensor m} (x) H^n sends f to 1 x .. x 1 x (f at slot j)
     unit = alg.identity_coords[digits].prod(axis=0)
@@ -221,8 +226,9 @@ def dilate(
 # -- verification -----------------------------------------------------------
 
 
-def _batched_opnorm_max(mats: np.ndarray) -> float:
-    """max spectral norm over the leading axes of a (..., a, b) stack.
+def _batched_opnorm_max(mats: np.ndarray, floor: float = 0.0) -> float:
+    """max spectral norm over the leading axes of a (..., a, b) stack, or
+    ``floor`` (a norm already found elsewhere) when that is larger.
 
     Both the Frobenius norm and sqrt(||A||_1 ||A||_inf) bound ||A||_2 from
     above, so the matrices are decomposed one at a time in decreasing order
@@ -234,7 +240,7 @@ def _batched_opnorm_max(mats: np.ndarray) -> float:
     squares of nonzero entries may underflow, the full batched SVD runs.
     """
     if mats.size == 0:
-        return 0.0
+        return floor
     flat = mats.reshape(-1, mats.shape[-2], mats.shape[-1])
     with np.errstate(over="ignore", invalid="ignore"):
         mags = np.abs(flat)
@@ -242,8 +248,8 @@ def _batched_opnorm_max(mats: np.ndarray) -> float:
         bound = np.minimum(np.linalg.norm(flat, axis=(1, 2)), holder)
     top = bound.max()
     if not top < np.inf or (top < OPNORM_BOUND_FLOOR and flat.any()):
-        return float(np.linalg.svd(flat, compute_uv=False)[:, 0].max())
-    best = 0.0
+        return float(np.maximum(floor, np.linalg.svd(flat, compute_uv=False)[:, 0].max()))
+    best = floor
     for i in np.argsort(-bound, kind="stable"):
         if bound[i] * (1.0 + OPNORM_BOUND_SLACK) <= best:
             break
@@ -346,8 +352,28 @@ def verify_dilation(phi, triple: DilationTriple, tol: float | None = None) -> Di
         recon = float(np.abs(block.stacked_coeffs()).max()) if block.stacked_coeffs().size else 0.0
         return DilationReport(recon, 0.0, 0.0, 0.0, 0.0)
     vals = theorem_form_values(alg, triple.reps, triple.V, k)
-    recon = _batched_opnorm_max(vals - block.stacked_coeffs())
+    recon = _reconstruction_residual(block, vals)
     return DilationReport(recon, **law_residuals(alg, triple.reps))
+
+
+def _reconstruction_residual(block, vals: np.ndarray) -> float:
+    """max over basis tuples of ||vals - phi||, with ``vals`` in the layout
+    of ``theorem_form_values``.  The differences are formed from the grid
+    entries for a few values of the first slot at a time, within
+    ``RECONSTRUCTION_CHUNK_BYTES``, so no second tensor the size of the map
+    is held; each chunk passes the largest norm so far to
+    ``_batched_opnorm_max`` as its floor, so the result is the maximum of
+    the per-matrix SVDs, bit for bit, as over the whole stack at once."""
+    h = block.h
+    step = max(1, RECONSTRUCTION_CHUNK_BYTES // vals[0].nbytes)
+    worst = 0.0
+    for start in range(0, len(vals), step):
+        diff = np.array(vals[start : start + step])
+        for i, row in enumerate(block.entries):
+            for j, phi in enumerate(row):
+                diff[..., i * h : (i + 1) * h, j * h : (j + 1) * h] -= phi.coeffs[start : start + step]
+        worst = _batched_opnorm_max(diff, worst)
+    return worst
 
 
 # -- minimality and uniqueness ------------------------------------------------

@@ -273,31 +273,35 @@ def test_check_invariant_verdict_is_the_theorem_hypothesis(tmp_path, capsys):
 
 
 def test_each_command_diagonalizes_its_gram_once(tmp_path, capsys, monkeypatch):
-    # M_2, k = 3, n = 2, h = 1: Gram size 4^2 * 2 = 32, falsifier values at most 4 x 4
+    # M_2, k = 3, n = 2, h = 1: Gram size 4^2 * 2 = 32 in four classes of 8; the non-CP
+    # Schur map's Gram (size 2) is not split.  Every eigensolve outside the falsifier is
+    # a Gram class: together they must cover the Gram's indices exactly once
     spec = str(tmp_path / "map.json")
     assert main(["gen", "dilation", "--algebra", "2", "--k", "3", "--out", spec]) == 0
     lam = [[[1.0, 0.0], [2.0, 0.0]], [[2.0, 0.0], [1.0, 0.0]]]
     non_cp = write_spec(tmp_path, "schur.json", {"kind": "schur", "lam": lam})
-    sizes = []
+    solved = []
 
     def counting(original):
         def wrapper(a, *args, **kwargs):
-            sizes.append(np.shape(a)[-1])
+            if sys._getframe(1).f_code.co_name != "positivity_falsify":
+                solved.append(np.shape(a))
             return original(a, *args, **kwargs)
 
         return wrapper
 
     monkeypatch.setattr(np.linalg, "eigh", counting(np.linalg.eigh))
     monkeypatch.setattr(np.linalg, "eigvalsh", counting(np.linalg.eigvalsh))
-    for argv, code, gram_size in [
-        (["check", spec, "--cp", "--trials", "20"], 0, 32),
-        (["dilate", spec], 0, 32),
-        (["check", non_cp, "--cp"], 1, 2),  # the refuter reads the same spectrum
+    for argv, code, gram_size, shapes in [
+        (["check", spec, "--cp", "--trials", "20"], 0, 32, [(4, 8, 8)]),
+        (["dilate", spec], 0, 32, [(4, 8, 8)]),
+        (["check", non_cp, "--cp"], 1, 2, [(1, 2, 2)]),  # the refuter reads the same spectrum
     ]:
-        sizes.clear()
+        solved.clear()
         assert main(argv) == code, argv
         capsys.readouterr()
-        assert sizes.count(gram_size) == 1, (argv, sizes)
+        assert sum(int(np.prod(shape[:-1])) for shape in solved) == gram_size, (argv, solved)
+        assert solved == shapes, argv
 
 
 def _minimal_triple(tmp_path):

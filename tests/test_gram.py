@@ -10,7 +10,9 @@ from icpmaps.algebra import Algebra, amplified_algebra, multiply, random_element
 from icpmaps.blockmap import BlockMultilinearMap
 from icpmaps.errors import NonHermitianGramError
 from icpmaps.factory import (
+    noninvariant_block_example,
     point_evaluation_example,
+    random_icp,
     schur_block_map,
     trace_example,
     worked_level2_tuple,
@@ -299,3 +301,83 @@ def test_cp_refute_reads_the_gram_norm_from_the_spectrum(monkeypatch):
 def test_falsifier_rejects_levels_below_one(levels):
     with pytest.raises(ValueError, match="levels must be"):
         positivity_falsify(trace_example(2), levels=levels, trials=1)
+
+
+# -- class-by-class spectrum ---------------------------------------------------
+
+# the benchmark's spec shapes (blocks, k, n, h), and one whose classes differ in size
+BENCHMARK_SHAPES = [((2,), 4, 2, 2), ((2,), 3, 2, 2), ((2, 2), 3, 2, 2), ((2,), 5, 1, 2), ((3,), 4, 1, 2)]
+UNEQUAL_CLASSES = ((1, 2), 5, 2, 1)
+
+
+def _dense_match(gram):
+    """Largest gap between the class eigenvalues, sorted, and the dense
+    ``eigvalsh`` of the Hermitian part, with its bound 1e-12 (1 + ||G||)."""
+    g = gram.matrix
+    dense = np.linalg.eigvalsh((g + g.conj().T) / 2.0)
+    split = np.sort(np.concatenate([lam.ravel() for _, lam, _ in gram.spectrum]))
+    return float(np.abs(split - dense).max()), 1e-12 * (1.0 + np.abs(dense).max())
+
+
+def _assert_split(gram):
+    # every index in exactly one class, and no class the whole Gram
+    index = np.concatenate([idx.ravel() for idx, _, _ in gram.spectrum])
+    assert np.array_equal(np.sort(index), np.arange(gram.size))
+    assert all(idx.shape[1] < gram.size for idx, _, _ in gram.spectrum)
+    gap, bound = _dense_match(gram)
+    assert gap <= bound, (gap, bound)
+
+
+def test_class_spectra_match_the_dense_eigh_on_the_corpus(corpus):
+    for entry in corpus:
+        _assert_split(build_gram(entry.block_map))
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("shape", BENCHMARK_SHAPES + [UNEQUAL_CLASSES], ids=str)
+def test_class_spectra_match_the_dense_eigh_on_generated_maps(shape, seed):
+    blocks, k, n, h = shape
+    block, _ = random_icp(Algebra(list(blocks)), k, n, h, seed=seed)
+    gram = build_gram(block)
+    _assert_split(gram)
+    sizes = [idx.shape[1] for idx, _, _ in gram.spectrum]
+    if shape == UNEQUAL_CLASSES:
+        # M_1 + M_2, m = 3: one (block, row) label per factor, each of 1 or 2 units, times n h
+        assert sizes == [2, 4, 8, 16]
+    else:
+        assert len(sizes) == 1
+
+
+def test_a_grid_of_invariant_entries_splits_though_the_grid_is_not_block_invariant():
+    # Psi(a, b, c) = b a c is invariant, so its Gram vanishes between classes
+    _assert_split(build_gram(noninvariant_block_example()))
+
+
+def test_a_gram_with_entries_between_classes_is_diagonalized_whole(rng):
+    shape = (5, 5, 5, 2, 2)
+    phi = MultilinearMap(Algebra([1, 2]), 3, 2, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    gram = build_gram(phi)
+    ((idx, lam, u),) = gram.spectrum
+    assert np.array_equal(idx, np.arange(gram.size)[None])
+    g = gram.matrix
+    lam_dense, u_dense = np.linalg.eigh((g + g.conj().T) / 2.0)
+    assert np.array_equal(lam[0], lam_dense) and np.array_equal(u[0], u_dense)
+
+
+@pytest.mark.parametrize(
+    "blocks,k,n,h,seed",
+    # the lowest eigenvalue in class 1 of the third class size, and in class 3 of eight equal ones
+    [((1, 2), 3, 2, 1, 1), ((1, 1, 1), 3, 1, 1, 0)],
+)
+def test_cp_refute_witness_is_a_full_length_eigenvector(blocks, k, n, h, seed):
+    cp, _ = random_icp(Algebra(list(blocks)), k, n, h, seed=seed)
+    neg = BlockMultilinearMap([[MultilinearMap(phi.algebra, k, h, -phi.coeffs) for phi in row] for row in cp.entries])
+    gram = build_gram(neg)
+    record = cp_refute(neg)
+    x = record.witness
+    assert x.shape == (gram.size,) and abs(np.linalg.norm(x) - 1.0) <= 1e-12
+    g = gram.matrix
+    residual = np.linalg.norm(g @ x - record.min_eigenvalue * x)
+    assert residual <= 1e-10 * record.gram_norm
+    dense = np.linalg.eigvalsh((g + g.conj().T) / 2.0)
+    assert abs(record.min_eigenvalue - dense[0]) <= 1e-12 * (1.0 + np.abs(dense).max())

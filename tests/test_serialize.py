@@ -271,6 +271,29 @@ def test_triple_round_trip_is_bit_exact():
     assert np.signbit(again.V[0][0, 0].real)
 
 
+def _schur_spec_exit(tmp_path, lam) -> int:
+    spec = tmp_path / "schur.json"
+    spec.write_text(json.dumps({"kind": "schur", "lam": lam}))
+    return cli.main(["check", str(spec), "--out", str(tmp_path / "report.json")])
+
+
+def test_matrix_from_json_refuses_string_entries(tmp_path):
+    # quoted numbers: float64 conversion alone would read "1_000" as 1000
+    lam = [[["1_000", 0.0], [" 2.5 ", 0.0]], [["nan", 0.0], [1.0, 0.0]]]
+    with pytest.raises(SpecFormatError, match="string entries"):
+        serialize.matrix_from_json(lam, (2, 2))
+    with pytest.raises(SpecFormatError, match="str entry"):  # a string beside a null
+        serialize.matrix_from_json([[["1.5", None]]], (1, 1))
+    assert _schur_spec_exit(tmp_path, lam) == 2
+
+
+def test_matrix_from_json_refuses_boolean_entries(tmp_path):
+    lam = [[[True, False], [False, False]], [[False, False], [True, False]]]
+    with pytest.raises(SpecFormatError, match="boolean entries"):
+        serialize.matrix_from_json(lam, (2, 2))
+    assert _schur_spec_exit(tmp_path, lam) == 2
+
+
 def test_matrix_from_json_rejects_malformed_entries():
     good = [[[1.0, 0.0], [0.5, -0.0]], [[0.5, 0.0], [1.0, 0.0]]]
     assert serialize.matrix_from_json(good, (2, 2))[0, 1] == 0.5

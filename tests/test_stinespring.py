@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from icpmaps import cli, serialize
+from icpmaps import cli, serialize, stinespring
 from icpmaps.algebra import Algebra
 from icpmaps.errors import NotCompletelyPositiveError, QuotientDescentError
 from icpmaps.factory import (
@@ -135,6 +135,13 @@ def test_non_invariant_map_fails_quotient_descent(non_invariant_psd_map):
         dilate(phi)
     assert (err.value.factor, err.value.basis_index) == (0, 0)
     assert err.value.residual == pytest.approx(1.1413, abs=1e-4)
+
+
+def test_non_invariant_map_is_diagonalized_whole(non_invariant_psd_map):
+    # its Gram has entries between classes: one eigh of the whole matrix
+    gram = build_gram(non_invariant_psd_map)
+    ((idx, _, _),) = gram.spectrum
+    assert np.array_equal(idx, np.arange(gram.size)[None])
 
 
 def test_cli_dilate_quotient_descent_failure_is_obstruction(non_invariant_psd_map, tmp_path):
@@ -400,3 +407,31 @@ def test_theorem_form_values_memory():
     finally:
         tracemalloc.stop()
     assert peak < 32e6
+
+
+def test_reconstruction_residual_in_chunks_is_the_whole_stack_maximum(corpus, monkeypatch):
+    cases = [(e.block_map, e.triple) for e in corpus[::7]]
+    cases.append(random_icp(Algebra([1, 2]), 5, 2, 1, seed=3))
+    for block, triple in cases:
+        vals = theorem_form_values(block.algebra, triple.reps, triple.V, block.k)
+        vals[-1].flat[-1] += 1.0  # the largest residual in the last chunk
+        whole = stinespring._batched_opnorm_max(vals - block.stacked_coeffs())
+        assert stinespring._reconstruction_residual(block, vals) == whole
+        monkeypatch.setattr(stinespring, "RECONSTRUCTION_CHUNK_BYTES", 1)  # one first-slot value per chunk
+        assert stinespring._reconstruction_residual(block, vals) == whole
+        monkeypatch.undo()
+        assert stinespring._batched_opnorm_max(vals - block.stacked_coeffs(), 2.0 * whole + 1.0) == 2.0 * whole + 1.0
+
+
+def test_reconstruction_residual_holds_no_second_map_sized_tensor(monkeypatch):
+    # M_2 + M_2, k = 4, n = 2, h = 2: values of 1 MB, in chunks of one first-slot value (1/8)
+    block, triple = random_icp(Algebra([2, 2]), 4, 2, 2, seed=0)
+    vals = theorem_form_values(block.algebra, triple.reps, triple.V, block.k)
+    monkeypatch.setattr(stinespring, "RECONSTRUCTION_CHUNK_BYTES", vals[0].nbytes)
+    tracemalloc.start()
+    try:
+        stinespring._reconstruction_residual(block, vals)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < vals.nbytes, (peak, vals.nbytes)  # 3.7 MB over the whole stack at once
