@@ -74,6 +74,13 @@ def _certifies(block, residuals) -> bool:
     )
 
 
+def _require_trials(args) -> None:
+    """Refuse ``--trials`` below 1 before any work: a check that samples no
+    tuple reads nothing."""
+    if args.trials < 1:
+        raise SpecFormatError(f"--trials must be >= 1, got {args.trials}")
+
+
 def _map_summary(obj) -> dict:
     block = as_block_map(obj)
     return {
@@ -103,6 +110,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_check(args) -> int:
+    _require_trials(args)
     data = _read_json(args.spec)
     obj = serialize.load_map_spec(data)
     block = as_block_map(obj)
@@ -153,7 +161,7 @@ def cmd_check(args) -> int:
             # non-real quadratic form: some admissible value is non-Hermitian
             checks["cp"] = {
                 "gram_hermitian": False,
-                "hermiticity_residual": gram.hermiticity_residual(),
+                "hermiticity_residual": gram.hermiticity_residual,
                 "detail": str(exc),
             }
             verdicts["cp"] = "fail"
@@ -270,6 +278,7 @@ def cmd_equiv(args) -> int:
 
 
 def cmd_russo_dye(args) -> int:
+    _require_trials(args)
     data = _read_json(args.spec)
     obj = serialize.load_map_spec(data)
     block = as_block_map(obj)

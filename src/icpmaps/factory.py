@@ -137,6 +137,19 @@ def from_dilation_data(
     comm = commutation_residual(reps)
     if comm > REP_TOL:
         raise ValueError(f"representations do not commute (residual {comm:.3e})")
+    return _theorem_form_block(algebra, reps, v_ops, k, check)
+
+
+def _theorem_form_block(
+    algebra: Algebra,
+    reps: Sequence[np.ndarray],
+    v_ops: Sequence[np.ndarray],
+    k: int,
+    check: bool,
+) -> BlockMultilinearMap:
+    """``from_dilation_data`` on representations already known to form a
+    commuting family of unital *-homomorphisms of matching shapes."""
+    kappa = reps[0].shape[1]
     h = v_ops[0].shape[1]
     for vj in v_ops:
         if vj.shape != (kappa, h):
@@ -316,7 +329,9 @@ def random_icp(
             q, r = np.linalg.qr(z)
             z = q * (np.diag(r) / np.abs(np.diag(r)))
         v_ops.append(z)
-    block = from_dilation_data(algebra, reps, v_ops, k)
+    # tensor_commuting_reps validated each factor; I (x) rho (x) I keeps its
+    # law residuals, and factors on disjoint legs commute exactly
+    block = _theorem_form_block(algebra, reps, v_ops, k, check=True)
     triple = DilationTriple(
         algebra=algebra,
         k=k,

@@ -132,20 +132,21 @@ def positivity_falsify(
     returning None is only evidence.  The eigenvalue threshold is relative
     to the value norm so different levels compare on equal footing.
 
-    The trials of a level run as rows of batches (``ChainGrid.batch_rows``
-    over the k slots of the kernel's chain) of one sampler and one kernel
-    call each; every row is its own slice of every batched operation, so the
-    first hit in trial order is the tuple a one-at-a-time loop over the same
-    generator returns, bit for bit.
+    The trials of a level run as rows of batches (``ChainGrid.batch_rows``)
+    of one sampler and one kernel call each; every row is its own slice of
+    every batched operation, so the first hit in trial order is the tuple a
+    one-at-a-time loop over the same generator returns, bit for bit.
     """
     if not levels or min(levels) < 1:
         raise ValueError(f"levels must be a nonempty list of integers >= 1, got {list(levels)}")
+    if trials < 1:
+        raise ValueError(f"need at least one trial per level, got {trials}")
     block = as_block_map(phi)
     algebra = block.amplification.algebra  # M_n(A): tuples are t-matrices over it
     grid = block.chain_grid()
     rng = np.random.default_rng(seed)
     for t in levels:
-        batch = grid.batch_rows(t, block.k)
+        batch = grid.batch_rows(t)
         for start in range(0, trials, batch):
             mats = sample_admissible_tuple(algebra, block.k, t, rng, min(batch, trials - start))
             values = amplified_evaluate(block, t, mats)
@@ -203,9 +204,11 @@ class GramKernel:
             for s in range(self.h)
         ]
 
+    @functools.cached_property
     def hermiticity_residual(self) -> float:
         """max |G - G*| / (1 + max |G|), over ``GRAM_CHUNK_ROWS`` rows at a
-        time so that no temporary is as large as the matrix."""
+        time so that no temporary is as large as the matrix; computed once,
+        as the kernel is read-only."""
         g = self.matrix
         chunks = [slice(s, s + GRAM_CHUNK_ROWS) for s in range(0, self.size, GRAM_CHUNK_ROWS)]
         scale = 1.0 + float(max(np.abs(g[rows]).max() for rows in chunks))
@@ -355,7 +358,7 @@ def _star_leading(phi: MultilinearMap, lead: int) -> np.ndarray:
 
 def gram_is_psd(gram: GramKernel, tol: float | None = None) -> tuple[bool, float]:
     """PSD test; raises if the Gram is not Hermitian within tolerance."""
-    herm_res = gram.hermiticity_residual()
+    herm_res = gram.hermiticity_residual
     if herm_res > GRAM_HERMITIAN_TOL:
         raise NonHermitianGramError(
             f"Gram matrix is non-Hermitian (relative residual {herm_res:.3e}); "

@@ -12,9 +12,13 @@ one chain kernel, for plain maps and for n-by-n grids of them (``blockmap``),
 whose chain end indices pick the grid entry; ``MultilinearMap.amplify``
 materializes the amplified coefficient tensor (guarded by a size limit).
 
-The kernel's stacks carry a leading row axis, so one call evaluates many
-tuples (the seeded probes of the estimator and the falsifier), each row its
-own slice of every matrix product; one tuple is the one-row case.
+The kernel never forms a chain over all k slots: the chains over the first
+j = ceil(k/2) slots and over the other k - j meet through the coefficients,
+so a row holds (tn)^2 (d^j + d^(k-j)) + t^2 n^3 h^2 d^(k-j) scalars of
+temporaries, not the (tn)^2 d^k of the full chain.
+Its stacks carry a leading row axis, so one call evaluates many tuples (the
+seeded probes of the estimator and the falsifier), each row its own slice of
+every matrix product; one tuple is the one-row case.
 ``ChainGrid.batch_rows`` sizes those batches by ``PROBE_BATCH_BYTES``.
 The value is linear in each slot: ``ChainGrid.slot_operator`` contracts the
 same formula with one slot left open, the operator the estimator ascends on.
@@ -42,12 +46,18 @@ EXHAUSTIVE_TUPLE_LIMIT = 10**7
 # Support tuples gathered at once: bounds the gather's temporaries to a few
 # hundred rows of coefficient blocks per factorization choice.
 GATHER_ROWS = 256
-# Bytes of chain temporary a batch of seeded probes (estimator restarts,
-# falsifier trials) may hold: one row of a chain over l slots holds
-# (tn)^2 d^l complex scalars, and larger batches page-fault more than batching
-# saves, so a row above the budget runs alone.
+# Bytes of temporaries a batch of seeded probes (estimator restarts,
+# falsifier trials) may hold, counted per row by ``ChainGrid.batch_rows`` and
+# ``ChainGrid.operator_batch_rows``: larger batches page-fault more than
+# batching saves, so a row above the budget runs alone.
 PROBE_BATCH_BYTES = 128 * 1024
 AMPLIFY_SIZE_LIMIT = 5 * 10**6
+
+
+def _rows_within_budget(row_scalars: int) -> int:
+    """Rows whose temporaries, ``row_scalars`` complex scalars a row, fit in
+    ``PROBE_BATCH_BYTES``; at least one."""
+    return max(1, PROBE_BATCH_BYTES // (row_scalars * 16))
 
 
 def arity_midpoint(k: int) -> int:
@@ -202,13 +212,21 @@ class ChainGrid:
         self.ends, self.unit_index = ends, unit_index
         self.n = ends.shape[0]
 
-    def batch_rows(self, t: int, slots: int) -> int:
-        """Rows per call of a batch of level-t probes whose longest chain runs
-        over ``slots`` slots (k for the kernel, k - 1 for a slot operator): as
-        many as keep one batch's chain temporary, (tn)^2 d^slots complex
-        scalars a row, within ``PROBE_BATCH_BYTES``, and at least one."""
+    def batch_rows(self, t: int) -> int:
+        """Rows per ``value`` call of a batch of level-t probes: its two
+        half-chains, (tn)^2 d^j and (tn)^2 d^(k-j) complex scalars a row with
+        j = ceil(k/2), and the prefix contracted with ``ends``,
+        t^2 n^3 d^(k-j) h^2 a row."""
+        d, n, k, half = self.unit_index.shape[0], self.n, self.k, (self.k + 1) // 2
+        chains = (t * n) ** 2 * (d**half + d ** (k - half))
+        return _rows_within_budget(chains + t * t * n**3 * d ** (k - half) * self.h**2)
+
+    def operator_batch_rows(self, t: int) -> int:
+        """Rows per ``slot_operator`` call of a batch of level-t probes: the
+        longest chain beside an open slot, (tn)^2 d^(k-1) complex scalars a
+        row.  The operator itself, (tn)^2 d (tnh)^2 a row, is not counted."""
         d = self.unit_index.shape[0]
-        return max(1, PROBE_BATCH_BYTES // ((t * self.n) ** 2 * d**slots * 16))
+        return _rows_within_budget((t * self.n) ** 2 * d ** (self.k - 1))
 
     def regroup(self, coords: np.ndarray) -> np.ndarray:
         """(rows, t, t, dim M_n(A)) coordinates to (rows, tn, d, tn) stacks."""
@@ -228,13 +246,40 @@ class ChainGrid:
     def value(self, t: int, stacks: Sequence[np.ndarray]) -> np.ndarray:
         """Values on rows of regrouped stacks, (rows, tnh, tnh); entry (u, v)
         of phi_ij's term in block (s, s') sits at row s*n*h + i*h + u, column
-        s'*n*h + j*h + v."""
-        n, h = self.n, self.h
-        chain = chain_product(stacks, t * n)
-        rows = chain.shape[0]
-        by_ends = chain.reshape(rows, t, n, -1, t, n).transpose(0, 2, 5, 1, 4, 3).reshape(rows, n, n, t * t, -1)
-        value = np.matmul(by_ends, self.ends).reshape(rows, n, n, t, t, h, h)
-        return value.transpose(0, 3, 1, 5, 4, 2, 6).reshape(rows, t * n * h, t * n * h)
+        s'*n*h + j*h + v.
+
+        The chains over the first j = ceil(k/2) slots and over the rest meet
+        through the coefficients, so no chain over all k slots is formed: the
+        prefix is contracted with ``ends`` (``_prefix_through_ends``), then,
+        for each end column j, with the suffix, over the suffix's first index
+        and tuples."""
+        n, h, t_n = self.n, self.h, t * self.n
+        half = (self.k + 1) // 2
+        after = self.unit_index.shape[0] ** (self.k - half)
+        # y[r, i, j, s, (c, P'), (u, v)] and suf[r, j, s', (c, P')]
+        y = self._prefix_through_ends(t, stacks[:half]).reshape(-1, n, n, t, t_n * after, h * h)
+        suffix = chain_product(stacks[half:], t_n).reshape(-1, t_n * after, t, n)
+        suf = np.ascontiguousarray(suffix.transpose(0, 3, 2, 1))
+        # value[r, i, j, s, s', (u, v)]
+        value = (suf[:, None, :, None] @ y).reshape(-1, n, n, t, t, h, h)
+        return value.transpose(0, 3, 1, 5, 4, 2, 6).reshape(-1, t * n * h, t * n * h)
+
+    def _prefix_rows(self, t: int, stacks: Sequence[np.ndarray]) -> np.ndarray:
+        """Chain of the stacks of the first slots as pre[r, i, (s, c), P],
+        entry (s*n + i, c) of row r's product along the tuple P."""
+        n, t_n = self.n, t * self.n
+        before = self.unit_index.shape[0] ** len(stacks)
+        prefix = chain_product(stacks, t_n).reshape(-1, t, n, before, t_n)
+        return prefix.transpose(0, 2, 1, 4, 3).reshape(-1, n, t * t_n, before)
+
+    def _prefix_through_ends(self, t: int, stacks: Sequence[np.ndarray]) -> np.ndarray:
+        """The chain of the first slots' stacks contracted with ``ends``, one
+        GEMM per row and grid entry against the shared coefficients:
+        y[r, i, j, (s, c), (P', u, v)] is the sum over the tuples P of those
+        slots of pre[r, i, (s, c), P] times phi_ij's coefficient (u, v) at
+        (P, P'), where P' runs over the tuples of the remaining slots."""
+        pre = self._prefix_rows(t, stacks)
+        return pre[:, :, None] @ self.ends.reshape(self.n, self.n, pre.shape[-1], -1)
 
     @functools.cached_property
     def _ends_by_entry(self) -> np.ndarray:
@@ -258,10 +303,8 @@ class ChainGrid:
         n, h, t_n = self.n, self.h, t * self.n
         d = self.unit_index.shape[0]
         before, after = d**slot, d ** (self.k - 1 - slot)
-        prefix = chain_product(stacks[:slot], t_n).reshape(-1, t, n, before, t_n)
         suffix = chain_product(stacks[slot + 1 :], t_n).reshape(-1, t_n, after, t, n)
-        # pre[r, i, (s, c), P] and suf[r, j, P', (e, s')]
-        pre = prefix.transpose(0, 2, 1, 4, 3).reshape(-1, n, t * t_n, before)
+        # suf[r, j, P', (e, s')]
         suf = suffix.transpose(0, 4, 2, 1, 3).reshape(-1, n, after, t_n * t)
         # each intermediate is dropped as soon as it is used: the batch's
         # temporaries are operator-sized, and a smaller peak page-faults less
@@ -269,13 +312,13 @@ class ChainGrid:
             # the suffix first: x[r, i, j, (u, v, P, q), (e, s')], then P
             x = self._ends_by_entry.reshape(n, n, -1, after) @ suf[:, None]
             x = x.reshape(-1, n, n, h * h, before, d * t_n * t).transpose(0, 1, 4, 2, 3, 5)
-            op = pre @ x.reshape(-1, n, before, n * h * h * d * t_n * t)
+            op = self._prefix_rows(t, stacks[:slot]) @ x.reshape(-1, n, before, n * h * h * d * t_n * t)
             del x
             # op[r, i, s, c, j, u, v, q, e, s']
             op = op.reshape(-1, n, t, t_n, n, h, h, d, t_n, t).transpose(0, 3, 7, 8, 2, 1, 5, 9, 4, 6)
         else:
             # the prefix first: y[r, i, j, (s, c), (q, P', u, v)], then P'
-            y = pre[:, :, None] @ self.ends.reshape(n, n, before, -1)
+            y = self._prefix_through_ends(t, stacks[:slot])
             y = y.reshape(-1, n, n, t * t_n * d, after, h * h).transpose(0, 2, 1, 3, 5, 4)
             op = y.reshape(-1, n, n * t * t_n * d * h * h, after) @ suf
             del y
@@ -470,9 +513,12 @@ def chain_product(stacks: Sequence[np.ndarray], size: int) -> np.ndarray:
 def amplified_evaluate(phi, t: int, mats: Sequence) -> np.ndarray:
     """Value of the level-t amplification of a map (arguments: t-matrices
     over its algebra A) or a block map (t-matrices over M_n(A)), laid out as
-    for the map induced over M_n(A).  The chain runs over the d^k basis
-    tuples of A, at O(d^k (tn)^3 + d^k (tnh)^2) cost; no amplified or induced
-    coefficient tensor is formed.
+    for the map induced over M_n(A).  Two half-chains, over the first
+    j = ceil(k/2) slots and over the other k - j, meet through the
+    coefficients (``ChainGrid.value``), at O(t^2 n^3 h^2 d^k + (tn)^3 d^j)
+    cost and (tn)^2 (d^j + d^(k-j)) + t^2 n^3 h^2 d^(k-j) scalars a row of
+    temporaries; no chain over all k slots, and no amplified or induced
+    coefficient tensor, is formed.
 
     Each argument is a ``MatrixOverAlgebra``, or the coordinates of many,
     shape (rows, t, t, dim): with any such stack the value is the stack of

@@ -112,9 +112,9 @@ class _AscentProblem:
         self.free = [slot for slot in range(block.k) if slot not in pinned]
 
     def value(self, mats: Sequence[np.ndarray]) -> np.ndarray:
-        """Kernel values at rows of tuples, in batches of the falsifier's row
-        rule (a chain over all k slots)."""
-        batch, rows = self.grid.batch_rows(self.t, self.block.k), len(mats[0])
+        """Kernel values at rows of tuples, in batches of the kernel's row
+        rule (``ChainGrid.batch_rows``)."""
+        batch, rows = self.grid.batch_rows(self.t), len(mats[0])
         return np.concatenate([
             amplified_evaluate(self.block, self.t, [x[start : start + batch] for x in mats])
             for start in range(0, rows, batch)
@@ -218,7 +218,7 @@ def norm_estimate(
     the attainment theorems.  Restart r uses generator seed (seed, r), so
     doubling ``restarts`` never decreases the returned value.
 
-    Restarts run as rows of batches of ``ChainGrid.batch_rows(t, k - 1)``,
+    Restarts run as rows of batches of ``ChainGrid.operator_batch_rows(t)``,
     sized by the longest chain a slot operator holds; each row is its own
     slice of every batched operation, so every restart ends where it would
     running alone, bit for bit.  A restart's value is the kernel's sigma at
@@ -234,7 +234,7 @@ def norm_estimate(
         if mat.algebra != block.chain_grid().arg_algebra or mat.t != t:
             raise ValueError(f"pinned argument for slot {slot} has the wrong shape")
     problem = _AscentProblem(block, t, pinned)
-    batch = problem.grid.batch_rows(t, block.k - 1)
+    batch = problem.grid.operator_batch_rows(t)
     runs = [
         problem.ascend(range(start, min(start + batch, restarts)), seed, iters)
         for start in range(0, restarts, batch)

@@ -161,6 +161,13 @@ class EquivalenceReport:
 # -- quotient machinery ---------------------------------------------------
 
 
+def _check_rank_tol(rank_tol: float) -> None:
+    """A relative cutoff must be a finite number >= 0: a negative one keeps
+    the Gram's negative eigenvalues, whose square roots are NaN."""
+    if not np.isfinite(rank_tol) or rank_tol < 0:
+        raise ValueError(f"rank_tol must be a finite number >= 0, got {rank_tol}")
+
+
 def dilate(
     phi,
     rank_tol: float = RANK_TOL,
@@ -174,6 +181,7 @@ def dilate(
     multiplier fails to preserve ker G (construction obstruction outside the
     theorem's hypotheses).
     """
+    _check_rank_tol(rank_tol)
     block = as_block_map(phi)
     alg, k, n, h, m = block.algebra, block.k, block.n, block.h, block.m
     d = alg.dim
@@ -384,6 +392,7 @@ def minimal_compress(
 ) -> tuple[DilationTriple, MinimalityReport]:
     """Restrict to the closed span of representation products applied to
     sum_j V_j H; the compressed triple still dilates the same map."""
+    _check_rank_tol(rank_tol)
     span = triple.spanning_matrix()
     if triple.kappa == 0 or span.size == 0:
         return triple, MinimalityReport(0, triple.kappa, triple.kappa == 0, np.zeros(0))

@@ -266,14 +266,22 @@ MAPS = {
 }
 
 
-def _split_budget(monkeypatch, phi, t, rows, slots):
-    """Set the byte budget so that a level-t batch of ``phi`` whose longest
-    chain runs over ``slots`` slots (k for the falsifier, k - 1 for the
-    estimator) holds ``rows`` rows."""
+def _split_budget(monkeypatch, phi, t, rows, operator):
+    """Set the byte budget so that a level-t batch of ``phi`` holds ``rows``
+    rows: of slot operators (the estimator's restarts), whose longest chain
+    runs beside the open slot, (tn)^2 d^(k-1) scalars a row, or of kernel
+    calls (the falsifier's trials), two half-chains over j = ceil(k/2) and
+    k - j slots plus the prefix contracted with the coefficients,
+    t^2 n^3 d^(k-j) h^2 scalars a row."""
     grid = as_block_map(phi).chain_grid()
-    row_bytes = (t * grid.n) ** 2 * grid.unit_index.shape[0] ** slots * 16
-    monkeypatch.setattr(multimap, "PROBE_BATCH_BYTES", rows * row_bytes)
-    assert grid.batch_rows(t, slots) == rows
+    n, k, d, h = grid.n, grid.k, grid.unit_index.shape[0], grid.h
+    if operator:
+        row_scalars = (t * n) ** 2 * d ** (k - 1)
+    else:
+        half = (k + 1) // 2
+        row_scalars = (t * n) ** 2 * (d**half + d ** (k - half)) + t * t * n**3 * d ** (k - half) * h * h
+    monkeypatch.setattr(multimap, "PROBE_BATCH_BYTES", rows * row_scalars * 16)
+    assert (grid.operator_batch_rows(t) if operator else grid.batch_rows(t)) == rows
 
 
 def _assert_estimate_matches_loop(phi, t, restarts, iters, seed, pinned=None):
@@ -342,14 +350,14 @@ def test_estimator_restarts_match_the_loop(name):
 @pytest.mark.parametrize("name", ["grid3", "random-c3-k3", "random-m2c-k2"])
 def test_estimator_restarts_split_unevenly_match_the_loop(name, monkeypatch):
     phi = MAPS[name]()
-    _split_budget(monkeypatch, phi, 2, 3, phi.k - 1)
+    _split_budget(monkeypatch, phi, 2, 3, operator=True)
     _assert_estimate_matches_loop(phi, 2, restarts=8, iters=5, seed=7)
 
 
 def test_estimator_rows_leaving_the_batch_match_the_loop(monkeypatch):
     # restarts converge after different numbers of sweeps, some hit the cap
     phi = MAPS["random-m2c-k2"]()
-    _split_budget(monkeypatch, phi, 1, 3, phi.k - 1)
+    _split_budget(monkeypatch, phi, 1, 3, operator=True)
     est = _assert_estimate_matches_loop(phi, 1, restarts=8, iters=50, seed=0)
     assert set(est.restart_stops) == {"converged", "iters"}
     assert len(set(est.restart_sweeps)) > 2
@@ -357,7 +365,7 @@ def test_estimator_rows_leaving_the_batch_match_the_loop(monkeypatch):
 
 def test_estimator_with_pinned_slots_matches_the_loop(monkeypatch):
     phi = MAPS["random-c3-k3"]()
-    _split_budget(monkeypatch, phi, 1, 3, phi.k - 1)
+    _split_budget(monkeypatch, phi, 1, 3, operator=True)
     one = MatrixOverAlgebra.identity(phi.algebra, 1)
     other = MatrixOverAlgebra(phi.algebra, np.full((1, 1, 3), 0.5 + 0.25j))
     for pinned in ({0: one}, {1: other}, {0: one, 2: other}, {0: one, 1: other, 2: one}):
@@ -413,14 +421,14 @@ def test_falsifier_finds_the_counterexamples():
 @pytest.mark.parametrize("name", ["psi", "random-c3-k3", "grid3"])
 def test_falsifier_trials_split_unevenly_match_the_loop(name, monkeypatch):
     phi = MAPS[name]()
-    _split_budget(monkeypatch, phi, 1, 3, phi.k)
+    _split_budget(monkeypatch, phi, 1, 3, operator=False)
     for seed in range(4):
         _assert_falsifier_matches_loop(phi, (1, 2), trials=8, seed=seed)
 
 
 def test_falsifier_evaluates_each_trial_once(monkeypatch):
     phi = MAPS["grid3"]()
-    _split_budget(monkeypatch, phi, 1, 3, phi.k)
+    _split_budget(monkeypatch, phi, 1, 3, operator=False)
     rows = []
 
     def counted(*args):

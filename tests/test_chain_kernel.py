@@ -61,6 +61,25 @@ def test_oracle_cases_cover_every_grid_size_and_arity():
     assert {k for _, _, k, _ in cases} == {1, 2, 3, 4, 5}
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("t", [1, 2, 3])
+def test_kernel_rows_match_lone_rows_bitwise(n, t):
+    # the half-chains meet through the coefficients in per-row matrix
+    # products, so a row rounds the same alone and in any batch
+    for k in range(1, 6):
+        rng = np.random.default_rng([n, t, k])
+        grid = random_grid(Algebra([2, 1]), n, k, 2 if k <= 3 else 1, rng).chain_grid()
+        shape = (5, t, t, grid.arg_algebra.dim)
+        stacks = [grid.regroup(rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) for _ in range(k)]
+        # a pinned slot: one argument broadcast over the rows
+        stacks[k // 2] = np.broadcast_to(stacks[k // 2][:1], stacks[k // 2].shape)
+        value = grid.value(t, stacks)
+        assert value.shape == (5, t * n * grid.h, t * n * grid.h)
+        for row in range(5):
+            assert np.array_equal(value[row], grid.value(t, [z[row : row + 1] for z in stacks])[0])
+        assert np.array_equal(value[1:4], grid.value(t, [z[1:4] for z in stacks]))
+
+
 def test_block_evaluate_is_level_one_of_the_kernel(rng):
     block = random_grid(Algebra([2, 1]), 2, 3, 2, rng)
     mats = random_mats(block.algebra, 2, 3, rng)
@@ -131,8 +150,8 @@ def test_falsifier_and_estimator_never_build_the_induced_map(monkeypatch):
 
 def test_ascent_evaluates_each_point_once(monkeypatch):
     """Kernel rows only at each restart's start and final point, and one
-    slot-operator row per projected candidate; no chain outside the kernel
-    runs over all k slots."""
+    slot-operator row per projected candidate; no chain, in the kernel or
+    outside it, runs over all k slots."""
     block = random_grid(Algebra([2]), 2, 3, 1, np.random.default_rng(5))
     rows = {"kernel": 0, "operator": 0, "project": 0}
     chains, calls = [], []
@@ -167,7 +186,7 @@ def test_ascent_evaluates_each_point_once(monkeypatch):
     assert rows["operator"] == rows["project"]
     # one batch: a kernel call at its start and one at its end
     assert calls == [restarts, restarts]
-    assert chains.count(block.k) == len(calls) and max(chains) == block.k
+    assert max(chains) < block.k
     monkeypatch.undo()
     assert np.linalg.norm(amplified_evaluate(block, 2, est.witness), 2) == est.value
 

@@ -415,3 +415,35 @@ def test_level_below_one_is_input_error(tmp_path, argv):
     assert proc.stderr.startswith("input error: ")
     assert "Traceback" not in proc.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check", "{spec}", "--invariant", "--trials", "-4"),
+        ("check", "{spec}", "--trials", "0"),
+        ("russo-dye", "{spec}", "--trials", "0"),
+    ],
+    ids=["check-invariant-trials-negative", "check-trials-0", "russo-dye-trials-0"],
+)
+def test_trials_below_one_is_input_error(tmp_path, argv):
+    # a sampled check with no trials reads nothing, yet reported a pass
+    spec = write_spec(tmp_path, "k5.json", {"kind": "dilation", "algebra": {"blocks": [3]}, "k": 5, "n": 2, "h": 1, "seed": 0})
+    out = tmp_path / "report.json"
+    proc = _run_cli(*(a.format(spec=spec) for a in argv), "--out", str(out))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("input error: --trials must be >= 1")
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rank_tol", ["-1", "nan", "inf"])
+def test_bad_rank_tol_is_input_error(tmp_path, rank_tol):
+    # a negative cutoff kept negative Gram eigenvalues, took their square
+    # roots (NaN) and ended in a LAPACK failure reported as an input error
+    spec = write_spec(tmp_path, "trace.json", {"kind": "trace", "n": 2})
+    out = tmp_path / "triple.json"
+    proc = _run_cli("dilate", spec, "--minimal", "--rank-tol", rank_tol, "--out", str(out))
+    assert proc.returncode == 2
+    assert proc.stderr == f"input error: rank_tol must be a finite number >= 0, got {float(rank_tol)}\n"
+    assert not out.exists()

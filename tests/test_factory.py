@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from icpmaps import factory
 from icpmaps.algebra import Algebra
 from icpmaps.errors import SpecFormatError
 from icpmaps.factory import (
+    REP_TOL,
     canonical_representation,
     commutation_residual,
     from_dilation_data,
@@ -188,6 +190,31 @@ def test_random_icp_outputs_are_well_formed(small_corpus):
         assert block.block_is_symmetric(), entry.name
         ok, _ = gram_is_psd(build_gram(block))
         assert ok, entry.name
+
+
+def test_random_icp_tensor_reps_pass_the_checks_it_skips(corpus):
+    # random_icp builds its map without from_dilation_data's law and
+    # commutation checks on the tensor representations: they would pass
+    for entry in corpus:
+        reps = entry.triple.reps
+        for images in reps:
+            assert max(representation_residuals(entry.triple.algebra, images).values()) <= REP_TOL, entry.name
+        assert commutation_residual(reps) <= REP_TOL, entry.name
+
+
+def test_random_icp_validates_only_the_factors(monkeypatch):
+    shapes = []
+    validate = factory.validate_representation
+
+    def counted(algebra, images, tol=REP_TOL):
+        shapes.append(images.shape[1])
+        return validate(algebra, images, tol)
+
+    monkeypatch.setattr(factory, "validate_representation", counted)
+    _, triple = random_icp(Algebra([2]), 5, 1, 2, seed=0)
+    # one check per factor of the m = 3 legs, none at the tensor size kappa
+    assert len(shapes) == 3 and triple.kappa not in shapes
+    assert int(np.prod(shapes)) == triple.kappa
 
 
 def test_random_icp_determinism():

@@ -303,6 +303,36 @@ def test_falsifier_rejects_levels_below_one(levels):
         positivity_falsify(trace_example(2), levels=levels, trials=1)
 
 
+@pytest.mark.parametrize("trials", [0, -3])
+def test_falsifier_rejects_trials_below_one(trials):
+    with pytest.raises(ValueError, match="at least one trial"):
+        positivity_falsify(trace_example(2), levels=(1,), trials=trials)
+
+
+def test_check_cp_computes_the_hermiticity_residual_once(monkeypatch, tmp_path):
+    # `check --cp` tests the Gram in its own PSD check and again inside
+    # `dilate`, on the one kernel it holds
+    import json
+
+    from icpmaps import cli
+    from icpmaps.gram import GramKernel
+
+    computed = []
+    cached = GramKernel.__dict__["hermiticity_residual"]
+    residual = cached.func
+
+    def counted(self):
+        computed.append(self.size)
+        return residual(self)
+
+    monkeypatch.setattr(cached, "func", counted)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"kind": "dilation", "algebra": {"blocks": [2]}, "k": 3, "n": 2, "h": 1, "seed": 0}))
+    assert cli.main(["check", str(spec), "--cp", "--out", str(tmp_path / "report.json")]) == 0
+    assert json.loads((tmp_path / "report.json").read_text())["checks"]["cp"]["certificate"]["valid"]
+    assert computed == [32]
+
+
 # -- class-by-class spectrum ---------------------------------------------------
 
 # the benchmark's spec shapes (blocks, k, n, h), and one whose classes differ in size

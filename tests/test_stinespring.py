@@ -435,3 +435,12 @@ def test_reconstruction_residual_holds_no_second_map_sized_tensor(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < vals.nbytes, (peak, vals.nbytes)  # 3.7 MB over the whole stack at once
+
+
+@pytest.mark.parametrize("rank_tol", [-1.0, -1e-12, float("nan"), float("inf")])
+def test_rank_tol_must_be_finite_and_nonnegative(rank_tol):
+    phi = trace_example(2)
+    with pytest.raises(ValueError, match="rank_tol must be"):
+        dilate(phi, rank_tol=rank_tol)
+    with pytest.raises(ValueError, match="rank_tol must be"):
+        minimal_compress(dilate(phi), rank_tol=rank_tol)
