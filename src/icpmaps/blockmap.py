@@ -7,11 +7,14 @@ the (n*h)-by-(n*h) matrix whose (i, j) block is the chained sum
 
 Level t acts on t-matrices over M_n(A) by the same sum, a chain of length
 tn over A whose end indices pick the grid entry; ``amplified_evaluate``
-evaluates it straight from the grid (``chain_grid``).  Block invariance is
-gathered from the grid as well: a coefficient block of the action over
-M_n(A) is one coefficient of one entry, or zero.  ``induced_map``
-materializes that action, the definition block invariance is checked
-against; it serves as the test oracle.
+evaluates it straight from the grid (``chain_grid``).
+
+Block invariance, the migration identity over M_n(A), follows from the
+entries and (n, k) (``block_invariance_report``): for n = 1 the block map is
+its entry; for k <= 2 it is invariant iff every entry is; for n >= 2 and
+k >= 3 it is invariant iff it is zero.  ``induced_map`` materializes the
+action over M_n(A), the definition of block invariance; it serves as the
+test oracle.
 """
 
 from __future__ import annotations
@@ -107,14 +110,12 @@ class BlockMultilinearMap:
 
     def induced_map(self) -> MultilinearMap:
         """The same action expressed as a multilinear map over M_n(A): the
-        definition of block invariance, and the test oracle of the grid
-        gather and the chain kernel.
+        definition of block invariance, and the test oracle of the derived
+        block report and the chain kernel.
 
         Coefficients over the matrix-unit basis of M_n(A) have a single
         nonzero (h, h) block per chained assignment, located at block
         position (row of the first unit, column of the last unit).
-        ``ChainGrid.blocks`` reads the same blocks without forming the
-        (n^2 d)^k (nh)^2 tensor.
         """
         grid, big = self.chain_grid(), self.amplification.algebra
         d, k, h, n = self.algebra.dim, self.k, self.h, self.n
@@ -159,8 +160,30 @@ class BlockMultilinearMap:
     # -- invariance ----------------------------------------------------------
 
     def block_invariance_report(self, tol=None, rng=None, trials: int = 2000) -> dict:
-        """``induced_map().invariance_report(...)``, gathered from the grid."""
-        return self.chain_grid().invariance_report(tol, rng, trials)
+        """``induced_map().invariance_report(...)``, derived from the entries'
+        reports (each run with this tolerance) and (n, k).
+
+        At k <= 2, and for n = 1, the identity over M_n(A) on matrix units is
+        the entries' identities side by side, so the largest entry deviation
+        is the block deviation.  At n >= 2 and k >= 3 only the zero grid is
+        invariant: at k = 3, a = E_12 x, c = E_21 1, b = E_11 y and
+        d = E_1j z break the rhs chain and leave phi_1j(x, y, z) = 0, so every
+        coefficient is a deviation too.  ``tuples_checked`` sums the entries'
+        visits, and the report is exhaustive iff every entry's is."""
+        if tol is None:
+            tol = 1e-9 * (1.0 + self.coefficient_scale())
+        phis = [phi for row in self.entries for phi in row]
+        reports = [phi.invariance_report(tol, rng, trials) for phi in phis]
+        dev = max(r["max_deviation"] for r in reports)
+        if self.n >= 2 and self.k >= 3:
+            dev = max(dev, *(float(np.abs(phi.coeffs).max()) for phi in phis))
+        return {
+            "invariant": bool(dev <= tol),
+            "max_deviation": dev,
+            "exhaustive": all(r["exhaustive"] for r in reports),
+            "tolerance": tol,
+            "tuples_checked": sum(r["tuples_checked"] for r in reports),
+        }
 
     def block_is_invariant(self, tol=None, rng=None, trials: int = 2000) -> bool:
         return self.block_invariance_report(tol, rng, trials)["invariant"]

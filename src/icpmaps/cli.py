@@ -5,7 +5,8 @@ All randomness sits behind --seed and every report echoes the seeds and
 tolerances it used, so identical inputs produce byte-identical reports.
 
 Exit codes: 0 pass, 1 assertion failure (with witness), 2 input error,
-3 construction obstruction (descent failure or, for dilate, non-PSD Gram).
+3 construction obstruction (descent failure or, for dilate, non-PSD Gram),
+4 internal error (a LAPACK routine failed).
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_OBSTRUCTION = 3
+EXIT_INTERNAL = 4
 
 
 def _read_json(path: str):
@@ -423,6 +425,10 @@ def main(argv=None) -> int:
     except NonHermitianGramError as exc:
         sys.stderr.write(f"construction obstruction: {exc}\n")
         return EXIT_OBSTRUCTION
+    except np.linalg.LinAlgError as exc:
+        # a ValueError subclass, yet a numerical fault rather than bad input
+        sys.stderr.write(f"internal error: {exc}\n")
+        return EXIT_INTERNAL
     except ValueError as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return EXIT_INPUT

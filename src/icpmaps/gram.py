@@ -194,17 +194,6 @@ class GramKernel:
         return self.matrix.shape[0]
 
     @functools.cached_property
-    def index_map(self) -> list:
-        """Legend of the flat index: each factor's unit, the slot and the component."""
-        d, m = self.algebra.dim, (self.k + 1) // 2
-        return [
-            {"factors": list(np.unravel_index(a, (d,) * m)), "slot": j, "component": s}
-            for a in range(d**m)
-            for j in range(self.n)
-            for s in range(self.h)
-        ]
-
-    @functools.cached_property
     def hermiticity_residual(self) -> float:
         """max |G - G*| / (1 + max |G|), over ``GRAM_CHUNK_ROWS`` rows at a
         time so that no temporary is as large as the matrix; computed once,

@@ -181,10 +181,99 @@ class MultilinearMap:
         nonzero block (one pass over the coefficient support), which makes
         ``max_deviation`` exact.  ``tuples_checked`` counts those visits;
         above ``EXHAUSTIVE_TUPLE_LIMIT`` of them the check samples ``trials``
-        seeded random tuples instead and flags the report.  The gather is
-        ``ChainGrid.invariance_report`` on the map as a 1-by-1 grid.
+        seeded random tuples instead and flags the report, whose
+        ``max_deviation`` is then a gap relative to the values.
         """
-        return self.chain_grid().invariance_report(tol, rng, trials)
+        flat = self.coeffs.reshape(-1, self.h * self.h)
+        support = np.flatnonzero(flat.any(axis=1))
+        if tol is None:
+            tol = 1e-9 * (1.0 + self.coefficient_scale())
+        dev, exhaustive, checked = 0.0, True, 0
+        if self.k >= 2:
+            checked = self._pass_visits(support)
+            if checked <= EXHAUSTIVE_TUPLE_LIMIT:
+                dev = self._gather_pass(flat, support)
+            else:
+                dev = self._sampled_deviation(rng, trials)
+                exhaustive, checked = False, trials
+        return {
+            "invariant": bool(dev <= tol),
+            "max_deviation": float(dev),
+            "exhaustive": exhaustive,
+            "tolerance": tol,
+            "tuples_checked": checked,
+        }
+
+    def _slot_unit(self, rows: np.ndarray, slot: int) -> np.ndarray:
+        """Basis index in ``slot`` of the basis tuples with flat indices ``rows``."""
+        return rows // self.algebra.dim ** (self.k - 1 - slot) % self.algebra.dim
+
+    def _pass_visits(self, support: np.ndarray) -> int:
+        """Assignments the gather visits: the factorizations s_l = a_l c_l,
+        l < k // 2, of each support tuple s, which are the assignments with a
+        nonzero lhs."""
+        count = self.algebra.unit_factorizations[2]
+        per_tuple = np.ones(len(support), dtype=np.int64)
+        for slot in range(self.k // 2):
+            per_tuple *= count[self._slot_unit(support, slot)]
+        return int(per_tuple.sum())
+
+    def _gather_pass(self, flat: np.ndarray, support: np.ndarray) -> float:
+        """Max |lhs - rhs| over the assignments with a nonzero lhs, gathered
+        ``GATHER_ROWS`` support tuples at a time from ``flat``, the
+        coefficients as a (d^k, h*h) matrix.
+
+        Each support tuple s is an lhs: every factorization s_l = a_l c_l of
+        slot l < k // 2 gives the rhs, the tuple with a_l in slot l and
+        c_l s_{k-1-l} in slot k-1-l.  That covers the assignments with a zero
+        lhs too: if their rhs is a nonzero block t, then either every
+        factorization of some t_l gives a vanishing product in slot k-1-l, or
+        one factorization rebuilds that assignment's lhs index, whose block is
+        zero; either way the pass meets |t| at t."""
+        k, dim = self.k, self.algebra.dim
+        left, right, _ = self.algebra.unit_factorizations
+        products = self.algebra.unit_products
+        choices = np.indices((left.shape[1],) * (k // 2)).reshape(k // 2, -1)
+        worst = 0.0
+        for start in range(0, len(support), GATHER_ROWS):
+            rows = support[start : start + GATHER_ROWS, None]
+            # choices past a unit's block size repeat a factorization, which
+            # leaves the maximum as it is
+            other, alive = rows, True
+            for slot, x in enumerate(choices):
+                target = k - 1 - slot
+                s, t = self._slot_unit(rows, slot), self._slot_unit(rows, target)
+                product = products[right[s, x], t]
+                alive = alive & (product >= 0)
+                other = (
+                    other
+                    + (left[s, x] - s) * dim ** (k - 1 - slot)
+                    + (product - t) * dim ** (k - 1 - target)
+                )
+            own = flat[rows[:, 0]]
+            hit_rows, hit_choices = np.nonzero(alive)
+            paired = np.abs(own[hit_rows] - flat[other[hit_rows, hit_choices]]).max(initial=0.0)
+            vanished = np.abs(own[~alive.all(axis=1)]).max(initial=0.0)
+            worst = max(worst, float(paired), float(vanished))
+        return worst
+
+    def _sampled_deviation(self, rng: np.random.Generator | None, trials: int) -> float:
+        """Largest relative gap between the two sides of the migration identity
+        over ``trials`` seeded random tuples.  The lhs puts a_j c_j in slot j
+        for j < k // 2, the rhs puts c_l a_{k-1-l} in slot k-1-l."""
+        if rng is None:
+            rng = np.random.default_rng(0)
+        alg, k = self.algebra, self.k
+        n_c = k // 2
+        worst = 0.0
+        for _ in range(trials):
+            a = [random_element(alg, rng) for _ in range(k)]
+            c = [random_element(alg, rng) for _ in range(n_c)]
+            lhs = self.evaluate([multiply(a[j], c[j]) for j in range(n_c)] + a[n_c:])
+            rhs = self.evaluate(a[: k - n_c] + [multiply(c[k - 1 - s], a[s]) for s in range(k - n_c, k)])
+            scale = 1.0 + max(np.abs(lhs).max(), np.abs(rhs).max(), 0.0)
+            worst = max(worst, float(np.abs(lhs - rhs).max() / scale))
+        return worst
 
 
 # -- the chain kernel ---------------------------------------------------------
@@ -198,13 +287,9 @@ class ChainGrid:
     (i, j) of its (s, s') entry, at basis index ``unit_index[q, i, j]`` of
     M_n(A).  The chain of the stacks has end indices s*n + i and s'*n + j,
     which pick ``ends[i, j]``, phi_ij's coefficients as a (d^k, h*h) matrix.
-
-    The grid also holds the coefficient blocks of the map it induces over
-    M_n(A), which the invariance gather reads through ``blocks``: at a tuple
-    of matrix units (i_l, j_l, e_{p_l}) of M_n(A) the block is zero unless
-    the tuple is chained (j_l = i_{l+1}), and then it is phi_{i_1 j_k}'s
-    coefficient at (p_1..p_k), at block position (i_1, j_k).  For n = 1 the
-    blocks are the rows of ``ends[0, 0]``.
+    The grid holds only what the chain kernel reads: invariance is checked
+    on the entries (``MultilinearMap.invariance_report``), and a block map's
+    report is derived from theirs (``BlockMultilinearMap``).
     """
 
     def __init__(self, arg_algebra: Algebra, k: int, h: int, ends: np.ndarray, unit_index: np.ndarray):
@@ -331,170 +416,6 @@ class ChainGrid:
         # at k = 1 both chains are the one-row identity
         return np.broadcast_to(op, (max(len(z) for z in stacks), *op.shape[1:]))
 
-    # -- coefficient blocks over M_n(A) and the invariance gather -----------
-
-    @functools.cached_property
-    def _unit_labels(self) -> np.ndarray:
-        """(q, i, j) of each basis unit of M_n(A): the inverse of ``unit_index``."""
-        labels = np.empty((3, self.arg_algebra.dim), dtype=np.intp)
-        labels[:, self.unit_index.ravel()] = np.indices(self.unit_index.shape).reshape(3, -1)
-        return labels
-
-    def _slot_unit(self, rows: np.ndarray, slot: int) -> np.ndarray:
-        """Basis index in ``slot`` of the basis tuples with flat indices ``rows``."""
-        dim = self.arg_algebra.dim
-        return rows // dim ** (self.k - 1 - slot) % dim
-
-    def blocks(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Coefficient blocks at the basis tuples of M_n(A) with flat indices
-        ``rows``, as (position, block): the block is an (h*h) row placed at
-        block position (i, j), position i*n + j.  A tuple that is not chained
-        has position -1 and a zero block."""
-        n, k = self.n, self.k
-        if n == 1:
-            return np.zeros(len(rows), dtype=np.intp), self.ends[0, 0][rows]
-        units, row_of, col_of = self._unit_labels
-        d = self.unit_index.shape[0]
-        unit = self._slot_unit(rows, 0)
-        flat, first, last = units[unit], row_of[unit], col_of[unit]
-        chained = np.ones(len(rows), dtype=bool)
-        for slot in range(1, k):
-            unit = self._slot_unit(rows, slot)
-            flat = flat * d + units[unit]
-            chained &= last == row_of[unit]
-            last = col_of[unit]
-        values = self.ends[first, last, flat]
-        values[~chained] = 0.0
-        return np.where(chained, first * n + last, -1), values
-
-    def support(self) -> np.ndarray:
-        """Flat indices, ascending, of the basis tuples of M_n(A) with a
-        nonzero block: each nonzero coefficient of phi_ij with every chain
-        of inner indices r_1..r_{k-1}."""
-        n, k = self.n, self.k
-        nonzero = self.ends.any(axis=-1)
-        if n == 1:
-            return np.flatnonzero(nonzero[0, 0])
-        first, last, flat = (a[:, None] for a in np.nonzero(nonzero))
-        inner = np.indices((n,) * (k - 1)).reshape(k - 1, 1, n ** (k - 1))
-        chain = [first, *inner, last]
-        d, dim = self.unit_index.shape[0], self.arg_algebra.dim
-        rows = 0
-        for slot in range(k):
-            unit = flat // d ** (k - 1 - slot) % d
-            rows = rows * dim + self.unit_index[unit, chain[slot], chain[slot + 1]]
-        return np.sort(rows, axis=None)
-
-    def _coefficient_scale(self, support: np.ndarray) -> float:
-        """max Frobenius norm of the blocks at ``support``, each summed as the
-        (n*h, n*h) matrix it fills with zeros around it, ``GATHER_ROWS`` at a
-        time: the scale of the induced map's ``coefficient_scale``."""
-        n, h = self.n, self.h
-        worst = 0.0
-        for start in range(0, len(support), GATHER_ROWS):
-            position, values = self.blocks(support[start : start + GATHER_ROWS])
-            padded = np.zeros((len(values), n, h, n, h), dtype=np.complex128)
-            padded[np.arange(len(values)), position // n, :, position % n, :] = values.reshape(-1, h, h)
-            squares = (np.abs(padded.reshape(-1, n * h, n * h)) ** 2).sum(axis=(1, 2))
-            worst = max(worst, float(squares.max()))
-        return float(np.sqrt(worst))
-
-    def invariance_report(self, tol, rng, trials: int) -> dict:
-        """``MultilinearMap.invariance_report`` of the map the grid induces
-        over M_n(A)."""
-        support = self.support()
-        if tol is None:
-            tol = 1e-9 * (1.0 + self._coefficient_scale(support))
-        dev, exhaustive, checked = 0.0, True, 0
-        if self.k >= 2:
-            checked = self._pass_visits(support)
-            if checked <= EXHAUSTIVE_TUPLE_LIMIT:
-                dev = self._gather_pass(support)
-            else:
-                dev = self._sampled_deviation(rng, trials)
-                exhaustive, checked = False, trials
-        return {
-            "invariant": bool(dev <= tol),
-            "max_deviation": float(dev),
-            "exhaustive": exhaustive,
-            "tolerance": tol,
-            "tuples_checked": checked,
-        }
-
-    def _pass_visits(self, support: np.ndarray) -> int:
-        """Assignments the gather visits: the factorizations s_l = a_l c_l,
-        l < k // 2, of each support tuple s, which are the assignments with a
-        nonzero lhs."""
-        count = self.arg_algebra.unit_factorizations[2]
-        per_tuple = np.ones(len(support), dtype=np.int64)
-        for slot in range(self.k // 2):
-            per_tuple *= count[self._slot_unit(support, slot)]
-        return int(per_tuple.sum())
-
-    def _gather_pass(self, support: np.ndarray) -> float:
-        """Max |lhs - rhs| over the assignments with a nonzero lhs, gathered
-        ``GATHER_ROWS`` support tuples at a time.
-
-        Each support tuple s is an lhs: every factorization s_l = a_l c_l of
-        slot l < k // 2 gives the rhs, the tuple with a_l in slot l and
-        c_l s_{k-1-l} in slot k-1-l.  That covers the assignments with a zero
-        lhs too: if their rhs is a nonzero block t, then either every
-        factorization of some t_l gives a vanishing product in slot k-1-l, or
-        one factorization rebuilds that assignment's lhs index, whose block is
-        zero; either way the pass meets |t| at t.  A product of matrix units
-        keeps the row of its left factor and the column of its right one, so
-        the rhs keeps the first row and the last column of its support tuple:
-        its block, if chained, is at the same position."""
-        k, dim = self.k, self.arg_algebra.dim
-        left, right, _ = self.arg_algebra.unit_factorizations
-        products = self.arg_algebra.unit_products
-        choices = np.indices((left.shape[1],) * (k // 2)).reshape(k // 2, -1)
-        worst = 0.0
-        for start in range(0, len(support), GATHER_ROWS):
-            rows = support[start : start + GATHER_ROWS, None]
-            # choices past a unit's block size repeat a factorization, which
-            # leaves the maximum as it is
-            other, alive = rows, True
-            for slot, x in enumerate(choices):
-                target = k - 1 - slot
-                s, t = self._slot_unit(rows, slot), self._slot_unit(rows, target)
-                product = products[right[s, x], t]
-                alive = alive & (product >= 0)
-                other = (
-                    other
-                    + (left[s, x] - s) * dim ** (k - 1 - slot)
-                    + (product - t) * dim ** (k - 1 - target)
-                )
-            own = self.blocks(rows[:, 0])[1]
-            hit_rows, hit_choices = np.nonzero(alive)
-            paired = np.abs(own[hit_rows] - self.blocks(other[hit_rows, hit_choices])[1]).max(initial=0.0)
-            vanished = np.abs(own[~alive.all(axis=1)]).max(initial=0.0)
-            worst = max(worst, float(paired), float(vanished))
-        return worst
-
-    def _sampled_deviation(self, rng: np.random.Generator | None, trials: int) -> float:
-        """Largest relative gap between the two sides of the migration identity
-        over ``trials`` seeded random tuples over M_n(A), each evaluated
-        through the chain kernel.  The lhs puts a_j c_j in slot j for j < k // 2,
-        the rhs puts c_l a_{k-1-l} in slot k-1-l."""
-        if rng is None:
-            rng = np.random.default_rng(0)
-        alg, k = self.arg_algebra, self.k
-        n_c = k // 2
-
-        def evaluate(args):
-            return self.value(1, [self.regroup(x.coords()[None, None, None]) for x in args])[0]
-
-        worst = 0.0
-        for _ in range(trials):
-            a = [random_element(alg, rng) for _ in range(k)]
-            c = [random_element(alg, rng) for _ in range(n_c)]
-            lhs = evaluate([multiply(a[j], c[j]) for j in range(n_c)] + a[n_c:])
-            rhs = evaluate(a[: k - n_c] + [multiply(c[k - 1 - s], a[s]) for s in range(k - n_c, k)])
-            scale = 1.0 + max(np.abs(lhs).max(), np.abs(rhs).max(), 0.0)
-            worst = max(worst, float(np.abs(lhs - rhs).max() / scale))
-        return worst
-
 
 def chain_product(stacks: Sequence[np.ndarray], size: int) -> np.ndarray:
     """Chain of (rows, size, d, size) stacks: out[r, a, (p_1..p_l), b] is entry
@@ -539,25 +460,3 @@ def amplified_evaluate(phi, t: int, mats: Sequence) -> np.ndarray:
         stacks.append(grid.regroup(x))
     value = grid.value(t, stacks)
     return value[0] if all(isinstance(x, MatrixOverAlgebra) for x in mats) else value
-
-
-def slot_linearity_deviation(
-    phi: MultilinearMap, rng: np.random.Generator, trials: int = 20
-) -> float:
-    """Largest relative violation of linearity in a random slot; diagnostic."""
-    worst = 0.0
-    for _ in range(trials):
-        slot = int(rng.integers(phi.k))
-        args = [random_element(phi.algebra, rng) for _ in range(phi.k)]
-        x = random_element(phi.algebra, rng)
-        y = random_element(phi.algebra, rng)
-        alpha = complex(rng.standard_normal(), rng.standard_normal())
-        beta = complex(rng.standard_normal(), rng.standard_normal())
-        combo = alpha * x + beta * y
-        lhs = phi.evaluate(args[:slot] + [combo] + args[slot + 1 :])
-        rhs = alpha * phi.evaluate(args[:slot] + [x] + args[slot + 1 :]) + beta * phi.evaluate(
-            args[:slot] + [y] + args[slot + 1 :]
-        )
-        scale = 1.0 + max(np.abs(lhs).max(), np.abs(rhs).max())
-        worst = max(worst, float(np.abs(lhs - rhs).max() / scale))
-    return worst

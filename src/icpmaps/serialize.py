@@ -291,21 +291,6 @@ def load_map_spec(data):
 # -- gram / dilation ------------------------------------------------------------
 
 
-def gram_to_json(gram) -> dict:
-    return {
-        "size": gram.size,
-        "k": gram.k,
-        "n": gram.n,
-        "h": gram.h,
-        "algebra": algebra_to_json(gram.algebra),
-        "matrix": matrix_to_json(gram.matrix),
-        "index_map": [
-            {"factors": [int(f) for f in item["factors"]], "slot": item["slot"], "component": item["component"]}
-            for item in gram.index_map
-        ],
-    }
-
-
 def triple_to_json(triple, residuals: dict | None = None) -> dict:
     basis_legend = [list(triple.algebra.basis_label(p)) for p in range(triple.algebra.dim)]
     return {

@@ -166,6 +166,20 @@ def test_dilate_non_psd_is_obstruction(tmp_path, capsys):
     assert main(["dilate", spec]) == 3
 
 
+def test_lapack_failure_is_internal_error(tmp_path, capsys, monkeypatch):
+    # LinAlgError subclasses ValueError, and was reported as an input error
+    spec = write_spec(tmp_path, "trace.json", {"kind": "trace", "n": 2})
+    out = tmp_path / "triple.json"
+
+    def failing_eigh(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+    assert main(["dilate", spec, "--out", str(out)]) == cli.EXIT_INTERNAL == 4
+    assert capsys.readouterr().err == "internal error: Eigenvalues did not converge\n"
+    assert not out.exists()
+
+
 def test_check_cp_refutes_non_psd(tmp_path, capsys):
     lam = [[[1.0, 0.0], [2.0, 0.0]], [[2.0, 0.0], [1.0, 0.0]]]
     spec = write_spec(tmp_path, "schur.json", {"kind": "schur", "lam": lam})

@@ -1,10 +1,12 @@
-"""Block invariance gathered straight from the grid, against the induced map
-over M_n(A) that it no longer forms.
+"""The block-invariance report derived from the entries and (n, k), against
+the induced map over M_n(A) that it no longer forms.
 
-A coefficient block of the induced map is one entry's coefficient or zero,
-so the grid gather must give the induced map's report key for key, the
-tolerance included; the seeded sampler draws the same tuples and evaluates
-them another way, so its deviation agrees up to round-off.
+For n = 1 the block map is its entry; for k <= 2 the identity over M_n(A)
+is the entries' identities side by side; for n >= 2 and k >= 3 only the
+zero grid is invariant, so every coefficient is a deviation.  The derived
+report must give the induced map's verdict, deviation and exhaustiveness
+exactly; its tolerance sums the same squares in another order.  The oracle
+is itself checked at every basis tuple of M_n(A) against the entries.
 """
 
 import tracemalloc
@@ -16,6 +18,7 @@ from icpmaps import cli, multimap
 from icpmaps.algebra import Algebra
 from icpmaps.blockmap import BlockMultilinearMap
 from icpmaps.factory import noninvariant_block_example, random_icp
+from icpmaps.multimap import MultilinearMap
 from test_chain_kernel import _oracle_cases, random_grid
 
 
@@ -28,62 +31,115 @@ CASES = list(_oracle_cases())
 SMALL_CASES = [(b, n, k, h) for b, n, k, h in CASES if (n * n * sum(x * x for x in b)) ** k * (n * h) ** 2 <= 2 * 10**5]
 
 
+def assert_matches_induced(block):
+    got, want = block.block_invariance_report(), block.induced_map().invariance_report()
+    for key in ("invariant", "max_deviation", "exhaustive"):
+        assert got[key] == want[key], (key, got, want)
+    assert abs(got["tolerance"] - want["tolerance"]) <= 1e-15 * want["tolerance"]
+    entry_visits = sum(phi.invariance_report()["tuples_checked"] for row in block.entries for phi in row)
+    assert got["tuples_checked"] == entry_visits
+    return got
+
+
 @pytest.mark.parametrize("blocks,n,k,h", _params(CASES))
 def test_grid_report_equals_the_induced_maps(blocks, n, k, h):
     alg = Algebra(blocks)
     dense = random_grid(alg, n, k, h, np.random.default_rng([n, k, len(blocks), blocks[0]]))
     icp, _ = random_icp(alg, k, n, h, seed=k)
-    for block in (dense, icp):
-        assert block.block_invariance_report() == block.induced_map().invariance_report()
+    assert_matches_induced(icp)
     if k >= 2:
-        assert not dense.block_invariance_report()["invariant"]
+        assert not assert_matches_induced(dense)["invariant"]
+    else:
+        assert_matches_induced(dense)
 
 
 @pytest.mark.parametrize("blocks,n,k,h", _params(SMALL_CASES))
 def test_blocks_read_the_induced_coefficients(blocks, n, k, h):
-    """Every basis tuple of M_n(A), chained or not, against the induced tensor."""
+    """The oracle itself at every basis tuple of M_n(A), chained or not: its
+    block is zero unless the tuple is chained, and then it is phi_{i_1 j_k}'s
+    coefficient at block position (i_1, j_k).  The units' labels (i, j, q)
+    are read through ``extract``, not through the grid's unit index."""
     block = random_grid(Algebra(blocks), n, k, h, np.random.default_rng([n, k, len(blocks), blocks[0]]))
-    grid, induced = block.chain_grid(), block.induced_map()
-    rows = np.arange(induced.algebra.dim**k)
-    position, values = grid.blocks(rows)
-    chained = position >= 0
-    padded = np.zeros((len(rows), n, h, n, h), dtype=complex)
-    padded[chained, position[chained] // n, :, position[chained] % n, :] = values[chained].reshape(-1, h, h)
+    induced, amp = block.induced_map(), block.amplification
+    labels = np.array([np.argwhere(amp.extract(induced.algebra.basis_element(p)).coords)[0]
+                       for p in range(induced.algebra.dim)])
+    first, last, unit = labels[np.indices((induced.algebra.dim,) * k).reshape(k, -1)].transpose(2, 0, 1)
+    chained = (last[:-1] == first[1:]).all(axis=0)
+    flat = np.ravel_multi_index(unit[:, chained], (block.algebra.dim,) * k)
+    ends = np.stack([[phi.coeffs.reshape(-1, h, h) for phi in row] for row in block.entries])
+    padded = np.zeros((len(chained), n, h, n, h), dtype=complex)
+    rows = np.flatnonzero(chained)
+    padded[rows, first[0, rows], :, last[-1, rows], :] = ends[first[0, rows], last[-1, rows], flat]
     assert np.array_equal(padded.reshape(induced.coeffs.shape), induced.coeffs)
-    assert not values[~chained].any()
-    assert np.array_equal(grid.support(), np.flatnonzero(induced.coeffs.reshape(len(rows), -1).any(axis=1)))
+    # each nonzero coefficient of phi_ij, with every chain of inner indices
+    support = int(induced.coeffs.reshape(len(chained), -1).any(axis=1).sum())
+    assert support == int(ends.any(axis=(3, 4)).sum()) * n ** (k - 1)
 
 
 def test_noninvariant_grid_report_equals_the_induced_maps():
-    block = noninvariant_block_example()
-    report = block.block_invariance_report()
-    assert report == block.induced_map().invariance_report()
+    report = assert_matches_induced(noninvariant_block_example())
     assert report["exhaustive"] and not report["invariant"]
 
 
 @pytest.mark.parametrize("make", [noninvariant_block_example, lambda: random_icp(Algebra([2]), 3, 2, 2, seed=1)[0]],
                          ids=["noninvariant", "icp"])
 def test_sampled_path_agrees_with_the_induced_maps(make, monkeypatch):
+    """Entries that sample: the block report flags it, counts every entry's
+    trials, and keeps the verdict; at n = 2, k = 3 every coefficient is a
+    deviation, whatever the entries' relative gaps."""
     block = make()
     monkeypatch.setattr(multimap, "EXHAUSTIVE_TUPLE_LIMIT", 0)
     got = block.block_invariance_report(rng=np.random.default_rng(7), trials=50)
     want = block.induced_map().invariance_report(rng=np.random.default_rng(7), trials=50)
-    assert not got["exhaustive"] and got["tuples_checked"] == 50
-    assert {key: v for key, v in got.items() if key != "max_deviation"} == {
-        key: v for key, v in want.items() if key != "max_deviation"
-    }
-    # the deviation is relative to the values already
-    assert abs(got["max_deviation"] - want["max_deviation"]) <= 1e-12 * max(1.0, want["max_deviation"])
+    assert not got["exhaustive"] and got["tuples_checked"] == block.n**2 * 50
+    assert got["invariant"] == want["invariant"] is False
+    assert abs(got["tolerance"] - want["tolerance"]) <= 1e-15 * want["tolerance"]
+    largest = max(float(np.abs(phi.coeffs).max()) for row in block.entries for phi in row)
+    assert got["max_deviation"] >= largest > got["tolerance"]
 
 
-@pytest.fixture(scope="module")
-def grid4():
+def test_corpus_reports_equal_the_induced_maps(corpus):
+    for entry in corpus:
+        report = assert_matches_induced(entry.block_map)
+        assert report["invariant"] == (entry.n == 1 or entry.k <= 2), entry.name
+
+
+def test_zero_grid_is_invariant_at_n2_k3():
+    alg = Algebra([2])
+    zero = MultilinearMap(alg, 3, 2, np.zeros((alg.dim,) * 3 + (2, 2)))
+    report = assert_matches_induced(BlockMultilinearMap.constant_grid(zero, 2))
+    assert report["invariant"] and report["max_deviation"] == 0.0 and report["tuples_checked"] == 0
+
+
+@pytest.mark.parametrize("k", [2, 4])
+@pytest.mark.parametrize("scale", [1e-3, 1e3])
+def test_one_noninvariant_entry(k, scale):
+    """At k = 4 the deviation is the larger of the bad entry's deviation and
+    the largest coefficient: the coefficient at scale 1e-3, the entry at
+    1e3.  At k = 2 it is the entry's deviation alone."""
+    alg, h = Algebra([2]), 1
+    icp, _ = random_icp(alg, k, 2, h, seed=k)
+    rng = np.random.default_rng(k)
+    shape = (alg.dim,) * k + (h, h)
+    bad = MultilinearMap(alg, k, h, scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)))
+    entries = [list(row) for row in icp.entries]
+    entries[0][1] = bad
+    block = BlockMultilinearMap(entries)
+    report = assert_matches_induced(block)
+    assert not report["invariant"]
+    entry_dev = bad.invariance_report(tol=report["tolerance"])["max_deviation"]
+    largest = max(float(np.abs(phi.coeffs).max()) for row in entries for phi in row)
+    if k == 2:
+        assert report["max_deviation"] == entry_dev
+        assert entry_dev < largest or scale > 1  # the coefficients do not count at k = 2
+    else:
+        assert report["max_deviation"] == (largest if scale < 1 else entry_dev)
+        assert (largest > entry_dev) == (scale < 1)
+
+
+def test_block_report_and_check_never_form_the_induced_map(monkeypatch, tmp_path, capsys):
     """The block-n2 benchmark's `check` map: M_2, k = 4, n = 2, h = 2, seed 0."""
     block, _ = random_icp(Algebra([2]), 4, 2, 2, seed=0)
-    return block
-
-
-def test_block_report_and_check_never_form_the_induced_map(grid4, monkeypatch, tmp_path, capsys):
     spec = str(tmp_path / "grid4.json")
     assert cli.main(["gen", "dilation", "--algebra", "2", "--k", "4", "--n", "2", "--h", "2", "--out", spec]) == 0
 
@@ -91,21 +147,22 @@ def test_block_report_and_check_never_form_the_induced_map(grid4, monkeypatch, t
         raise AssertionError("the induced map was formed")
 
     monkeypatch.setattr(BlockMultilinearMap, "induced_map", forbidden)
-    report = grid4.block_invariance_report(trials=100)
+    report = block.block_invariance_report(trials=100)
     assert report["exhaustive"] and not report["invariant"]
     capsys.readouterr()
     assert cli.main(["check", spec]) == 0
     assert "induced map" not in capsys.readouterr().err
 
 
-def test_block_report_memory_stays_below_the_induced_tensor(grid4):
-    fresh = BlockMultilinearMap(grid4.entries)  # its chain grid is built inside the trace
+def test_block_report_memory_stays_below_the_induced_tensor():
+    grid4, _ = random_icp(Algebra([2]), 4, 2, 2, seed=0)
+    fresh = BlockMultilinearMap(grid4.entries)
     tracemalloc.start()
     try:
-        report = fresh.block_invariance_report()
+        fresh.block_invariance_report()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     induced = grid4.induced_map()
-    assert report == induced.invariance_report()
+    assert_matches_induced(grid4)
     assert peak < induced.coeffs.nbytes / 8, (peak, induced.coeffs.nbytes)

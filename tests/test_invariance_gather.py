@@ -16,7 +16,7 @@ import pytest
 
 from icpmaps.algebra import Algebra, multiply
 from icpmaps.factory import random_icp
-from icpmaps.multimap import ChainGrid, MultilinearMap
+from icpmaps.multimap import MultilinearMap
 from test_chain_kernel import random_grid
 
 ORACLE_ASSIGNMENTS = 5000
@@ -107,10 +107,9 @@ def test_grid4_block_check_is_exhaustive_without_sampling(grid4, monkeypatch):
     def no_sampling(*args, **kwargs):
         raise AssertionError("the sampler ran although the gather fits the limit")
 
-    monkeypatch.setattr(ChainGrid, "_sampled_deviation", no_sampling)
-    induced = grid4.induced_map()
-    n_c, block_size = 2, 4  # M_2(M_2) is one block M_4; each unit factors 4 ways
-    support = int(induced.coeffs.reshape(induced.algebra.dim**4, -1).any(axis=1).sum())
+    monkeypatch.setattr(MultilinearMap, "_sampled_deviation", no_sampling)
+    n_c, block_size = 2, 2  # M_2 is one block; each unit factors 2 ways
+    support = sum(int(phi.coeffs.reshape(4**4, -1).any(axis=1).sum()) for row in grid4.entries for phi in row)
     report = grid4.block_invariance_report(trials=100)
     assert report["exhaustive"]
     assert report["tuples_checked"] == support * block_size**n_c

@@ -12,7 +12,7 @@ from icpmaps.factory import (
     trace_example,
     worked_level2_tuple,
 )
-from icpmaps.multimap import MultilinearMap, amplified_evaluate, slot_linearity_deviation
+from icpmaps.multimap import MultilinearMap, amplified_evaluate
 
 
 def test_trace_example_unit_value():
@@ -43,6 +43,25 @@ def test_basis_tuples_return_stored_coefficients():
             for r in range(2):
                 val = phi.evaluate([alg.basis_element(p), alg.basis_element(q), alg.basis_element(r)])
                 assert np.array_equal(val, phi.coeffs[p, q, r])
+
+
+def slot_linearity_deviation(phi, rng, trials=20):
+    """Largest relative violation of linearity in a random slot."""
+    worst = 0.0
+    for _ in range(trials):
+        slot = int(rng.integers(phi.k))
+        args = [random_element(phi.algebra, rng) for _ in range(phi.k)]
+        x = random_element(phi.algebra, rng)
+        y = random_element(phi.algebra, rng)
+        alpha = complex(rng.standard_normal(), rng.standard_normal())
+        beta = complex(rng.standard_normal(), rng.standard_normal())
+        lhs = phi.evaluate(args[:slot] + [alpha * x + beta * y] + args[slot + 1 :])
+        rhs = alpha * phi.evaluate(args[:slot] + [x] + args[slot + 1 :]) + beta * phi.evaluate(
+            args[:slot] + [y] + args[slot + 1 :]
+        )
+        scale = 1.0 + max(np.abs(lhs).max(), np.abs(rhs).max())
+        worst = max(worst, float(np.abs(lhs - rhs).max() / scale))
+    return worst
 
 
 def test_slot_linearity(rng):

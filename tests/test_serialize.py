@@ -8,7 +8,7 @@ from icpmaps import cli, serialize
 from icpmaps.algebra import Algebra, MatrixOverAlgebra, random_element
 from icpmaps.errors import SpecFormatError
 from icpmaps.factory import noninvariant_block_example, point_evaluation_example, schur_block_map, trace_example
-from icpmaps.gram import build_gram, cp_refute, positivity_falsify
+from icpmaps.gram import cp_refute, positivity_falsify
 from icpmaps.stinespring import DilationTriple, dilate, verify_dilation
 
 
@@ -86,16 +86,6 @@ def test_triple_roundtrip():
     assert verify_dilation(phi, again).reconstruction <= 1e-12
     for p in range(triple.m):
         assert np.allclose(triple.reps[p], again.reps[p], atol=1e-15)
-
-
-def test_gram_export_contains_legend():
-    gram = build_gram(point_evaluation_example(2))
-    data = serialize.gram_to_json(gram)
-    assert data["size"] == 4
-    assert len(data["index_map"]) == 4
-    assert data["index_map"][0] == {"factors": [0, 0], "slot": 0, "component": 0}
-    back = serialize.matrix_from_json(data["matrix"])
-    assert np.array_equal(back, gram.matrix)
 
 
 def test_dumps_is_deterministic():
