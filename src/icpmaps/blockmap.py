@@ -19,13 +19,14 @@ test oracle.
 
 from __future__ import annotations
 
+import functools
 from typing import Sequence
 
 import numpy as np
 
 from .algebra import Amplification, MatrixOverAlgebra, amplified_algebra
 from .errors import AlgebraMismatchError, ArityError
-from .multimap import ChainGrid, MultilinearMap, amplified_evaluate
+from .multimap import ChainGrid, MultilinearMap
 
 
 class BlockMultilinearMap:
@@ -129,14 +130,6 @@ class BlockMultilinearMap:
         out[flat, chains[0], :, chains[-1], :] = ends[chains[0], chains[-1], np.arange(d**k)[:, None]]
         return MultilinearMap(big, k, n * h, out.reshape((big.dim,) * k + (n * h, n * h)))
 
-    def block_amplify(self, t: int) -> MultilinearMap:
-        """Materialized t-amplification, a map over M_t(M_n(A))."""
-        return self.induced_map().amplify(t)
-
-    def block_amplified_evaluate(self, t: int, mats: Sequence[MatrixOverAlgebra]) -> np.ndarray:
-        """Level-t value on t-matrices over M_n(A), without materializing."""
-        return amplified_evaluate(self, t, mats)
-
     # -- adjoint / symmetry -------------------------------------------------
 
     def block_adjoint(self) -> "BlockMultilinearMap":
@@ -149,17 +142,24 @@ class BlockMultilinearMap:
     def block_is_symmetric(self, tol: float | None = None) -> bool:
         if tol is None:
             tol = 1e-9 * (1.0 + self.coefficient_scale())
-        # entry (i, j) of the adjoint grid, one at a time: no second grid is held
-        dev = max(
-            np.abs(self.entries[i][j].coeffs - self.entries[j][i].adjoint().coeffs).max()
-            for i in range(self.n)
-            for j in range(self.n)
+        return bool(self._symmetry_deviation <= tol)
+
+    @functools.cached_property
+    def _symmetry_deviation(self) -> float:
+        """Largest |coefficient| of the grid minus its adjoint grid, one entry
+        at a time: no second grid is held.  The coefficients are read-only,
+        so it is computed once."""
+        return float(
+            max(
+                np.abs(self.entries[i][j].coeffs - self.entries[j][i].adjoint().coeffs).max()
+                for i in range(self.n)
+                for j in range(self.n)
+            )
         )
-        return bool(dev <= tol)
 
     # -- invariance ----------------------------------------------------------
 
-    def block_invariance_report(self, tol=None, rng=None, trials: int = 2000) -> dict:
+    def block_invariance_report(self, tol=None) -> dict:
         """``induced_map().invariance_report(...)``, derived from the entries'
         reports (each run with this tolerance) and (n, k).
 
@@ -169,30 +169,27 @@ class BlockMultilinearMap:
         invariant: at k = 3, a = E_12 x, c = E_21 1, b = E_11 y and
         d = E_1j z break the rhs chain and leave phi_1j(x, y, z) = 0, so every
         coefficient is a deviation too.  ``tuples_checked`` sums the entries'
-        visits, and the report is exhaustive iff every entry's is."""
+        visits; like theirs, the report is always exhaustive."""
         if tol is None:
             tol = 1e-9 * (1.0 + self.coefficient_scale())
         phis = [phi for row in self.entries for phi in row]
-        reports = [phi.invariance_report(tol, rng, trials) for phi in phis]
+        reports = [phi.invariance_report(tol) for phi in phis]
         dev = max(r["max_deviation"] for r in reports)
         if self.n >= 2 and self.k >= 3:
             dev = max(dev, *(float(np.abs(phi.coeffs).max()) for phi in phis))
         return {
             "invariant": bool(dev <= tol),
             "max_deviation": dev,
-            "exhaustive": all(r["exhaustive"] for r in reports),
+            "exhaustive": True,
             "tolerance": tol,
             "tuples_checked": sum(r["tuples_checked"] for r in reports),
         }
 
-    def block_is_invariant(self, tol=None, rng=None, trials: int = 2000) -> bool:
-        return self.block_invariance_report(tol, rng, trials)["invariant"]
+    def block_is_invariant(self, tol=None) -> bool:
+        return self.block_invariance_report(tol)["invariant"]
 
-    def entries_invariant(self, tol=None, rng=None, trials: int = 2000) -> list[list[bool]]:
-        return [
-            [phi.is_invariant(tol, rng, trials) for phi in row]
-            for row in self.entries
-        ]
+    def entries_invariant(self, tol=None) -> list[list[bool]]:
+        return [[phi.is_invariant(tol) for phi in row] for row in self.entries]
 
     def __repr__(self):
         return (

@@ -138,9 +138,8 @@ def cmd_check(args) -> int:
     if "invariant" in wanted:
         # the theorems' hypothesis: invariant entries and a symmetric grid;
         # block invariance over M_n(A) is reported as information only
-        rng = np.random.default_rng(args.seed)
-        block_rep = block.block_invariance_report(rng=rng, trials=args.trials)
-        entries = block.entries_invariant(rng=np.random.default_rng(args.seed), trials=args.trials)
+        block_rep = block.block_invariance_report()
+        entries = block.entries_invariant()
         checks["invariant"] = {"block": block_rep, "entries": entries, "grid_symmetric": sym}
         verdicts["invariant"] = "pass" if sym and all(all(row) for row in entries) else "fail"
     if "symmetric" in wanted:
@@ -370,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cp", action="store_true")
     p.add_argument("--seed", type=int, default=0, help="seed for all randomized probes (default 0)")
     p.add_argument("--levels", default=None, help="comma-separated amplification levels (default 1,2)")
-    p.add_argument("--trials", type=int, default=500, help="random trials per level (default 500)")
+    p.add_argument("--trials", type=int, default=500, help="falsifier trials per level (default 500)")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_check)
 

@@ -115,16 +115,17 @@ def from_dilation_data(
     reps: Sequence[np.ndarray],
     v_ops: Sequence[np.ndarray],
     k: int,
-    check: bool = True,
 ) -> BlockMultilinearMap:
     """Block map with entries V_i* pi_1(a_m) pi_2(a_{m-1}a_{m+1}) .. V_j
     (odd k) or V_i* pi_1(a_m a_{m+1}) .. pi_m(a_1 a_{2m}) V_j (even k).
 
     Representations must form a genuinely commuting family of unital
     *-homomorphisms; entries of the result are invariant and the grid is
-    symmetric, which ``check=True`` verifies.  Block-level invariance holds
-    (and is implied by entry invariance) only for n = 1 or k <= 2; for
-    n >= 2, k >= 3 no nonzero block map is block invariant.
+    symmetric, which is always verified; the checks' deviations stay cached
+    on the entries and the grid, so checking them again costs nothing.
+    Block-level invariance holds (and is implied by entry invariance) only
+    for n = 1 or k <= 2; for n >= 2, k >= 3 no nonzero block map is block
+    invariant.
     """
     m = arity_midpoint(k)
     if len(reps) != m:
@@ -137,7 +138,7 @@ def from_dilation_data(
     comm = commutation_residual(reps)
     if comm > REP_TOL:
         raise ValueError(f"representations do not commute (residual {comm:.3e})")
-    return _theorem_form_block(algebra, reps, v_ops, k, check)
+    return _theorem_form_block(algebra, reps, v_ops, k)
 
 
 def _theorem_form_block(
@@ -145,7 +146,6 @@ def _theorem_form_block(
     reps: Sequence[np.ndarray],
     v_ops: Sequence[np.ndarray],
     k: int,
-    check: bool,
 ) -> BlockMultilinearMap:
     """``from_dilation_data`` on representations already known to form a
     commuting family of unital *-homomorphisms of matching shapes."""
@@ -165,13 +165,12 @@ def _theorem_form_block(
     ]
     del vals  # the entries hold copies; the checks below run without the full tensor
     block = BlockMultilinearMap(entries)
-    if check:
-        for row in block.entries:
-            for phi in row:
-                if not phi.is_invariant():
-                    raise RuntimeError("constructed entry map failed the invariance check")
-        if not block.block_is_symmetric():
-            raise RuntimeError("constructed block map failed the symmetry check")
+    for row in block.entries:
+        for phi in row:
+            if not phi.is_invariant():
+                raise RuntimeError("constructed entry map failed the invariance check")
+    if not block.block_is_symmetric():
+        raise RuntimeError("constructed block map failed the symmetry check")
     return block
 
 
@@ -331,7 +330,7 @@ def random_icp(
         v_ops.append(z)
     # tensor_commuting_reps validated each factor; I (x) rho (x) I keeps its
     # law residuals, and factors on disjoint legs commute exactly
-    block = _theorem_form_block(algebra, reps, v_ops, k, check=True)
+    block = _theorem_form_block(algebra, reps, v_ops, k)
     triple = DilationTriple(
         algebra=algebra,
         k=k,

@@ -22,6 +22,9 @@ every matrix product; one tuple is the one-row case.
 ``ChainGrid.batch_rows`` sizes those batches by ``PROBE_BATCH_BYTES``.
 The value is linear in each slot: ``ChainGrid.slot_operator`` contracts the
 same formula with one slot left open, the operator the estimator ascends on.
+
+``MultilinearMap.invariance_report`` checks the migration identity exactly,
+by one gather over the coefficient support per map, whatever its size.
 """
 
 from __future__ import annotations
@@ -31,18 +34,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import (
-    Algebra,
-    AlgebraElement,
-    MatrixOverAlgebra,
-    multiply,
-    random_element,
-)
+from .algebra import Algebra, AlgebraElement, MatrixOverAlgebra
 from .errors import AlgebraMismatchError, ArityError
 
-# Above this many visited basis assignments (see ``invariance_report``),
-# invariance checks switch to seeded random probing, flagged in the report.
-EXHAUSTIVE_TUPLE_LIMIT = 10**7
 # Support tuples gathered at once: bounds the gather's temporaries to a few
 # hundred rows of coefficient blocks per factorization choice.
 GATHER_ROWS = 256
@@ -154,20 +148,10 @@ class MultilinearMap:
 
     # -- invariance ---------------------------------------------------------
 
-    def is_invariant(
-        self,
-        tol: float | None = None,
-        rng: np.random.Generator | None = None,
-        trials: int = 2000,
-    ) -> bool:
-        return self.invariance_report(tol, rng, trials)["invariant"]
+    def is_invariant(self, tol: float | None = None) -> bool:
+        return self.invariance_report(tol)["invariant"]
 
-    def invariance_report(
-        self,
-        tol: float | None = None,
-        rng: np.random.Generator | None = None,
-        trials: int = 2000,
-    ) -> dict:
+    def invariance_report(self, tol: float | None = None) -> dict:
         """Check the left-factor migration identities.
 
         For odd arity k = 2m-1 the identity moves factors c_1..c_{m-1} from
@@ -179,30 +163,30 @@ class MultilinearMap:
         on a basis assignment each side is one coefficient block or zero: the
         check gathers the other side at every assignment where the lhs is a
         nonzero block (one pass over the coefficient support), which makes
-        ``max_deviation`` exact.  ``tuples_checked`` counts those visits;
-        above ``EXHAUSTIVE_TUPLE_LIMIT`` of them the check samples ``trials``
-        seeded random tuples instead and flags the report, whose
-        ``max_deviation`` is then a gap relative to the values.
+        ``max_deviation`` exact.  ``tuples_checked`` counts those visits.
+        Every report is exhaustive; the pass runs once per map and serves
+        every tolerance.
         """
-        flat = self.coeffs.reshape(-1, self.h * self.h)
-        support = np.flatnonzero(flat.any(axis=1))
         if tol is None:
             tol = 1e-9 * (1.0 + self.coefficient_scale())
-        dev, exhaustive, checked = 0.0, True, 0
-        if self.k >= 2:
-            checked = self._pass_visits(support)
-            if checked <= EXHAUSTIVE_TUPLE_LIMIT:
-                dev = self._gather_pass(flat, support)
-            else:
-                dev = self._sampled_deviation(rng, trials)
-                exhaustive, checked = False, trials
+        dev, checked = self._invariance_deviation
         return {
             "invariant": bool(dev <= tol),
-            "max_deviation": float(dev),
-            "exhaustive": exhaustive,
+            "max_deviation": dev,
+            "exhaustive": True,
             "tolerance": tol,
             "tuples_checked": checked,
         }
+
+    @functools.cached_property
+    def _invariance_deviation(self) -> tuple[float, int]:
+        """(max |lhs - rhs|, visits) of the gather: the coefficients are
+        read-only, so it is computed once."""
+        if self.k < 2:
+            return 0.0, 0
+        flat = self.coeffs.reshape(-1, self.h * self.h)
+        support = np.flatnonzero(flat.any(axis=1))
+        return self._gather_pass(flat, support), self._pass_visits(support)
 
     def _slot_unit(self, rows: np.ndarray, slot: int) -> np.ndarray:
         """Basis index in ``slot`` of the basis tuples with flat indices ``rows``."""
@@ -255,24 +239,6 @@ class MultilinearMap:
             paired = np.abs(own[hit_rows] - flat[other[hit_rows, hit_choices]]).max(initial=0.0)
             vanished = np.abs(own[~alive.all(axis=1)]).max(initial=0.0)
             worst = max(worst, float(paired), float(vanished))
-        return worst
-
-    def _sampled_deviation(self, rng: np.random.Generator | None, trials: int) -> float:
-        """Largest relative gap between the two sides of the migration identity
-        over ``trials`` seeded random tuples.  The lhs puts a_j c_j in slot j
-        for j < k // 2, the rhs puts c_l a_{k-1-l} in slot k-1-l."""
-        if rng is None:
-            rng = np.random.default_rng(0)
-        alg, k = self.algebra, self.k
-        n_c = k // 2
-        worst = 0.0
-        for _ in range(trials):
-            a = [random_element(alg, rng) for _ in range(k)]
-            c = [random_element(alg, rng) for _ in range(n_c)]
-            lhs = self.evaluate([multiply(a[j], c[j]) for j in range(n_c)] + a[n_c:])
-            rhs = self.evaluate(a[: k - n_c] + [multiply(c[k - 1 - s], a[s]) for s in range(k - n_c, k)])
-            scale = 1.0 + max(np.abs(lhs).max(), np.abs(rhs).max(), 0.0)
-            worst = max(worst, float(np.abs(lhs - rhs).max() / scale))
         return worst
 
 

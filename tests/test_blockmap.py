@@ -11,7 +11,7 @@ from icpmaps.factory import (
     schur_block_map,
     trace_example,
 )
-from icpmaps.multimap import MultilinearMap
+from icpmaps.multimap import MultilinearMap, amplified_evaluate
 
 
 def random_matrix_over(alg, t, rng):
@@ -71,7 +71,7 @@ def test_block_evaluate_n1_coincides_exactly(rng):
 def test_block_amplify_level_one(rng):
     block = schur_block_map(np.array([[1.0, 0.5], [0.5, 1.0]]))
     induced = block.induced_map()
-    amplified = block.block_amplify(1)
+    amplified = induced.amplify(1)
     assert np.array_equal(amplified.coeffs, induced.coeffs)
 
 
@@ -85,14 +85,14 @@ def test_block_amplify_matches_streaming_evaluator(rng):
             row.append(MultilinearMap(alg, 2, 1, coeffs))
         entries.append(row)
     block = BlockMultilinearMap(entries)
-    big = block.block_amplify(2)
+    big = block.induced_map().amplify(2)
     amp = block.amplification
     from icpmaps.algebra import amplified_algebra
 
     outer = amplified_algebra(amp.algebra, 2)
     for _ in range(5):
         mats = [random_matrix_over(amp.algebra, 2, rng) for _ in range(2)]
-        streamed = block.block_amplified_evaluate(2, mats)
+        streamed = amplified_evaluate(block, 2, mats)
         materialized = big.evaluate([outer.embed(x) for x in mats])
         assert np.abs(streamed - materialized).max() <= 1e-12 * (1 + np.abs(streamed).max())
 
@@ -103,7 +103,7 @@ def test_block_amplify_zero_map(rng):
     block = BlockMultilinearMap.constant_grid(zero, 2)
     mn = block.amplification
     mats = [random_matrix_over(mn.algebra, 2, rng) for _ in range(2)]
-    assert np.abs(block.block_amplified_evaluate(2, mats)).max() == 0.0
+    assert np.abs(amplified_evaluate(block, 2, mats)).max() == 0.0
 
 
 def test_schur_amplification_is_replicated_pattern(rng):
@@ -112,7 +112,7 @@ def test_schur_amplification_is_replicated_pattern(rng):
     mn = block.amplification  # M_n(C) over the scalars
     t = 2
     x = random_matrix_over(mn.algebra, t, rng)
-    value = block.block_amplified_evaluate(t, [x])
+    value = amplified_evaluate(block, t, [x])
     big = np.zeros((4, 4), dtype=complex)
     for i in range(t):
         for j in range(t):
@@ -133,7 +133,7 @@ def test_dilation_generated_block_invariance_where_it_holds(corpus):
     checked = 0
     for entry in corpus:
         if entry.n == 1 or entry.k <= 2:
-            report = entry.block_map.block_invariance_report(trials=100)
+            report = entry.block_map.block_invariance_report()
             assert report["invariant"], (entry.name, report)
             checked += 1
             if checked >= 12:
@@ -143,7 +143,7 @@ def test_dilation_generated_block_invariance_where_it_holds(corpus):
 
 def test_noninvariant_grid_fails_block_invariance():
     block = noninvariant_block_example()
-    assert not block.block_is_invariant(trials=100)
+    assert not block.block_is_invariant()
     assert all(all(row) for row in block.entries_invariant())
 
 
@@ -194,7 +194,7 @@ def test_schur_hermitian_multiplier_is_symmetric():
 def test_block_invariant_implies_entries_invariant(corpus):
     for entry in corpus[:10]:
         if entry.n == 1 or entry.k <= 2:
-            assert all(all(row) for row in entry.block_map.entries_invariant(trials=60))
+            assert all(all(row) for row in entry.block_map.entries_invariant())
 
 
 def test_grid_shape_errors():

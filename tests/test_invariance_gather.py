@@ -9,12 +9,15 @@ add up to ``tuples_checked``.
 """
 
 import itertools
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from icpmaps import cli
 from icpmaps.algebra import Algebra, multiply
+from icpmaps.blockmap import BlockMultilinearMap
 from icpmaps.factory import random_icp
 from icpmaps.multimap import MultilinearMap
 from test_chain_kernel import random_grid
@@ -103,14 +106,10 @@ def grid4():
     return block
 
 
-def test_grid4_block_check_is_exhaustive_without_sampling(grid4, monkeypatch):
-    def no_sampling(*args, **kwargs):
-        raise AssertionError("the sampler ran although the gather fits the limit")
-
-    monkeypatch.setattr(MultilinearMap, "_sampled_deviation", no_sampling)
+def test_grid4_block_check_is_exhaustive_without_sampling(grid4):
     n_c, block_size = 2, 2  # M_2 is one block; each unit factors 2 ways
     support = sum(int(phi.coeffs.reshape(4**4, -1).any(axis=1).sum()) for row in grid4.entries for phi in row)
-    report = grid4.block_invariance_report(trials=100)
+    report = grid4.block_invariance_report()
     assert report["exhaustive"]
     assert report["tuples_checked"] == support * block_size**n_c
     assert report["max_deviation"] > report["tolerance"]  # no nonzero n = 2, k = 4 grid passes
@@ -123,10 +122,12 @@ def test_grid4_block_check_is_exhaustive_without_sampling(grid4, monkeypatch):
 def test_gather_memory_stays_below_the_coefficient_tensor(grid4):
     induced = grid4.induced_map()
     induced.invariance_report(tol=1e-9)  # builds the algebra's lazy unit tables
-    # an explicit tolerance leaves out coefficient_scale, which is not the gather
+    # a map of its own, whose gather is not cached yet; an explicit tolerance
+    # leaves out coefficient_scale, which is not the gather
+    fresh = MultilinearMap(induced.algebra, induced.k, induced.h, induced.coeffs)
     tracemalloc.start()
     try:
-        induced.invariance_report(tol=1e-9)
+        fresh.invariance_report(tol=1e-9)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -145,3 +146,32 @@ def test_coefficient_scale_memory_stays_below_the_coefficient_tensor(grid4):
         tracemalloc.stop()
     assert scale == reference
     assert peak < induced.coeffs.nbytes / 16, (peak, induced.coeffs.nbytes)
+
+
+def test_check_gathers_each_entry_once(monkeypatch, tmp_path, capsys):
+    """`check --invariant` on a generated grid reuses the deviations its load
+    computed: the generator checks every entry and the grid's symmetry, and
+    the block report, the entry flags and the symmetry verdict read those."""
+    spec = str(tmp_path / "grid4.json")
+    assert cli.main(["gen", "dilation", "--algebra", "2", "--k", "4", "--n", "2", "--h", "2", "--out", spec]) == 0
+    gathers, symmetry = [], []
+    gather = MultilinearMap._gather_pass
+
+    def counted_gather(self, flat, support):
+        gathers.append(self.k)
+        return gather(self, flat, support)
+
+    cached = BlockMultilinearMap.__dict__["_symmetry_deviation"]
+    deviation = cached.func
+
+    def counted_symmetry(self):
+        symmetry.append(self.n)
+        return deviation(self)
+
+    monkeypatch.setattr(MultilinearMap, "_gather_pass", counted_gather)
+    monkeypatch.setattr(cached, "func", counted_symmetry)
+    capsys.readouterr()
+    assert cli.main(["check", spec, "--invariant"]) == 0
+    report = json.loads(capsys.readouterr().out)["checks"]["invariant"]
+    assert report["block"]["exhaustive"] and report["grid_symmetric"]
+    assert len(gathers) == 4 and len(symmetry) == 1

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from icpmaps import multimap
 from icpmaps.algebra import Algebra, MatrixOverAlgebra, amplified_algebra, multiply, random_element
 from icpmaps.errors import AlgebraMismatchError, ArityError
 from icpmaps.factory import (
@@ -222,19 +221,6 @@ def test_invariance_exhaustive_matches_loop_oracle(k, rng):
     # oracle samples basis tuples, so it can only reach up to the exhaustive max
     assert oracle <= report["max_deviation"] + 1e-12
     assert (oracle > 1e-9) == (not report["invariant"])
-
-
-def test_invariance_randomized_path_agrees(monkeypatch):
-    monkeypatch.setattr(multimap, "EXHAUSTIVE_TUPLE_LIMIT", 0)
-    phi = point_evaluation_example(2)
-    report = phi.invariance_report(rng=np.random.default_rng(1), trials=200)
-    assert not report["exhaustive"]
-    assert report["invariant"]
-    bad = np.zeros((2, 2, 2, 1, 1), dtype=complex)
-    bad[0, 0, 1] = 1.0
-    noisy = MultilinearMap(Algebra([1, 1]), 3, 1, bad)
-    report = noisy.invariance_report(rng=np.random.default_rng(1), trials=200)
-    assert not report["invariant"]
 
 
 def test_arity_one_is_vacuously_invariant(rng):
