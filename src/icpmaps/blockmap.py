@@ -146,15 +146,15 @@ class BlockMultilinearMap:
 
     @functools.cached_property
     def _symmetry_deviation(self) -> float:
-        """Largest |coefficient| of the grid minus its adjoint grid, one entry
-        at a time: no second grid is held.  The coefficients are read-only,
-        so it is computed once."""
-        return float(
-            max(
-                np.abs(self.entries[i][j].coeffs - self.entries[j][i].adjoint().coeffs).max()
-                for i in range(self.n)
-                for j in range(self.n)
-            )
+        """Largest |coefficient| of the grid minus its adjoint grid, one pair
+        of entries at a time (``MultilinearMap.adjoint_deviation``): no second
+        grid is held.  Entry (j, i) deviates exactly as entry (i, j) does, so
+        only i <= j are visited.  The coefficients are read-only, so it is
+        computed once."""
+        return max(
+            self.entries[i][j].adjoint_deviation(self.entries[j][i])
+            for i in range(self.n)
+            for j in range(i, self.n)
         )
 
     # -- invariance ----------------------------------------------------------

@@ -19,11 +19,11 @@ kernel evaluates each restart's start and final point, and a restart's
 value is the kernel's sigma at its final point.
 
 Restarts ascend in lockstep as rows of batches sized by the longest open
-chain: each step of a sweep is one stacked SVD, projection and operator
-product over the rows still ascending.  Each row is its own slice of every
-stacked operation, so every restart ends where it would running alone, bit
-for bit, and the estimate records per restart its value, the sweeps it ran
-and why it stopped.
+chain and the slot operator: each step of a sweep is one stacked SVD,
+projection and operator product over the rows still ascending.  Each row is
+its own slice of every stacked operation, so every restart ends where it
+would running alone, bit for bit, and the estimate records per restart its
+value, the sweeps it ran and why it stopped.
 
 For scalar-valued maps on commutative algebras the supremum is attained on
 the torus of unimodular coordinates and each slot has one removable global
@@ -219,10 +219,13 @@ def norm_estimate(
     doubling ``restarts`` never decreases the returned value.
 
     Restarts run as rows of batches of ``ChainGrid.operator_batch_rows(t)``,
-    sized by the longest chain a slot operator holds; each row is its own
-    slice of every batched operation, so every restart ends where it would
-    running alone, bit for bit.  A restart's value is the kernel's sigma at
-    its final point, so the witness evaluates to the estimate exactly.
+    sized so that the longest open chain and the slot operator of every row
+    fit in ``multimap.PROBE_BATCH_BYTES`` (1 MiB): the default 8 restarts of
+    ``russo-dye --cb`` ascend as one batch on `--algebra 2 --k 5 --n 1 --h 2`
+    up to t = 3, where 18 rows fit.  Each row is its own slice of every
+    batched operation, so every restart ends where it would running alone,
+    bit for bit.  A restart's value is the kernel's sigma at its final
+    point, so the witness evaluates to the estimate exactly.
     """
     if t < 1:
         raise ValueError(f"level must be >= 1, got {t}")

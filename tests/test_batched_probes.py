@@ -269,14 +269,15 @@ MAPS = {
 def _split_budget(monkeypatch, phi, t, rows, operator):
     """Set the byte budget so that a level-t batch of ``phi`` holds ``rows``
     rows: of slot operators (the estimator's restarts), whose longest chain
-    runs beside the open slot, (tn)^2 d^(k-1) scalars a row, or of kernel
-    calls (the falsifier's trials), two half-chains over j = ceil(k/2) and
-    k - j slots plus the prefix contracted with the coefficients,
-    t^2 n^3 d^(k-j) h^2 scalars a row."""
+    runs beside the open slot, (tn)^2 d^(k-1) scalars a row, plus the
+    operator, (tn)^2 d (tnh)^2 a row, or of kernel calls (the falsifier's
+    trials), two half-chains over j = ceil(k/2) and k - j slots plus the
+    prefix contracted with the coefficients, t^2 n^3 d^(k-j) h^2 scalars a
+    row."""
     grid = as_block_map(phi).chain_grid()
     n, k, d, h = grid.n, grid.k, grid.unit_index.shape[0], grid.h
     if operator:
-        row_scalars = (t * n) ** 2 * d ** (k - 1)
+        row_scalars = (t * n) ** 2 * d ** (k - 1) + (t * n) ** 2 * d * (t * n * h) ** 2
     else:
         half = (k + 1) // 2
         row_scalars = (t * n) ** 2 * (d**half + d ** (k - half)) + t * t * n**3 * d ** (k - half) * h * h
@@ -306,6 +307,49 @@ def _assert_falsifier_matches_loop(phi, levels, trials, seed):
     for x, y in zip(found.mats, mats):
         assert np.array_equal(x.coords, y.coords)
     return found
+
+
+# -- the row rule ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "blocks, k, n, h, rows",
+    [
+        # the benchmark's plain-n1 and block-n2 (grid3) specs: rows per kernel call at t = 1, 2, ...
+        ([2], 5, 1, 2, [455, 113, 50]),
+        ([2], 3, 2, 2, [315, 78]),
+    ],
+)
+def test_default_budget_rows(blocks, k, n, h, rows):
+    grid = as_block_map(_benchmark_spec(blocks, k, n, h)).chain_grid()
+    assert multimap.PROBE_BATCH_BYTES == 1024 * 1024
+    for t, expected in enumerate(rows, start=1):
+        assert grid.batch_rows(t) == expected
+        # a default estimate (8 restarts in `russo-dye --cb`) ascends as one batch
+        assert grid.operator_batch_rows(t) >= 8
+
+
+@pytest.mark.parametrize("name", ["grid3", "plain-k5", "random-m2-k4"])
+def test_results_do_not_depend_on_the_budget(name, monkeypatch):
+    phi = MAPS[name]()
+    results = []
+    for budget in (128 * 1024, multimap.PROBE_BATCH_BYTES):
+        monkeypatch.setattr(multimap, "PROBE_BATCH_BYTES", budget)
+        est = norms.norm_estimate(phi, t=2, restarts=8, iters=5, seed=1)
+        found = positivity_falsify(phi, levels=(1, 2), trials=60, seed=2)
+        results.append((est, found))
+    (est, found), (est_default, found_default) = results
+    assert est.restart_values == est_default.restart_values
+    assert (est.restart_sweeps, est.restart_stops) == (est_default.restart_sweeps, est_default.restart_stops)
+    for x, y in zip(est.witness, est_default.witness):
+        assert np.array_equal(x.coords, y.coords)
+    assert (found is None) == (found_default is None)
+    if found is not None:
+        assert (found.level, found.min_eigenvalue, found.value_norm) == (
+            found_default.level, found_default.min_eigenvalue, found_default.value_norm
+        )
+        for x, y in zip(found.mats, found_default.mats):
+            assert np.array_equal(x.coords, y.coords)
 
 
 # -- the sampler -------------------------------------------------------------------

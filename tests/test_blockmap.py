@@ -8,10 +8,12 @@ from icpmaps.factory import (
     noninvariant_block_example,
     noninvariant_block_instance,
     point_evaluation_example,
+    random_icp,
     schur_block_map,
     trace_example,
 )
 from icpmaps.multimap import MultilinearMap, amplified_evaluate
+from icpmaps.serialize import load_map_spec
 
 
 def random_matrix_over(alg, t, rng):
@@ -182,6 +184,45 @@ def test_block_adjoint_involutive_and_symmetry(corpus):
         for j in range(block.n):
             assert np.array_equal(twice.entries[i][j].coeffs, block.entries[i][j].coeffs)
     assert block.block_is_symmetric()
+
+
+def _take_adjoint(phi):
+    """The adjoint by k ``np.take`` copies, one per slot: the oracle of the
+    reversed-star gather."""
+    out = phi.coeffs
+    for ax in range(phi.k):
+        out = np.take(out, phi.algebra.star_perm, axis=ax)
+    return np.conj(out.transpose(list(reversed(range(phi.k))) + [phi.k + 1, phi.k]))
+
+
+def _all_pairs_symmetry_deviation(block):
+    return float(max(
+        np.abs(block.entries[i][j].coeffs - _take_adjoint(block.entries[j][i])).max()
+        for i in range(block.n)
+        for j in range(block.n)
+    ))
+
+
+def _perturbed_n3_grid():
+    block = as_block_map(random_icp(Algebra([2]), 3, 3, 1, seed=0)[0])
+    bad = block.entries[0][2].coeffs.copy()
+    bad[1, 2, 3] += 0.25 - 0.5j
+    entries = [list(row) for row in block.entries]
+    entries[0][2] = MultilinearMap(block.algebra, 3, 1, bad)
+    return BlockMultilinearMap(entries)
+
+
+def test_symmetry_over_unordered_pairs_matches_all_pairs(corpus):
+    blocks = [entry.block_map for entry in corpus]
+    blocks += [as_block_map(load_map_spec({"kind": "psi"})), _perturbed_n3_grid()]
+    for block in blocks:
+        for row in block.entries:
+            for phi in row:
+                assert np.array_equal(phi.adjoint().coeffs, _take_adjoint(phi))
+        fresh = BlockMultilinearMap(block.entries)
+        assert fresh._symmetry_deviation == _all_pairs_symmetry_deviation(block)
+    assert not blocks[-1].block_is_symmetric()
+    assert blocks[-1]._symmetry_deviation > 0.5
 
 
 def test_schur_hermitian_multiplier_is_symmetric():

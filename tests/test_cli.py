@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 from icpmaps import cli, serialize
 from icpmaps.cli import main
 from icpmaps.factory import point_evaluation_example, trace_example
+from icpmaps.multimap import MultilinearMap
 from icpmaps.stinespring import EQUIVALENCE_TOLS, EquivalenceReport
 
 
@@ -115,6 +117,27 @@ def test_check_all_runs_falsifier_once(tmp_path, capsys, monkeypatch):
     checks = json.loads(out)["checks"]
     assert checks["positivity"] == json.loads(pos_only)["checks"]["positivity"]
     assert checks["cp"] == json.loads(cp_only)["checks"]["cp"]
+
+
+def test_check_reduces_each_entry_scale_once(tmp_path, capsys, monkeypatch):
+    # the invariance tolerance, the symmetry tolerance and the CP certificate
+    # all read the coefficient scale: one reduction per entry serves them
+    spec = str(tmp_path / "grid.json")
+    assert main(["gen", "dilation", "--algebra", "2", "--k", "3", "--n", "2", "--out", spec]) == 0
+    reduce = MultilinearMap.__dict__["_coefficient_scale"].func
+    reduced = []
+
+    def counting(phi):
+        reduced.append(id(phi))
+        return reduce(phi)
+
+    scale = functools.cached_property(counting)
+    scale.__set_name__(MultilinearMap, "_coefficient_scale")
+    monkeypatch.setattr(MultilinearMap, "_coefficient_scale", scale)
+    code, out = run(capsys, "check", spec, "--trials", "5")
+    assert code == 0
+    assert set(json.loads(out)["verdicts"]) == {"invariant", "symmetric", "positivity", "cp"}
+    assert len(reduced) == len(set(reduced)) == 4
 
 
 def test_equiv_fails_when_triples_do_not_dilate_the_map(tmp_path, capsys):
