@@ -18,9 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import AlgebraMismatchError
-
-HERMITIAN_TOL = 1e-10
-PSD_TOL = 1e-9
+from .tolerances import HERMITIAN_TOL, PSD_TOL
 
 
 class Algebra:
@@ -230,8 +228,8 @@ class AlgebraElement:
     def norm(self) -> float:
         return element_norm(self)
 
-    def is_positive(self, tol: float | None = None) -> bool:
-        return is_positive_element(self, tol)
+    def is_positive(self) -> bool:
+        return is_positive_element(self)
 
     def __add__(self, other):
         self._check(other)
@@ -256,7 +254,7 @@ class AlgebraElement:
         if not isinstance(other, AlgebraElement) or other.algebra != self.algebra:
             raise AlgebraMismatchError("elements belong to different algebras")
 
-    def allclose(self, other, atol: float = 1e-12) -> bool:
+    def allclose(self, other, atol: float) -> bool:
         self._check(other)
         return all(np.allclose(a, b, atol=atol) for a, b in zip(self.blocks, other.blocks))
 
@@ -284,19 +282,14 @@ def element_norm(x: AlgebraElement) -> float:
     return max(float(np.linalg.norm(blk, 2)) for blk in x.blocks)
 
 
-def is_positive_element(x: AlgebraElement, tol: float | None = None) -> bool:
-    """True iff x is Hermitian and PSD within tolerance.
-
-    Hermitian slack defaults to 1e-10 * max(1, ||x||); eigenvalue slack to
-    1e-9 * max(1, ||x||), matching double-precision eigensolver accuracy.
-    """
+def is_positive_element(x: AlgebraElement) -> bool:
+    """True iff x is Hermitian within HERMITIAN_TOL and PSD within PSD_TOL,
+    both times max(1, ||x||)."""
     scale = max(1.0, element_norm(x))
-    herm_tol = (HERMITIAN_TOL if tol is None else tol) * scale
-    eig_tol = (PSD_TOL if tol is None else tol) * scale
     for blk in x.blocks:
-        if np.abs(blk - blk.conj().T).max() > herm_tol:
+        if np.abs(blk - blk.conj().T).max() > HERMITIAN_TOL * scale:
             return False
-        if np.linalg.eigvalsh((blk + blk.conj().T) / 2).min() < -eig_tol:
+        if np.linalg.eigvalsh((blk + blk.conj().T) / 2).min() < -PSD_TOL * scale:
             return False
     return True
 
@@ -423,7 +416,7 @@ class MatrixOverAlgebra:
     def __rmul__(self, scalar):
         return MatrixOverAlgebra(self.algebra, scalar * self.coords)
 
-    def allclose(self, other, atol: float = 1e-12) -> bool:
+    def allclose(self, other, atol: float) -> bool:
         return np.allclose(self.coords, other.coords, atol=atol)
 
     def __repr__(self):

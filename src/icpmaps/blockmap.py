@@ -27,6 +27,7 @@ import numpy as np
 from .algebra import Amplification, MatrixOverAlgebra, amplified_algebra
 from .errors import AlgebraMismatchError, ArityError
 from .multimap import ChainGrid, MultilinearMap
+from .tolerances import coefficient_tol
 
 
 class BlockMultilinearMap:
@@ -140,8 +141,7 @@ class BlockMultilinearMap:
         )
 
     def block_is_symmetric(self, tol: float | None = None) -> bool:
-        if tol is None:
-            tol = 1e-9 * (1.0 + self.coefficient_scale())
+        tol = coefficient_tol(self.coefficient_scale()) if tol is None else tol
         return bool(self._symmetry_deviation <= tol)
 
     @functools.cached_property
@@ -159,9 +159,9 @@ class BlockMultilinearMap:
 
     # -- invariance ----------------------------------------------------------
 
-    def block_invariance_report(self, tol=None) -> dict:
+    def block_invariance_report(self) -> dict:
         """``induced_map().invariance_report(...)``, derived from the entries'
-        reports (each run with this tolerance) and (n, k).
+        reports (each run with the grid's tolerance) and (n, k).
 
         At k <= 2, and for n = 1, the identity over M_n(A) on matrix units is
         the entries' identities side by side, so the largest entry deviation
@@ -170,8 +170,7 @@ class BlockMultilinearMap:
         d = E_1j z break the rhs chain and leave phi_1j(x, y, z) = 0, so every
         coefficient is a deviation too.  ``tuples_checked`` sums the entries'
         visits; like theirs, the report is always exhaustive."""
-        if tol is None:
-            tol = 1e-9 * (1.0 + self.coefficient_scale())
+        tol = coefficient_tol(self.coefficient_scale())
         phis = [phi for row in self.entries for phi in row]
         reports = [phi.invariance_report(tol) for phi in phis]
         dev = max(r["max_deviation"] for r in reports)
@@ -185,11 +184,11 @@ class BlockMultilinearMap:
             "tuples_checked": sum(r["tuples_checked"] for r in reports),
         }
 
-    def block_is_invariant(self, tol=None) -> bool:
-        return self.block_invariance_report(tol)["invariant"]
+    def block_is_invariant(self) -> bool:
+        return self.block_invariance_report()["invariant"]
 
-    def entries_invariant(self, tol=None) -> list[list[bool]]:
-        return [[phi.is_invariant(tol) for phi in row] for row in self.entries]
+    def entries_invariant(self) -> list[list[bool]]:
+        return [[phi.is_invariant() for phi in row] for row in self.entries]
 
     def __repr__(self):
         return (

@@ -1,8 +1,9 @@
 """Command-line front end: load specs, run analyses, emit deterministic JSON.
 
 Subcommands: validate | check | dilate | equiv | russo-dye | gen.
-All randomness sits behind --seed and every report echoes the seeds and
-tolerances it used, so identical inputs produce byte-identical reports.
+All randomness sits behind --seed, every report echoes the seeds it used,
+and every threshold a verdict rests on is fixed in ``tolerances``, so
+identical inputs produce byte-identical reports.
 
 Exit codes: 0 pass, 1 assertion failure (with witness), 2 input error,
 3 construction obstruction (descent failure or, for dilate, non-PSD Gram),
@@ -27,15 +28,8 @@ from .errors import (
 )
 from .gram import admissibility_report, build_gram, cp_refute, gram_is_psd, positivity_falsify
 from .multimap import MultilinearMap, amplified_evaluate
-from .stinespring import (
-    CERTIFICATE_TOLS,
-    EQUIVALENCE_TOLS,
-    RANK_TOL,
-    dilate,
-    minimal_compress,
-    unitary_equivalence,
-    verify_dilation,
-)
+from .stinespring import dilate, minimal_compress, unitary_equivalence, verify_dilation
+from .tolerances import EQUIVALENCE_TOLS, RANK_TOL, certifies
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -64,16 +58,6 @@ def _emit(report: dict, out: str | None) -> None:
             raise SpecFormatError(f"cannot write report to {out!r}: {exc}") from exc
     else:
         sys.stdout.write(text)
-
-
-def _certifies(block, residuals) -> bool:
-    """Whether dilation residuals are small enough to certify the triple
-    dilates ``block``: the thresholds of the CP certificate."""
-    scale = 1.0 + block.coefficient_scale()
-    return (
-        residuals.reconstruction <= CERTIFICATE_TOLS["reconstruction"] * scale
-        and residuals.max_structural() <= CERTIFICATE_TOLS["structural"]
-    )
 
 
 def _require_trials(args) -> None:
@@ -191,7 +175,7 @@ def cmd_check(args) -> int:
             else:
                 triple = dilate(block)
                 residuals = verify_dilation(block, triple)
-                certified = _certifies(block, residuals)
+                certified = certifies(residuals, block.coefficient_scale())
                 checks["cp"] = {
                     "gram_psd": True,
                     "gram_min_eigenvalue": min_eig,
@@ -264,7 +248,8 @@ def cmd_equiv(args) -> int:
         _emit({"command": "equiv", "error": str(exc)}, args.out)
         return EXIT_FAIL
     # an equivalence between triples that do not dilate the map proves nothing about it
-    ok = eq.within() and _certifies(block, res1) and _certifies(block, res2)
+    scale = block.coefficient_scale()
+    ok = eq.within() and certifies(res1, scale) and certifies(res2, scale)
     report = {
         "command": "equiv",
         "map": _map_summary(obj),
@@ -431,10 +416,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return EXIT_INPUT
-    except NotCompletelyPositiveError as exc:
-        sys.stderr.write(f"construction obstruction: {exc}\n")
-        return EXIT_OBSTRUCTION
-    except QuotientDescentError as exc:
+    except (NotCompletelyPositiveError, QuotientDescentError) as exc:
         sys.stderr.write(f"construction obstruction: {exc}\n")
         return EXIT_OBSTRUCTION
 

@@ -19,13 +19,13 @@ from typing import Sequence
 
 import numpy as np
 
+from . import serialize
 from .algebra import Algebra, MatrixOverAlgebra
 from .blockmap import BlockMultilinearMap
 from .errors import SpecFormatError
 from .multimap import MultilinearMap, arity_midpoint
 from .stinespring import DilationTriple, commutation_residual, law_residuals, theorem_form_values
-
-REP_TOL = 1e-10
+from .tolerances import REP_TOL
 
 
 # -- representations ------------------------------------------------------
@@ -38,10 +38,9 @@ def representation_residuals(algebra: Algebra, images: np.ndarray) -> dict:
     return {name: value for name, value in laws if name != "commutation"}
 
 
-def validate_representation(algebra: Algebra, images: np.ndarray, tol: float = REP_TOL) -> None:
+def validate_representation(algebra: Algebra, images: np.ndarray) -> None:
     res = representation_residuals(algebra, images)
-    worst = max(res.values())
-    if worst > tol:
+    if max(res.values()) > REP_TOL:
         raise ValueError(f"not a unital *-homomorphism (residuals {res})")
 
 
@@ -445,8 +444,6 @@ def from_generator_spec(spec: dict):
         dim = _spec_int(kind, "dim", spec.get("dim", 2))
         return point_evaluation_example(dim, _spec_int(kind, "point", spec.get("point", 0), 0, dim))
     if kind == "schur":
-        from . import serialize
-
         if "lam" not in spec:
             raise SpecFormatError("schur spec needs a 'lam' matrix")
         return schur_block_map(serialize.matrix_from_json(spec["lam"]))
@@ -454,12 +451,13 @@ def from_generator_spec(spec: dict):
         return noninvariant_block_example()
     if kind == "dilation":
         try:
-            blocks = spec["algebra"]["blocks"]
+            algebra = serialize.algebra_from_json(spec["algebra"])
             k = _spec_int(kind, "k", spec["k"])
-        except (KeyError, TypeError) as exc:
+        except KeyError as exc:
             raise SpecFormatError(f"dilation spec missing field: {exc}") from exc
         n = _spec_int(kind, "n", spec.get("n", 1))
         h = _spec_int(kind, "h", spec.get("h", 1))
-        block, _ = random_icp(Algebra(blocks), k, n, h, seed=int(spec.get("seed", 0)))
+        seed = _spec_int(kind, "seed", spec.get("seed", 0), low=0)
+        block, _ = random_icp(algebra, k, n, h, seed=seed)
         return block
     raise SpecFormatError(f"unknown generator kind {kind!r}")

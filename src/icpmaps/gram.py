@@ -35,10 +35,8 @@ from .algebra import (
 from .blockmap import as_block_map
 from .errors import NonHermitianGramError
 from .multimap import MultilinearMap, amplified_evaluate
+from .tolerances import FALSIFIER_TOL, GRAM_HERMITIAN_TOL, GRAM_PSD_TOL, PALINDROME_TOL
 
-FALSIFIER_TOL = 1e-8
-GRAM_PSD_TOL = 1e-9
-GRAM_HERMITIAN_TOL = 1e-8
 # rows of the Gram per pass of the Hermiticity check: 256 rows of an N = 2048 Gram are 8 MiB
 GRAM_CHUNK_ROWS = 256
 
@@ -77,7 +75,7 @@ def sample_admissible_tuple(
     return stacks
 
 
-def admissibility_report(mats: Sequence[MatrixOverAlgebra], tol: float = 1e-12) -> dict:
+def admissibility_report(mats: Sequence[MatrixOverAlgebra]) -> dict:
     """Check the palindromic condition and (odd k) middle positivity."""
     k = len(mats)
     amp = amplified_algebra(mats[0].algebra, mats[0].t)
@@ -86,7 +84,7 @@ def admissibility_report(mats: Sequence[MatrixOverAlgebra], tol: float = 1e-12) 
         dev = float(np.abs(mats[i].coords - mats[k - 1 - i].star().coords).max())
         palindrome_dev = max(palindrome_dev, dev)
     report = {
-        "palindromic": palindrome_dev <= tol,
+        "palindromic": palindrome_dev <= PALINDROME_TOL,
         "palindrome_deviation": palindrome_dev,
     }
     if k % 2 == 1:
@@ -124,7 +122,6 @@ def positivity_falsify(
     levels: Sequence[int] = (1, 2),
     trials: int = 500,
     seed: int = 0,
-    tol: float = FALSIFIER_TOL,
 ) -> Counterexample | None:
     """Search for an admissible tuple whose value has a negative eigenvalue.
 
@@ -153,7 +150,7 @@ def positivity_falsify(
             herm = (values + values.conj().swapaxes(1, 2)) / 2.0
             lowest = np.linalg.eigvalsh(herm).min(axis=1)
             scale = 1.0 + np.abs(values).max(axis=(1, 2))
-            hits = np.flatnonzero(lowest < -tol * scale)
+            hits = np.flatnonzero(lowest < -FALSIFIER_TOL * scale)
             if len(hits):
                 r = hits[0]
                 return Counterexample(
@@ -354,8 +351,7 @@ def gram_is_psd(gram: GramKernel, tol: float | None = None) -> tuple[bool, float
             "source map is malformed or not symmetric"
         )
     min_eig = gram.extreme_eigenvalues()[0]
-    if tol is None:
-        tol = GRAM_PSD_TOL * max(1.0, gram.spectral_norm())
+    tol = GRAM_PSD_TOL * max(1.0, gram.spectral_norm()) if tol is None else tol
     return bool(min_eig >= -tol), min_eig
 
 
@@ -377,14 +373,14 @@ class RefutationRecord:
         }
 
 
-def cp_refute(phi, tol: float | None = None) -> RefutationRecord | None:
+def cp_refute(phi) -> RefutationRecord | None:
     """Sound CP refuter: a negative Gram eigenvalue certifies non-CP.
 
     Returns None when the Gram is PSD; that alone is inconclusive (the
     certificate path is a successful dilation).
     """
     gram = build_gram(phi)
-    psd, min_eig = gram_is_psd(gram, tol)
+    psd, min_eig = gram_is_psd(gram)
     if psd:
         return None
     return RefutationRecord(

@@ -36,6 +36,7 @@ import numpy as np
 
 from .algebra import Algebra, AlgebraElement, MatrixOverAlgebra
 from .errors import AlgebraMismatchError, ArityError
+from .tolerances import coefficient_tol
 
 # Support tuples gathered at once: bounds the gather's temporaries to a few
 # hundred rows of coefficient blocks per factorization choice.
@@ -149,10 +150,8 @@ class MultilinearMap:
         return float(np.abs(self.coeffs.reshape(flat.shape) - flat.swapaxes(1, 2)).max())
 
     def is_symmetric(self, tol: float | None = None) -> bool:
-        dev = self.adjoint_deviation(self)
-        if tol is None:
-            tol = 1e-9 * (1.0 + self.coefficient_scale())
-        return bool(dev <= tol)
+        tol = coefficient_tol(self.coefficient_scale()) if tol is None else tol
+        return bool(self.adjoint_deviation(self) <= tol)
 
     # -- amplification -----------------------------------------------------
 
@@ -176,8 +175,8 @@ class MultilinearMap:
 
     # -- invariance ---------------------------------------------------------
 
-    def is_invariant(self, tol: float | None = None) -> bool:
-        return self.invariance_report(tol)["invariant"]
+    def is_invariant(self) -> bool:
+        return self.invariance_report()["invariant"]
 
     def invariance_report(self, tol: float | None = None) -> dict:
         """Check the left-factor migration identities.
@@ -195,8 +194,7 @@ class MultilinearMap:
         Every report is exhaustive; the pass runs once per map and serves
         every tolerance.
         """
-        if tol is None:
-            tol = 1e-9 * (1.0 + self.coefficient_scale())
+        tol = coefficient_tol(self.coefficient_scale()) if tol is None else tol
         dev, checked = self._invariance_deviation
         return {
             "invariant": bool(dev <= tol),

@@ -50,8 +50,8 @@ from .blockmap import BlockMultilinearMap, as_block_map
 from .gram import positivity_falsify
 from .multimap import MultilinearMap, amplified_evaluate
 from .stinespring import DilationTriple, dilate
+from .tolerances import RELATIVE_MARGIN, V_BOUND_TOL
 
-RELATIVE_MARGIN = 1e-6
 BACKTRACK_STEPS = 12
 # a step is taken only when it raises sigma by more than this relative amount,
 # so last-bit round-off in the map cannot decide how long the ascent runs
@@ -231,6 +231,8 @@ def norm_estimate(
         raise ValueError(f"level must be >= 1, got {t}")
     if restarts < 1:
         raise ValueError(f"need at least one restart, got {restarts}")
+    if iters < 0:
+        raise ValueError(f"iters must be >= 0, got {iters}")
     block = as_block_map(phi)
     pinned = dict(pinned or {})
     for slot, mat in pinned.items():
@@ -402,7 +404,7 @@ def cb_russo_dye_check(
         for t in range(1, t_max + 1)
     ]
     per_level = [e.value <= u_norm * (1.0 + RELATIVE_MARGIN) for e in estimates]
-    consistent = abs(v_bound - u_norm) <= 1e-8 * (1.0 + u_norm)
+    consistent = abs(v_bound - u_norm) <= V_BOUND_TOL * (1.0 + u_norm)
     return CbRussoDyeReport(
         unit_norm=u_norm,
         v_bound=v_bound,

@@ -10,6 +10,7 @@ code.
 
 from __future__ import annotations
 
+import itertools
 import math
 from json.encoder import encode_basestring_ascii
 
@@ -138,8 +139,8 @@ def matrix_from_json(data, shape=None, what: str = "matrix") -> np.ndarray:
     """Nested [re, im] pairs as a complex128 array of ``shape`` (any matrix
     when None), from one conversion that infers the entries' type; the
     complex view keeps every double as written, -0.0 and infinities
-    included.  Strings, booleans and nulls are refused.  ``what`` names the
-    array in error messages."""
+    included.  Strings, nulls and booleans, also among numbers, are
+    refused.  ``what`` names the array in error messages."""
     try:
         entries = np.asarray(data)
     except ValueError as exc:  # ragged lists
@@ -149,6 +150,12 @@ def matrix_from_json(data, shape=None, what: str = "matrix") -> np.ndarray:
         raise SpecFormatError(f"malformed {what}: {kind} entries, expected numbers")
     if entries.dtype.kind == "O":  # a null, an integer beyond int64 or a non-list among the numbers
         _check_leaves(data, what)
+    elif entries.ndim:  # a boolean beside numbers reads as 0 or 1: one C-speed pass over the leaves
+        leaves = data
+        for _ in range(entries.ndim - 1):
+            leaves = itertools.chain.from_iterable(leaves)
+        if bool in map(type, leaves):
+            raise SpecFormatError(f"malformed {what}: bool entry")
     try:
         pairs = np.ascontiguousarray(entries, dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -183,7 +190,7 @@ def algebra_from_json(data) -> Algebra:
     if (
         not isinstance(blocks, list)
         or not blocks
-        or any(not isinstance(b, int) or b < 1 for b in blocks)
+        or any(not isinstance(b, int) or isinstance(b, bool) or b < 1 for b in blocks)
     ):
         raise SpecFormatError(f"'blocks' must be a non-empty list of positive integers, got {blocks!r}")
     return Algebra(blocks)
@@ -263,7 +270,8 @@ def block_from_json(data) -> BlockMultilinearMap:
     except (KeyError, TypeError, ValueError) as exc:
         raise SpecFormatError(f"malformed block spec: {exc}") from exc
     if not isinstance(flat, list) or len(flat) != n * n:
-        raise SpecFormatError(f"block spec needs {n * n} entry maps (row-major), got {len(flat)}")
+        got = len(flat) if isinstance(flat, list) else type(flat).__name__
+        raise SpecFormatError(f"block spec needs a list of {n * n} entry maps (row-major), got {got}")
     maps = [map_from_json(item) for item in flat]
     grid = [maps[i * n : (i + 1) * n] for i in range(n)]
     return BlockMultilinearMap(grid)

@@ -31,13 +31,8 @@ from .algebra import Algebra, AlgebraElement
 from .blockmap import as_block_map
 from .errors import NotCompletelyPositiveError, QuotientDescentError
 from .gram import build_gram, gram_is_psd
+from .tolerances import DESCENT_TOL, EQUIVALENCE_TOLS, RANK_TOL
 
-RANK_TOL = 1e-10
-DESCENT_TOL = 1e-8
-# default bounds of EquivalenceReport.within, echoed by the equiv report
-EQUIVALENCE_TOLS = {"unitarity": 1e-9, "intertwining": 1e-7, "v_match": 1e-7}
-# CP certificate bounds: reconstruction relative to 1 + coefficient scale
-CERTIFICATE_TOLS = {"reconstruction": 1e-8, "structural": 1e-6}
 # _batched_opnorm_max: relative slack on its spectral-norm bounds, and the
 # bound below which squares and products of entries may underflow
 OPNORM_BOUND_SLACK = 1e-12
@@ -168,12 +163,7 @@ def _check_rank_tol(rank_tol: float) -> None:
         raise ValueError(f"rank_tol must be a finite number >= 0, got {rank_tol}")
 
 
-def dilate(
-    phi,
-    rank_tol: float = RANK_TOL,
-    psd_tol: float | None = None,
-    descent_tol: float = DESCENT_TOL,
-) -> DilationTriple:
+def dilate(phi, rank_tol: float = RANK_TOL) -> DilationTriple:
     """Construct a dilation triple from the Gram kernel.
 
     Raises :class:`NotCompletelyPositiveError` when the Gram has a genuinely
@@ -186,7 +176,7 @@ def dilate(
     alg, k, n, h, m = block.algebra, block.k, block.n, block.h, block.m
     d = alg.dim
     gram = build_gram(block)
-    psd, min_eig = gram_is_psd(gram, psd_tol)
+    psd, min_eig = gram_is_psd(gram)
     if not psd:
         raise NotCompletelyPositiveError(min_eig)
     lam_max = max(gram.extreme_eigenvalues()[1], 0.0)
@@ -210,7 +200,7 @@ def dilate(
             wlu = wl @ u
             # ||W L - (W L U_kappa) U_kappa*|| = ||W L (I - U_kappa U_kappa*)||: W L on ker G
             residual = float(np.linalg.norm(wl - wlu @ uh, 2)) if 0 < kappa < gram.size else 0.0
-            if residual > descent_tol * scale:
+            if residual > DESCENT_TOL * scale:
                 raise QuotientDescentError(p, b, residual)
             images[b] = wlu / root[None, :]  # W L W^+, with W^+ = U_kappa L_kappa^(-1/2)
         reps.append(images)
@@ -350,7 +340,7 @@ def theorem_form_values(
     return vals.transpose(list(np.argsort(order)) + [k, k + 1])
 
 
-def verify_dilation(phi, triple: DilationTriple, tol: float | None = None) -> DilationReport:
+def verify_dilation(phi, triple: DilationTriple) -> DilationReport:
     """Residuals of the reconstruction identity and of the structural laws."""
     block = as_block_map(phi)
     alg, k = block.algebra, block.k

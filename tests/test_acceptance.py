@@ -20,8 +20,9 @@ from icpmaps.factory import (
 )
 from icpmaps.gram import admissibility_report, build_gram, gram_is_psd
 from icpmaps.multimap import MultilinearMap, amplified_evaluate
-from icpmaps.norms import RELATIVE_MARGIN, brute_force_commutative_norm, norm_estimate, unit_norm
+from icpmaps.norms import brute_force_commutative_norm, norm_estimate, unit_norm
 from icpmaps.stinespring import dilate, minimal_compress, unitary_equivalence, verify_dilation
+from icpmaps.tolerances import RELATIVE_MARGIN
 from icpmaps.factory import commutative_invariant_family
 
 _CACHE: dict = {}

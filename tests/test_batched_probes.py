@@ -29,9 +29,10 @@ from icpmaps.algebra import (
 )
 from icpmaps.blockmap import as_block_map
 from icpmaps.factory import random_icp
-from icpmaps.gram import FALSIFIER_TOL, positivity_falsify, sample_admissible_tuple
+from icpmaps.gram import positivity_falsify, sample_admissible_tuple
 from icpmaps.multimap import MultilinearMap, amplified_evaluate
 from icpmaps.serialize import load_map_spec
+from icpmaps.tolerances import FALSIFIER_TOL
 
 # -- the one-at-a-time loops ---------------------------------------------------
 

@@ -12,7 +12,8 @@ from icpmaps import cli, serialize
 from icpmaps.cli import main
 from icpmaps.factory import point_evaluation_example, trace_example
 from icpmaps.multimap import MultilinearMap
-from icpmaps.stinespring import EQUIVALENCE_TOLS, EquivalenceReport
+from icpmaps.stinespring import EquivalenceReport
+from icpmaps.tolerances import EQUIVALENCE_TOLS
 
 
 def run(capsys, *argv):
@@ -484,3 +485,14 @@ def test_bad_rank_tol_is_input_error(tmp_path, rank_tol):
     assert proc.returncode == 2
     assert proc.stderr == f"input error: rank_tol must be a finite number >= 0, got {float(rank_tol)}\n"
     assert not out.exists()
+
+
+def test_negative_iters_is_input_error(tmp_path):
+    spec = write_spec(tmp_path, "trace.json", {"kind": "trace", "n": 2})
+    out = tmp_path / "report.json"
+    proc = _run_cli("russo-dye", spec, "--cb", "--iters", "-1", "--out", str(out))
+    assert (proc.returncode, proc.stderr) == (2, "input error: iters must be >= 0, got -1\n")
+    assert not out.exists()
+    proc = _run_cli("russo-dye", spec, "--cb", "--iters", "0", "--tmax", "1", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(out.read_text())["result"]["estimates"][0]["iters"] == 0

@@ -5,7 +5,6 @@ from icpmaps import factory
 from icpmaps.algebra import Algebra
 from icpmaps.errors import SpecFormatError
 from icpmaps.factory import (
-    REP_TOL,
     canonical_representation,
     commutation_residual,
     from_dilation_data,
@@ -21,6 +20,7 @@ from icpmaps.factory import (
 )
 from icpmaps.gram import build_gram, gram_is_psd, positivity_falsify
 from icpmaps.stinespring import dilate, verify_dilation
+from icpmaps.tolerances import REP_TOL
 
 
 def test_from_dilation_data_recovers_point_evaluation():
@@ -206,9 +206,9 @@ def test_random_icp_validates_only_the_factors(monkeypatch):
     shapes = []
     validate = factory.validate_representation
 
-    def counted(algebra, images, tol=REP_TOL):
+    def counted(algebra, images):
         shapes.append(images.shape[1])
-        return validate(algebra, images, tol)
+        return validate(algebra, images)
 
     monkeypatch.setattr(factory, "validate_representation", counted)
     _, triple = random_icp(Algebra([2]), 5, 1, 2, seed=0)
@@ -256,3 +256,23 @@ def test_generator_specs_build():
         from_generator_spec({"kind": "nope"})
     with pytest.raises(SpecFormatError):
         from_generator_spec({"kind": "dilation"})
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("seed", None, "field 'seed' is not an integer: None"),
+        ("seed", "x", "field 'seed' is not an integer"),
+        ("seed", -1, "field 'seed' must be >= 0, got -1"),
+        ("algebra", {"blocks": "22"}, "'blocks' must be a non-empty list of positive integers"),
+        ("algebra", {"blocks": [2.5]}, "'blocks' must be a non-empty list of positive integers"),
+        ("algebra", {"blocks": [True]}, "'blocks' must be a non-empty list of positive integers"),
+        ("algebra", [2], "algebra spec must be an object"),
+    ],
+)
+def test_dilation_spec_validates_seed_and_algebra(field, value, message):
+    # the seed was read with a bare int() and the blocks went straight to
+    # Algebra, which read "22" as M_2 + M_2, 2.5 as 2 and true as 1
+    spec = {"kind": "dilation", "algebra": {"blocks": [2]}, "k": 3, "n": 1, "h": 1, "seed": 0, field: value}
+    with pytest.raises(SpecFormatError, match=message):
+        from_generator_spec(spec)

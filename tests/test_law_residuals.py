@@ -7,7 +7,6 @@ import pytest
 from icpmaps import stinespring
 from icpmaps.algebra import Algebra
 from icpmaps.factory import (
-    REP_TOL,
     canonical_representation,
     commutation_residual,
     haar_unitary,
@@ -25,6 +24,7 @@ from icpmaps.stinespring import (
     pair_products,
     verify_dilation,
 )
+from icpmaps.tolerances import REP_TOL
 
 ALGEBRAS = [[2], [1, 1], [3], [2, 1]]
 

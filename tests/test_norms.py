@@ -203,3 +203,11 @@ def test_cb_checks_reject_a_highest_level_below_one(check, monkeypatch):
     for t_max in (0, -1):
         with pytest.raises(ValueError, match="highest level must be >= 1"):
             check(block, t_max=t_max)
+
+
+def test_norm_estimate_rejects_negative_iters():
+    # -1 ran no sweep and reported "iters": -1; 0 (the starts only) stays legal
+    phi = trace_example(2)
+    with pytest.raises(ValueError, match="iters must be >= 0, got -1"):
+        norm_estimate(phi, t=1, restarts=1, iters=-1)
+    assert norm_estimate(phi, t=1, restarts=1, iters=0).restart_sweeps == [0]

@@ -305,3 +305,37 @@ def test_matrix_from_json_rejects_malformed_entries():
             serialize.matrix_from_json(bad, (2, 2))
     # NaN written by json is a value, not a null
     assert math.isnan(serialize.matrix_from_json([[[math.nan, 0.0]]], (1, 1))[0, 0].real)
+
+
+def test_matrix_from_json_refuses_a_boolean_among_numbers(tmp_path):
+    # float64 inference reads true beside numbers as 1.0, and beside integers as 1
+    with pytest.raises(SpecFormatError, match="bool entry"):
+        serialize.matrix_from_json([[[True, 1.5]]])
+    with pytest.raises(SpecFormatError, match="bool entry"):
+        serialize.matrix_from_json([[[1, 0], [0, False]]], (1, 2))
+    with pytest.raises(SpecFormatError, match="bool entry"):  # a vector
+        serialize.matrix_from_json([[0.5, 0.0], [False, 2.0]], (2,))
+    coeffs = serialize.map_to_json(point_evaluation_example(2))
+    coeffs = json.loads(serialize.dumps(coeffs))
+    coeffs["coeffs"][1][0][1][0][0][1] = True  # a coefficient tensor
+    with pytest.raises(SpecFormatError, match="map coefficients: bool entry"):
+        serialize.map_from_json(coeffs)
+    assert _schur_spec_exit(tmp_path, [[[True, 0.0], [0.5, 0.0]], [[0.5, 0.0], [1.0, 0.0]]]) == 2
+    assert serialize.matrix_from_json([[[1, 0], [0.5, -2]]], (1, 2))[0, 1] == 0.5 - 2j
+
+
+def test_algebra_from_json_refuses_booleans():
+    for bad in ([True], [2, False], [1, True]):
+        with pytest.raises(SpecFormatError, match="positive integers"):
+            serialize.algebra_from_json({"blocks": bad})
+    spec = json.loads(serialize.dumps(serialize.map_to_json(point_evaluation_example(1))))
+    spec["algebra"]["blocks"] = [True]  # loaded as M_1 before
+    with pytest.raises(SpecFormatError, match="positive integers"):
+        serialize.load_map_spec(spec)
+
+
+def test_block_spec_entries_must_be_a_list():
+    with pytest.raises(SpecFormatError, match="needs a list of 1 entry maps .*got int$"):
+        serialize.block_from_json({"n": 1, "entries": 5})
+    with pytest.raises(SpecFormatError, match="needs a list of 4 entry maps .*got 1"):
+        serialize.block_from_json({"n": 2, "entries": [{}]})
