@@ -4,6 +4,11 @@ verification battery: exhaustive invariance, Gram positivity, dilation
 round-trips, minimality and unitary equivalence, and the amplified-norm
 attainment inequalities.
 
+The canonical minimal triple of the dilation and that of the generator's
+provenance triple must agree within CANONICAL_TOL, and their walks must keep
+the same columns of the spanning family: the uniqueness theorem makes the
+two one triple.
+
 Every entry map must be invariant by an exhaustive check. The block map must
 be too where block invariance can hold (n = 1 or k <= 2); elsewhere its
 report is printed as information.
@@ -26,6 +31,15 @@ from icpmaps.factory import build_corpus
 from icpmaps.gram import build_gram, gram_is_psd, positivity_falsify
 from icpmaps.norms import norm_estimate, unit_norm
 from icpmaps.stinespring import dilate, minimal_compress, unitary_equivalence, verify_dilation
+
+CANONICAL_TOL = 1e-12  # max entry difference between the two canonical minimal triples
+
+
+def canonical_distance(t1, t2) -> float:
+    """Largest entry difference of the reps and V of two triples (inf when kappa differs)."""
+    if t1.kappa != t2.kappa:
+        return np.inf
+    return max(float(np.abs(x - y).max(initial=0.0)) for x, y in zip(t1.reps + t1.V, t2.reps + t2.V))
 
 
 def main() -> int:
@@ -50,6 +64,8 @@ def main() -> int:
         "unitarity": 0.0,
         "intertwining": 0.0,
         "v_match": 0.0,
+        "canonical": 0.0,
+        "smallest_kept": np.inf,
         "norm_gap": -np.inf,
     }
     failures = []
@@ -82,8 +98,16 @@ def main() -> int:
         worst["structural"] = max(worst["structural"], report.max_structural())
         if report.reconstruction > 1e-8 * scale or report.max_structural() > 1e-9:
             failures.append((entry.name, "round-trip residual"))
-        t1, _ = minimal_compress(triple)
-        t2, _ = minimal_compress(entry.triple)
+        t1, walk1 = minimal_compress(triple)
+        t2, walk2 = minimal_compress(entry.triple)
+        canonical = canonical_distance(t1, t2)
+        worst["canonical"] = max(worst["canonical"], canonical)
+        kept = [w.smallest_kept for w in (walk1, walk2) if w.smallest_kept is not None]
+        worst["smallest_kept"] = min([worst["smallest_kept"]] + kept)
+        if canonical > CANONICAL_TOL:
+            failures.append((entry.name, f"canonical minimal triples differ by {canonical:.1e}"))
+        if walk1.kept_columns != walk2.kept_columns:
+            failures.append((entry.name, "canonical walks keep different columns"))
         eq = unitary_equivalence(t1, t2)
         worst["unitarity"] = max(worst["unitarity"], eq.unitarity)
         worst["intertwining"] = max(worst["intertwining"], eq.intertwining)
@@ -92,7 +116,8 @@ def main() -> int:
             failures.append((entry.name, "uniqueness residual"))
         line = (
             f"  {entry.name:<22} {invariance:<24} kappa={triple.kappa:<3} grambound={rel_eig:+.1e} "
-            f"recon={report.reconstruction:.1e} equiv={max(eq.unitarity, eq.intertwining, eq.v_match):.1e}"
+            f"recon={report.reconstruction:.1e} equiv={max(eq.unitarity, eq.intertwining, eq.v_match):.1e} "
+            f"canonical={canonical:.1e}"
         )
         if args.falsifier_trials:
             ce = positivity_falsify(

@@ -225,12 +225,15 @@ def cmd_dilate(args) -> int:
     obj = serialize.load_map_spec(data)
     block = as_block_map(obj)
     triple = dilate(block, rank_tol=args.rank_tol)
+    walk = None
     if args.minimal:
-        triple, _report = minimal_compress(triple, rank_tol=args.rank_tol)
+        triple, walk = minimal_compress(triple, rank_tol=args.rank_tol)
     residuals = verify_dilation(block, triple)
     report = serialize.triple_to_json(triple, residuals.to_dict())
     report["command"] = "dilate"
     report["minimal"] = bool(args.minimal)
+    if walk is not None:
+        report["minimality"] = walk.to_dict()
     _emit(report, args.out)
     return EXIT_PASS
 

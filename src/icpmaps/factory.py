@@ -422,10 +422,7 @@ def build_corpus(seed: int = 0) -> list[CorpusEntry]:
 
 def _spec_int(kind: str, key: str, value, low: int = 1, high: int | None = None) -> int:
     """Integer field of a generator spec, checked to lie in [low, high)."""
-    try:
-        value = int(value)
-    except (TypeError, ValueError) as exc:
-        raise SpecFormatError(f"{kind} spec field {key!r} is not an integer: {value!r}") from exc
+    value = serialize.json_int(value, f"{kind} spec field {key!r}")
     if value < low or (high is not None and value >= high):
         bound = f">= {low}" if high is None else f"in [{low}, {high})"
         raise SpecFormatError(f"{kind} spec field {key!r} must be {bound}, got {value}")

@@ -202,6 +202,13 @@ class _AscentProblem:
         return mats, np.linalg.norm(self.value(mats), 2, axis=(1, 2)), sweeps, stops
 
 
+def _check_ascent(restarts: int, iters: int) -> None:
+    if restarts < 1:
+        raise ValueError(f"need at least one restart, got {restarts}")
+    if iters < 0:
+        raise ValueError(f"iters must be >= 0, got {iters}")
+
+
 def norm_estimate(
     phi,
     t: int = 1,
@@ -229,10 +236,7 @@ def norm_estimate(
     """
     if t < 1:
         raise ValueError(f"level must be >= 1, got {t}")
-    if restarts < 1:
-        raise ValueError(f"need at least one restart, got {restarts}")
-    if iters < 0:
-        raise ValueError(f"iters must be >= 0, got {iters}")
+    _check_ascent(restarts, iters)
     block = as_block_map(phi)
     pinned = dict(pinned or {})
     for slot, mat in pinned.items():
@@ -394,6 +398,7 @@ def cb_russo_dye_check(
     """
     if t_max < 1:
         raise ValueError(f"highest level must be >= 1, got {t_max}")
+    _check_ascent(restarts, iters)  # before the dilation, whose cost a malformed call should not pay
     block = as_block_map(phi)
     if triple is None:
         triple = dilate(block)

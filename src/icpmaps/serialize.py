@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -123,6 +124,14 @@ def _array_text(arr: np.ndarray, level: int) -> str:
 # -- scalars / matrices -----------------------------------------------------
 
 
+def json_int(value, what: str) -> int:
+    """An integer field as JSON writes one: booleans, floats (also 3.0) and
+    numeric strings are refused.  ``what`` names the field in the message."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise SpecFormatError(f"{what} is not an integer: {value!r}")
+    return int(value)
+
+
 def complex_to_pair(z) -> list[float]:
     z = complex(z)
     return [float(z.real), float(z.imag)]
@@ -220,7 +229,7 @@ def matrix_over_algebra_to_json(mat: MatrixOverAlgebra) -> dict:
 def matrix_over_algebra_from_json(data) -> MatrixOverAlgebra:
     try:
         algebra = algebra_from_json(data["algebra"])
-        t = int(data["t"])
+        t = json_int(data["t"], "matrix-over-algebra field 't'")
         entries = data["entries"]
     except (KeyError, TypeError) as exc:
         raise SpecFormatError(f"malformed matrix-over-algebra: {exc}") from exc
@@ -245,8 +254,8 @@ def map_to_json(phi: MultilinearMap) -> dict:
 def map_from_json(data) -> MultilinearMap:
     try:
         algebra = algebra_from_json(data["algebra"])
-        k = int(data["k"])
-        h = int(data["h"])
+        k = json_int(data["k"], "'k'")
+        h = json_int(data["h"], "'h'")
         raw = data["coeffs"]
     except (KeyError, TypeError, ValueError) as exc:
         raise SpecFormatError(f"malformed map spec: {exc}") from exc
@@ -265,7 +274,7 @@ def block_to_json(block: BlockMultilinearMap) -> dict:
 
 def block_from_json(data) -> BlockMultilinearMap:
     try:
-        n = int(data["n"])
+        n = json_int(data["n"], "'n'")
         flat = data["entries"]
     except (KeyError, TypeError, ValueError) as exc:
         raise SpecFormatError(f"malformed block spec: {exc}") from exc
@@ -323,10 +332,7 @@ def triple_from_json(data):
 
     try:
         algebra = algebra_from_json(data["algebra"])
-        k = int(data["k"])
-        n = int(data["n"])
-        h = int(data["h"])
-        kappa = int(data["kappa"])
+        k, n, h, kappa = (json_int(data[key], repr(key)) for key in ("k", "n", "h", "kappa"))
         reps_raw = data["reps"]
         v_raw = data["V"]
     except (KeyError, TypeError, ValueError) as exc:

@@ -1,5 +1,5 @@
 """Dilation triples: construction from the Gram kernel, verification,
-minimal compression, and unitary equivalence.
+canonical minimal compression, and unitary equivalence.
 
 The quotient of A^{tensor m} (x) H^n by the null space of the Gram form is
 realized numerically through a truncated eigendecomposition G = U L U*,
@@ -22,7 +22,7 @@ and for k = 2m the p-th factor receives a_{m-p+1} a_{m+p}.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -119,17 +119,20 @@ class DilationReport:
 
 @dataclass
 class MinimalityReport:
+    """The walk of ``_canonical_basis``: ``spanning_rank`` columns kept of a
+    kappa-dimensional space, and the margins of its cut, each a residual
+    over the largest column norm (``smallest_kept`` is None when no column
+    is kept).  ``kept_columns`` are the kept columns' indices."""
+
     spanning_rank: int
     kappa: int
     is_minimal: bool
-    singular_values: np.ndarray = field(repr=False, default=None)
+    smallest_kept: float | None
+    largest_rejected: float
+    kept_columns: tuple = field(repr=False)
 
     def to_dict(self) -> dict:
-        return {
-            "spanning_rank": self.spanning_rank,
-            "kappa": self.kappa,
-            "is_minimal": self.is_minimal,
-        }
+        return {key: value for key, value in asdict(self).items() if key != "kept_columns"}
 
 
 @dataclass
@@ -145,12 +148,7 @@ class EquivalenceReport:
         return all(getattr(self, name) <= tol for name, tol in EQUIVALENCE_TOLS.items())
 
     def to_dict(self) -> dict:
-        return {
-            "unitarity": self.unitarity,
-            "intertwining": self.intertwining,
-            "v_match": self.v_match,
-            "kappa": self.kappa,
-        }
+        return {name: getattr(self, name) for name in ("unitarity", "intertwining", "v_match", "kappa")}
 
 
 # -- quotient machinery ---------------------------------------------------
@@ -207,18 +205,8 @@ def dilate(phi, rank_tol: float = RANK_TOL) -> DilationTriple:
     # V_j = W iota_j, iota_j : H -> A^{tensor m} (x) H^n sends f to 1 x .. x 1 x (f at slot j)
     unit = alg.identity_coords[digits].prod(axis=0)
     v_ops = tuple(w @ np.kron(np.outer(unit, slot).reshape(-1, 1), np.eye(h)) for slot in np.eye(n))
-    return DilationTriple(
-        algebra=alg,
-        k=k,
-        n=n,
-        h=h,
-        kappa=kappa,
-        reps=tuple(reps),
-        V=v_ops,
-        W=w,
-        rank_tol=rank_tol,
-        meta={"gram_min_eigenvalue": min_eig, "source": "gram-quotient"},
-    )
+    meta = {"gram_min_eigenvalue": min_eig, "source": "gram-quotient"}
+    return DilationTriple(alg, k, n, h, kappa, tuple(reps), v_ops, W=w, rank_tol=rank_tol, meta=meta)
 
 
 # -- verification -----------------------------------------------------------
@@ -377,63 +365,76 @@ def _reconstruction_residual(block, vals: np.ndarray) -> float:
 # -- minimality and uniqueness ------------------------------------------------
 
 
+def _canonical_basis(span: np.ndarray, rank_tol: float = RANK_TOL) -> tuple[np.ndarray, MinimalityReport]:
+    """Walk the columns of ``span`` in order, keeping each whose residual
+    against the columns kept before it exceeds ``rank_tol`` times the largest
+    column norm; return Q of the kept columns' QR with a positive diagonal in
+    R (their Gram-Schmidt basis) and the walk's report.  The walk and R read
+    only inner products, so U span keeps the same columns and gives U Q.
+
+    Each step finds the first column above the cut, keeps the run of columns
+    from there whose QR diagonal stays above it (each one's residual against
+    the run before it), and removes the run from the later residuals."""
+    res, kept, margins, rejected, start = span.copy(), [], [], 0.0, 0
+    tail = np.linalg.norm(res, axis=0)
+    top = float(tail.max(initial=0.0))
+    cut, kappa = rank_tol * top, span.shape[0]
+    while True:
+        above = np.flatnonzero(tail > cut) if len(kept) < kappa else ()
+        first = above[0] if len(above) else len(tail)
+        rejected = max(rejected, float(tail[:first].max(initial=0.0)))
+        if first == len(tail):
+            break
+        start += first
+        q, r = np.linalg.qr(res[:, start : start + kappa - len(kept)])
+        diag = np.abs(np.diag(r))
+        run = 1 + int(np.argmin(np.append(diag[1:] > cut, False)))
+        kept += range(start, start + run)
+        margins += diag[:run].tolist()
+        start += run
+        res[:, start:] -= q[:, :run] @ (q[:, :run].conj().T @ res[:, start:])
+        tail = np.linalg.norm(res[:, start:], axis=0)
+    q, r = np.linalg.qr(span[:, kept])
+    scale = top if top > 0 else 1.0
+    smallest = min(margins) / scale if margins else None
+    report = MinimalityReport(len(kept), kappa, len(kept) == kappa, smallest, rejected / scale, tuple(kept))
+    return q * (np.diag(r) / np.abs(np.diag(r))), report
+
+
 def minimal_compress(
     triple: DilationTriple, rank_tol: float = RANK_TOL
 ) -> tuple[DilationTriple, MinimalityReport]:
-    """Restrict to the closed span of representation products applied to
-    sum_j V_j H; the compressed triple still dilates the same map."""
+    """The canonical minimal triple: restrict to the span of representation
+    products applied to sum_j V_j H, in the basis Q that ``_canonical_basis``
+    fixes on ``spanning_matrix``.  It still dilates the same map, and
+    unitarily equivalent triples compress to the same one."""
     _check_rank_tol(rank_tol)
-    span = triple.spanning_matrix()
-    if triple.kappa == 0 or span.size == 0:
-        return triple, MinimalityReport(0, triple.kappa, triple.kappa == 0, np.zeros(0))
-    u, s, _ = np.linalg.svd(span, full_matrices=False)
-    rank = int((s > rank_tol * s[0]).sum()) if s.size and s[0] > 0 else 0
-    q = u[:, :rank]
-    reps = tuple(
-        np.einsum("iu,aij,jv->auv", q.conj(), rp, q, optimize=True) for rp in triple.reps
-    )
-    v_ops = tuple(q.conj().T @ vj for vj in triple.V)
-    compressed = DilationTriple(
-        algebra=triple.algebra,
-        k=triple.k,
-        n=triple.n,
-        h=triple.h,
-        kappa=rank,
-        reps=reps,
-        V=v_ops,
-        W=(q.conj().T @ triple.W) if triple.W is not None else None,
+    q, report = _canonical_basis(triple.spanning_matrix(), rank_tol)
+    qh = q.conj().T
+    compressed = replace(
+        triple,
+        kappa=report.spanning_rank,
+        reps=tuple(qh @ rp @ q for rp in triple.reps),
+        V=tuple(qh @ vj for vj in triple.V),
+        W=(qh @ triple.W) if triple.W is not None else None,
         rank_tol=rank_tol,
         meta={**triple.meta, "compressed_from": triple.kappa},
-    )
-    report = MinimalityReport(
-        spanning_rank=rank,
-        kappa=triple.kappa,
-        is_minimal=(rank == triple.kappa),
-        singular_values=s,
     )
     return compressed, report
 
 
-def _assert_minimal(triple: DilationTriple, span: np.ndarray, rank_tol: float) -> None:
-    if triple.kappa == 0:
-        return
-    s = np.linalg.svd(span, compute_uv=False)
-    rank = int((s > rank_tol * s[0]).sum()) if s.size and s[0] > 0 else 0
-    if rank != triple.kappa:
-        raise ValueError(
-            f"triple is not minimal: spanning rank {rank} < dimension {triple.kappa}"
-        )
-
-
-def unitary_equivalence(
-    t1: DilationTriple, t2: DilationTriple, rank_tol: float = RANK_TOL
-) -> EquivalenceReport:
-    """Assemble the intertwining unitary by least squares over the spanning
-    family and measure how unitary and intertwining it actually is."""
-    prod1, prod2 = t1.product_tensor(), t2.product_tensor()
-    span1, span2 = t1.spanning_matrix(prod1), t2.spanning_matrix(prod2)
-    _assert_minimal(t1, span1, rank_tol)
-    _assert_minimal(t2, span2, rank_tol)
+def unitary_equivalence(t1: DilationTriple, t2: DilationTriple) -> EquivalenceReport:
+    """U = Q_2 Q_1* from the canonical bases of both triples' spanning
+    families, and how unitary and intertwining it actually is."""
+    prods, bases = [], []
+    for triple in (t1, t2):
+        prods.append(triple.product_tensor())
+        q, walk = _canonical_basis(triple.spanning_matrix(prods[-1]))
+        if not walk.is_minimal:
+            raise ValueError(
+                f"triple is not minimal: spanning rank {walk.spanning_rank} < dimension {triple.kappa}"
+            )
+        bases.append(q)
     if t1.kappa != t2.kappa:
         raise ValueError(
             f"dimension mismatch after minimality: {t1.kappa} vs {t2.kappa} "
@@ -441,15 +442,11 @@ def unitary_equivalence(
         )
     if t1.kappa == 0:
         return EquivalenceReport(U=np.zeros((0, 0), dtype=np.complex128), kappa=0)
-    u_map = span2 @ np.linalg.pinv(span1)
+    u_map = bases[1] @ bases[0].conj().T
     unitarity = float(np.linalg.norm(u_map.conj().T @ u_map - np.eye(t1.kappa), 2))
-    inter = _batched_opnorm_max(prod2 @ u_map - u_map @ prod1)
-    v_match = max(
-        float(np.linalg.norm(u_map @ v1 - v2, 2)) for v1, v2 in zip(t1.V, t2.V)
-    )
-    return EquivalenceReport(
-        U=u_map, unitarity=unitarity, intertwining=inter, v_match=v_match, kappa=t1.kappa
-    )
+    inter = _batched_opnorm_max(prods[1] @ u_map - u_map @ prods[0])
+    v_match = max(float(np.linalg.norm(u_map @ v1 - v2, 2)) for v1, v2 in zip(t1.V, t2.V))
+    return EquivalenceReport(u_map, unitarity, inter, v_match, t1.kappa)
 
 
 def block_state_vectors(phi, triple: DilationTriple | None = None):

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 import os
@@ -9,10 +10,11 @@ import numpy as np
 import pytest
 
 from icpmaps import cli, serialize
+from icpmaps.algebra import Algebra
 from icpmaps.cli import main
-from icpmaps.factory import point_evaluation_example, trace_example
+from icpmaps.factory import from_dilation_data, point_evaluation_example, random_icp, trace_example
 from icpmaps.multimap import MultilinearMap
-from icpmaps.stinespring import EquivalenceReport
+from icpmaps.stinespring import EquivalenceReport, unitary_equivalence
 from icpmaps.tolerances import EQUIVALENCE_TOLS
 
 
@@ -389,6 +391,40 @@ def test_equiv_malformed_triple_is_input_error(tmp_path, capsys, defect):
     err = capsys.readouterr().err
     assert err.startswith("input error: ") and "dilation triple" in err
     assert "Traceback" not in err
+
+
+def test_dilate_minimal_is_stable_under_round_off(tmp_path, capsys):
+    # eigh picks any basis inside a degenerate Gram eigenspace, so the minimal
+    # triple moved by O(1) when the generator's V moved by 1e-15
+    algebra = Algebra([2])
+    block, source = random_icp(algebra, 3, 2, 2, seed=0)
+    rng = np.random.default_rng(1)
+    nudged = [v + 1e-15 * (rng.standard_normal(v.shape) + 1j * rng.standard_normal(v.shape)) for v in source.V]
+    triples, specs, paths = [], [], []
+    for i, grid in enumerate([block, from_dilation_data(algebra, source.reps, nudged, 3)]):
+        specs.append(write_spec(tmp_path, f"grid{i}.json", serialize.block_to_json(grid)))
+        paths.append(str(tmp_path / f"triple{i}.json"))
+        assert main(["dilate", specs[-1], "--minimal", "--out", paths[-1]]) == 0
+        report = json.loads(open(paths[-1]).read())
+        walk = report["minimality"]
+        assert walk["is_minimal"] and walk["spanning_rank"] == report["kappa"] == source.kappa
+        assert walk["smallest_kept"] > 1e-3 and walk["largest_rejected"] < 1e-12
+        triples.append(serialize.triple_from_json(report))
+    first, second = triples
+    assert max(np.abs(x - y).max() for x, y in zip(first.reps + first.V, second.reps + second.V)) <= 1e-12
+
+    # equiv of the triple file and a seeded Haar conjugate of it passes and recovers U
+    z = np.random.default_rng(2).standard_normal((2, first.kappa, first.kappa))
+    q, r = np.linalg.qr(z[0] + 1j * z[1])
+    u = q * (np.diag(r) / np.abs(np.diag(r)))
+    conj = serialize.triple_to_json(dataclasses.replace(
+        first, reps=tuple(u @ rp @ u.conj().T for rp in first.reps), V=tuple(u @ vj for vj in first.V)
+    ))
+    conj_path = write_spec(tmp_path, "conjugate.json", conj)
+    code, out = run(capsys, "equiv", paths[0], conj_path, specs[0])
+    assert code == 0 and json.loads(out)["passed"] is True
+    eq = unitary_equivalence(first, serialize.triple_from_json(json.loads(open(conj_path).read())))
+    assert np.abs(eq.U - u).max() <= 1e-10
 
 
 def test_dilate_output_is_deterministic(tmp_path, capsys):

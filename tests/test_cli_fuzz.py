@@ -99,13 +99,24 @@ MALFORMED = [  # each once ended in a traceback or was read as something else
     {**BASES["dilation"], "algebra": {"blocks": [True]}},
     {**BASES["map"], "algebra": {"blocks": [True]}},
     {"kind": "schur", "lam": [[[True, 1.5]]]},
+    {"kind": "trace", "n": 2.5},
+    {"kind": "trace", "n": True},
+    {**BASES["dilation"], "k": "3"},
+    {**BASES["map"], "h": float(BASES["map"]["h"])},
+    {**BASES["block"], "n": True},
+]
+MALFORMED_TRIPLES = [  # read as the triple they were written from
+    {**BASES["triple"], "kappa": BASES["triple"]["kappa"] + 0.5},
+    {**BASES["triple"], "k": str(BASES["triple"]["k"])},
 ]
 
 
 def _examples(test):
-    """Each malformed spec through every spec command, and a negative
-    ``--iters``: all must be input errors."""
+    """Each malformed spec through every spec command, each malformed
+    triple through every triple command, and a negative ``--iters``: all
+    must be input errors."""
     cases = [(argv, doc, 2) for doc in MALFORMED for argv in SPEC_COMMANDS]
+    cases += [(argv, doc, 2) for doc in MALFORMED_TRIPLES for argv in TRIPLE_COMMANDS]
     cases.append(((*SPEC_COMMANDS[-1], "--iters", "-1"), BASES["dilation"], 2))
     for case in cases:
         test = example(case)(test)

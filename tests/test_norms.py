@@ -205,6 +205,18 @@ def test_cb_checks_reject_a_highest_level_below_one(check, monkeypatch):
             check(block, t_max=t_max)
 
 
+@pytest.mark.parametrize("knobs", [{"restarts": 0}, {"iters": -1}])
+def test_cb_russo_dye_checks_the_ascent_knobs_before_dilating(knobs, monkeypatch):
+    # a malformed call paid for the whole dilation before its input error
+    def reached(*args, **kwargs):
+        raise AssertionError("dilate reached")
+
+    monkeypatch.setattr(norms, "dilate", reached)
+    block, _ = random_icp(Algebra([1, 1]), 3, 1, 1, seed=0)
+    with pytest.raises(ValueError, match="need at least one restart|iters must be >= 0"):
+        cb_russo_dye_check(block, **knobs)
+
+
 def test_norm_estimate_rejects_negative_iters():
     # -1 ran no sweep and reported "iters": -1; 0 (the starts only) stays legal
     phi = trace_example(2)

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -339,3 +340,50 @@ def test_block_spec_entries_must_be_a_list():
         serialize.block_from_json({"n": 1, "entries": 5})
     with pytest.raises(SpecFormatError, match="needs a list of 4 entry maps .*got 1"):
         serialize.block_from_json({"n": 2, "entries": [{}]})
+
+
+def _loaders_with_integer_fields():
+    """(loader, document, key) for every integer field that a loader reads."""
+    plain = json.loads(serialize.dumps(serialize.map_to_json(trace_example(2))))
+    block = json.loads(serialize.dumps(serialize.block_to_json(noninvariant_block_example())))
+    triple = json.loads(serialize.dumps(serialize.triple_to_json(dilate(trace_example(2)))))
+    mat = MatrixOverAlgebra.identity(Algebra([1, 1]), 2)
+    over = json.loads(serialize.dumps(serialize.matrix_over_algebra_to_json(mat)))
+    dilation = {"kind": "dilation", "algebra": {"blocks": [2]}, "k": 3, "n": 2, "h": 1, "seed": 0}
+    return (
+        [(serialize.map_from_json, plain, key) for key in ("k", "h")]
+        + [(serialize.block_from_json, block, "n")]
+        + [(serialize.triple_from_json, triple, key) for key in ("k", "n", "h", "kappa")]
+        + [(serialize.matrix_over_algebra_from_json, over, "t")]
+        + [(serialize.load_map_spec, {"kind": "trace", "n": 2}, "n")]
+        + [(serialize.load_map_spec, {"kind": "eval", "dim": 2, "point": 0}, key) for key in ("dim", "point")]
+        + [(serialize.load_map_spec, dilation, key) for key in ("k", "n", "h", "seed")]
+    )
+
+
+@pytest.mark.parametrize("loader, doc, key", _loaders_with_integer_fields())
+def test_integer_fields_refuse_booleans_floats_and_strings(loader, doc, key):
+    # int() read each of these as an integer: true as 1, 2.5 as 2, "3" as 3
+    loader(doc)
+    value = doc[key]
+    for bad in (True, False, value + 0.5, float(value), str(value), None):
+        with pytest.raises(SpecFormatError, match=f"'{key}' is not an integer: {re.escape(repr(bad))}$"):
+            loader({**doc, key: bad})
+
+
+def test_integer_fields_through_the_cli(tmp_path, capsys):
+    for spec in ({"kind": "trace", "n": 2.5}, {"kind": "trace", "n": True}):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert cli.main(["validate", str(path)]) == 2
+        assert "'n' is not an integer" in capsys.readouterr().err
+    spec = tmp_path / "trace.json"
+    spec.write_text(json.dumps({"kind": "trace", "n": 2}))
+    good = tmp_path / "triple.json"
+    assert cli.main(["dilate", str(spec), "--minimal", "--out", str(good)]) == 0
+    triple = json.loads(good.read_text())
+    for key, bad in (("kappa", triple["kappa"] + 0.5), ("k", str(triple["k"]))):
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps({**triple, key: bad}))
+        assert cli.main(["equiv", str(broken), str(good), str(spec)]) == 2
+        assert f"'{key}' is not an integer" in capsys.readouterr().err

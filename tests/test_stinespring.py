@@ -213,6 +213,8 @@ def test_compression_strips_unreachable_summand(corpus):
     compressed, report = minimal_compress(inflated)
     assert not report.is_minimal
     assert compressed.kappa == base.kappa
+    assert report.largest_rejected <= 1e-13 and report.smallest_kept > 1e-3
+    assert _entry_distance(compressed, minimal_compress(base)[0]) <= 1e-12
     assert verify_dilation(entry.block_map, compressed).reconstruction <= 1e-10
 
 
@@ -266,6 +268,47 @@ def test_recompression_is_identity_up_to_unitary(corpus):
     assert report.is_minimal
     eq = unitary_equivalence(t1, t2)
     assert eq.unitarity <= 1e-9 and eq.intertwining <= 1e-9 and eq.v_match <= 1e-9
+
+
+def _haar_conjugate(triple, seed):
+    z = np.random.default_rng(seed).standard_normal((2, triple.kappa, triple.kappa))
+    q, r = np.linalg.qr(z[0] + 1j * z[1])
+    u = q * (np.diag(r) / np.abs(np.diag(r)))
+    return DilationTriple(
+        algebra=triple.algebra, k=triple.k, n=triple.n, h=triple.h, kappa=triple.kappa,
+        reps=tuple(u @ rp @ u.conj().T for rp in triple.reps), V=tuple(u @ vj for vj in triple.V),
+    )
+
+
+def _entry_distance(t1, t2):
+    assert t1.kappa == t2.kappa
+    return max(float(np.abs(x - y).max(initial=0.0)) for x, y in zip(t1.reps + t1.V, t2.reps + t2.V))
+
+
+def test_canonical_triple_is_unitarily_invariant(corpus):
+    # one representative per class: the dilation, a Haar conjugate of it and the
+    # generator's provenance triple compress to the same triple
+    for entry in corpus[:12]:
+        triple = dilate(entry.block_map)
+        base, walk = minimal_compress(triple)
+        assert walk.is_minimal and walk.spanning_rank == triple.kappa, entry.name
+        for other in (_haar_conjugate(triple, 3), entry.triple):
+            again, other_walk = minimal_compress(other)
+            assert other_walk.kept_columns == walk.kept_columns, entry.name
+            assert _entry_distance(base, again) <= 1e-12, entry.name
+
+
+def test_walk_reports_the_margins_of_its_cut(corpus):
+    entry = next(e for e in corpus if e.k == 3 and e.n == 1 and e.d == 2)
+    triple = dilate(entry.block_map)
+    _, walk = minimal_compress(triple)
+    assert set(walk.to_dict()) == {"spanning_rank", "kappa", "is_minimal", "smallest_kept", "largest_rejected"}
+    assert walk.smallest_kept > 1e-3 and walk.largest_rejected <= 1e-13
+    # the walk keeps the first column above the cut, then walks on in column order
+    norms = np.linalg.norm(triple.spanning_matrix(), axis=0)
+    assert list(walk.kept_columns) == sorted(walk.kept_columns)
+    assert walk.kept_columns[0] == int(np.flatnonzero(norms > 1e-10 * norms.max())[0])
+    assert minimal_compress(_haar_conjugate(triple, 4))[1].kept_columns == walk.kept_columns
 
 
 def test_nonminimal_input_rejected(corpus):
