@@ -131,6 +131,17 @@ class Algebra:
         return out
 
     @functools.cached_property
+    def row_labels(self) -> np.ndarray:
+        """L[p] = starts[block] + row for e_p = e_(block,row,col), with
+        starts[block] the blocks' summed sizes before it: the row of e_p in
+        the block-diagonal matrix, so e_p maps the range of the diagonal
+        unit labelled L[star_perm[p]] into that labelled L[p]."""
+        starts = np.cumsum((0,) + self.block_dims)[:-1]
+        out = starts[self._block_of] + self._row_of
+        out.setflags(write=False)
+        return out
+
+    @functools.cached_property
     def unit_factorizations(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(left, right, count): e_p = e_left[p, x] e_right[p, x] for each
         inner index x < count[p], the size of p's block.  Both tables have

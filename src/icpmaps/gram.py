@@ -207,10 +207,9 @@ class GramKernel:
         """The flat indices of each class, one (classes, size) array per
         class size, classes in order of their labels raveled in C order."""
         alg, m = self.algebra, (self.k + 1) // 2
-        starts = np.cumsum((0,) + alg.block_dims)
-        label = np.array([starts[b] + r for b, r, _ in map(alg.basis_label, range(alg.dim))])
         digits = np.indices((alg.dim,) * m).reshape(m, -1)
-        cls = np.repeat(np.ravel_multi_index(label[digits], (starts[-1],) * m), self.n * self.h)
+        labels = (sum(alg.block_dims),) * m
+        cls = np.repeat(np.ravel_multi_index(alg.row_labels[digits], labels), self.n * self.h)
         order = np.argsort(cls, kind="stable")
         sizes = np.bincount(cls)
         first = np.cumsum(sizes) - sizes

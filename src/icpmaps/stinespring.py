@@ -374,7 +374,9 @@ def _canonical_basis(span: np.ndarray, rank_tol: float = RANK_TOL) -> tuple[np.n
 
     Each step finds the first column above the cut, keeps the run of columns
     from there whose QR diagonal stays above it (each one's residual against
-    the run before it), and removes the run from the later residuals."""
+    the run before it), and removes the run from the later residuals.  A
+    ValueError names ``rank_tol`` when a kept column's diagonal in the final
+    R is not above the cut: a cut at or near 0 keeps columns of round-off."""
     res, kept, margins, rejected, start = span.copy(), [], [], 0.0, 0
     tail = np.linalg.norm(res, axis=0)
     top = float(tail.max(initial=0.0))
@@ -396,9 +398,35 @@ def _canonical_basis(span: np.ndarray, rank_tol: float = RANK_TOL) -> tuple[np.n
         tail = np.linalg.norm(res[:, start:], axis=0)
     q, r = np.linalg.qr(span[:, kept])
     scale = top if top > 0 else 1.0
+    final = np.abs(np.diag(r))
+    if not (final > cut).all():
+        raise ValueError(
+            f"rank_tol {rank_tol:g} keeps a spanning column whose residual against the kept columns "
+            f"before it, {final.min() / scale:.1e} of the largest column norm, is not above rank_tol"
+        )
     smallest = min(margins) / scale if margins else None
     report = MinimalityReport(len(kept), kappa, len(kept) == kappa, smallest, rejected / scale, tuple(kept))
-    return q * (np.diag(r) / np.abs(np.diag(r))), report
+    return q * (np.diag(r) / final), report
+
+
+def _label_blocks(triple: DilationTriple, kept: Sequence[int]) -> list[np.ndarray]:
+    """Per factor p, the (d, len(kept), len(kept)) pattern outside which the
+    image of pi_p(e_b) in the canonical basis over the ``kept`` spanning
+    columns vanishes, for b = e_(blk,r,c): entry (i, j) needs row label
+    (blk, r) in factor p at column i, (blk, c) at column j, and equal labels
+    in every other factor.  Column (b_1..b_m, j, s) lies in the range of
+    the commuting projections pi_q(e_(blk,l,l)) at the row labels l of
+    b_1..b_m, these ranges are mutually orthogonal, and Gram-Schmidt keeps
+    each basis vector in its column's range."""
+    alg, m = triple.algebra, triple.m
+    tuples = np.unravel_index(np.asarray(kept, dtype=np.intp) // (triple.n * triple.h), (alg.dim,) * m)
+    labels = alg.row_labels[np.stack(tuples)]  # (m, kept)
+    same = labels[:, :, None] == labels[:, None, :]
+    rows, cols = alg.row_labels[:, None, None], alg.row_labels[alg.star_perm][:, None, None]
+    return [
+        np.delete(same, p, axis=0).all(axis=0) & (labels[p][:, None] == rows) & (labels[p] == cols)
+        for p in range(m)
+    ]
 
 
 def minimal_compress(
@@ -407,14 +435,19 @@ def minimal_compress(
     """The canonical minimal triple: restrict to the span of representation
     products applied to sum_j V_j H, in the basis Q that ``_canonical_basis``
     fixes on ``spanning_matrix``.  It still dilates the same map, and
-    unitarily equivalent triples compress to the same one."""
+    unitarily equivalent triples compress to the same one.  Outside its
+    ``_label_blocks`` pattern, where the image of a commuting family of
+    unital *-representations vanishes in exact arithmetic, each image's
+    round-off is set to 0.0 (an entry already zero keeps its sign)."""
     _check_rank_tol(rank_tol)
     q, report = _canonical_basis(triple.spanning_matrix(), rank_tol)
     qh = q.conj().T
+    images = (qh @ rp @ q for rp in triple.reps)
+    blocks = _label_blocks(triple, report.kept_columns)
     compressed = replace(
         triple,
         kappa=report.spanning_rank,
-        reps=tuple(qh @ rp @ q for rp in triple.reps),
+        reps=tuple(np.where(mask | (img == 0), img, 0.0) for img, mask in zip(images, blocks)),
         V=tuple(qh @ vj for vj in triple.V),
         W=(qh @ triple.W) if triple.W is not None else None,
         rank_tol=rank_tol,

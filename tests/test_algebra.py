@@ -27,6 +27,19 @@ def test_structure_constants_exact(blocks):
     Algebra(blocks).validate_structure()
 
 
+@pytest.mark.parametrize("blocks", [[1], [1, 1], [2], [2, 1], [1, 3, 2], [3], [1, 1, 1, 1]])
+def test_row_labels_count_rows_over_all_blocks(blocks):
+    alg = Algebra(blocks)
+    expected = [sum(blocks[:b]) + r for b, r, _ in map(alg.basis_label, range(alg.dim))]
+    assert alg.row_labels.tolist() == expected
+    assert alg.row_labels is alg.row_labels and not alg.row_labels.flags.writeable
+    # e_p maps the range of the diagonal unit at its column label into that at its row label
+    for p in range(alg.dim):
+        b, r, c = alg.basis_label(p)
+        assert alg.row_labels[alg.star_perm[p]] == sum(blocks[:b]) + c
+        assert alg.unit_products[alg.basis_index(b, r, r), p] == p == alg.unit_products[p, alg.basis_index(b, c, c)]
+
+
 # Corrupts one structure table of M_2 + C, then validates it.
 _CORRUPT_AND_VALIDATE = """
 import sys

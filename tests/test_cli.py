@@ -523,6 +523,20 @@ def test_bad_rank_tol_is_input_error(tmp_path, rank_tol):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("rank_tol", ["0", "1e-300"])
+@pytest.mark.parametrize("blocks,k", [([2], 5), ([3], 4)], ids=["plain", "wide"])
+def test_rank_tol_that_keeps_round_off_columns_is_input_error(tmp_path, blocks, k, rank_tol):
+    # a cut at 0 kept spanning columns of round-off, whose final QR diagonal is
+    # exactly 0: the canonical basis divided by it and LAPACK failed on the NaN
+    spec = write_spec(tmp_path, "gen.json", {"kind": "dilation", "algebra": {"blocks": blocks}, "k": k, "n": 1, "h": 2, "seed": 0})
+    out = tmp_path / "triple.json"
+    proc = _run_cli("dilate", spec, "--minimal", "--rank-tol", rank_tol, "--out", str(out))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith(f"input error: rank_tol {float(rank_tol):g} keeps a spanning column")
+    assert proc.stderr.count("\n") == 1 and "Warning" not in proc.stderr
+    assert not out.exists()
+
+
 def test_negative_iters_is_input_error(tmp_path):
     spec = write_spec(tmp_path, "trace.json", {"kind": "trace", "n": 2})
     out = tmp_path / "report.json"

@@ -113,11 +113,12 @@ MALFORMED_TRIPLES = [  # read as the triple they were written from
 
 def _examples(test):
     """Each malformed spec through every spec command, each malformed
-    triple through every triple command, and a negative ``--iters``: all
-    must be input errors."""
+    triple through every triple command, a negative ``--iters`` and a
+    ``--rank-tol`` of 0 under ``dilate --minimal``: all must be input errors."""
     cases = [(argv, doc, 2) for doc in MALFORMED for argv in SPEC_COMMANDS]
     cases += [(argv, doc, 2) for doc in MALFORMED_TRIPLES for argv in TRIPLE_COMMANDS]
     cases.append(((*SPEC_COMMANDS[-1], "--iters", "-1"), BASES["dilation"], 2))
+    cases.append(((*SPEC_COMMANDS[2], "--rank-tol", "0"), BASES["dilation"], 2))
     for case in cases:
         test = example(case)(test)
     return test

@@ -378,6 +378,29 @@ def test_class_spectra_match_the_dense_eigh_on_generated_maps(shape, seed):
         assert len(sizes) == 1
 
 
+def _class_groups_from_basis_labels(gram):
+    """The class index groups as ``GramKernel`` built them from ``basis_label``
+    before ``Algebra.row_labels`` existed."""
+    alg, m = gram.algebra, (gram.k + 1) // 2
+    starts = np.cumsum((0,) + alg.block_dims)
+    label = np.array([starts[b] + r for b, r, _ in map(alg.basis_label, range(alg.dim))])
+    digits = np.indices((alg.dim,) * m).reshape(m, -1)
+    cls = np.repeat(np.ravel_multi_index(label[digits], (starts[-1],) * m), gram.n * gram.h)
+    order = np.argsort(cls, kind="stable")
+    sizes = np.bincount(cls)
+    first = np.cumsum(sizes) - sizes
+    return [order[first[sizes == s][:, None] + np.arange(s)] for s in np.unique(sizes)]
+
+
+def test_class_groups_from_row_labels_match_the_basis_label_oracle(corpus):
+    blocks, k, n, h = UNEQUAL_CLASSES
+    for block in [entry.block_map for entry in corpus] + [random_icp(Algebra(list(blocks)), k, n, h, seed=0)[0]]:
+        gram = build_gram(block)
+        expected = _class_groups_from_basis_labels(gram)
+        got = [idx for idx, _, _ in gram.spectrum]
+        assert len(got) == len(expected) and all(map(np.array_equal, got, expected))
+
+
 def test_a_grid_of_invariant_entries_splits_though_the_grid_is_not_block_invariant():
     # Psi(a, b, c) = b a c is invariant, so its Gram vanishes between classes
     _assert_split(build_gram(noninvariant_block_example()))

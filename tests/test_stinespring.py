@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -296,6 +297,61 @@ def test_canonical_triple_is_unitarily_invariant(corpus):
             again, other_walk = minimal_compress(other)
             assert other_walk.kept_columns == walk.kept_columns, entry.name
             assert _entry_distance(base, again) <= 1e-12, entry.name
+
+
+# the benchmark's spec shapes (blocks, k, n, h): grid3, grid4, grid3-wide, plain, wide
+BENCHMARK_SHAPES = [((2,), 3, 2, 2), ((2,), 4, 2, 2), ((2, 2), 3, 2, 2), ((2,), 5, 1, 2), ((3,), 4, 1, 2)]
+
+
+def _outside_label_blocks(triple, kept):
+    """Per factor p, True at (b, i, j) where the image of pi_p(e_b) in the
+    canonical basis over the ``kept`` spanning columns vanishes: the (block,
+    row) labels of column i's tuple and column j's tuple must be those of the
+    row and the column of e_b in factor p, and agree in every other factor."""
+    alg, m = triple.algebra, triple.m
+    labels = [
+        [alg.basis_label(b)[:2] for b in np.unravel_index(c // (triple.n * triple.h), (alg.dim,) * m)]
+        for c in kept
+    ]
+    outside = []
+    for p in range(m):
+        mask = np.ones((alg.dim, len(kept), len(kept)), dtype=bool)
+        for b in range(alg.dim):
+            blk, r, c = alg.basis_label(b)
+            for i, li in enumerate(labels):
+                for j, lj in enumerate(labels):
+                    others = all(li[q] == lj[q] for q in range(m) if q != p)
+                    mask[b, i, j] = not (others and li[p] == (blk, r) and lj[p] == (blk, c))
+        outside.append(mask)
+    return outside
+
+
+def test_canonical_images_vanish_exactly_outside_the_label_blocks(corpus):
+    cases = [(entry.name, entry.block_map, entry.triple, False) for entry in corpus]
+    for (blocks, k, n, h), seed in itertools.product(BENCHMARK_SHAPES, range(4)):
+        block, triple = random_icp(Algebra(list(blocks)), k, n, h, seed=seed)
+        cases.append((f"{blocks}-k{k}-n{n}-h{h}-seed{seed}", block, triple, True))
+    for name, block, triple, benchmark in cases:
+        canonical, walk = minimal_compress(triple)
+        outside = _outside_label_blocks(triple, walk.kept_columns)
+        q, _ = stinespring._canonical_basis(triple.spanning_matrix())
+        for rp, image, mask in zip(triple.reps, canonical.reps, outside):
+            assert not image[mask].any(), name
+            # only round-off is dropped: the images before masking
+            full = q.conj().T @ rp @ q
+            assert np.abs(full - image).max() <= 1e-13 * np.abs(image).max(), name
+        # a 1e-15 perturbation of V keeps the walk and the zeros
+        shifted = replace(triple, V=tuple(vj + 1e-15 for vj in triple.V))
+        again, shifted_walk = minimal_compress(shifted)
+        assert shifted_walk.kept_columns == walk.kept_columns, name
+        assert all(not image[mask].any() for image, mask in zip(again.reps, outside)), name
+        if benchmark:
+            # the dilation's own triple is already zero there before masking
+            dilated = dilate(block)
+            q, dilated_walk = stinespring._canonical_basis(dilated.spanning_matrix())
+            assert dilated_walk.kept_columns == walk.kept_columns, name
+            for rp, mask in zip(dilated.reps, outside):
+                assert not (q.conj().T @ rp @ q)[mask].any(), name
 
 
 def test_walk_reports_the_margins_of_its_cut(corpus):
