@@ -4,13 +4,10 @@ verification battery: exhaustive invariance, Gram positivity, dilation
 round-trips, minimality and unitary equivalence, and the amplified-norm
 attainment inequalities.
 
-The canonical minimal triple of the dilation and that of the generator's
-provenance triple must agree within CANONICAL_TOL, and their walks must keep
-the same columns of the spanning family: the uniqueness theorem makes the
-two one triple.  Both canonical triples must also be exactly 0.0 outside
-their label blocks (the entries where a representation image vanishes in
-exact arithmetic, fixed by the matrix-unit labels of the kept spanning
-columns), and the round-off set to 0.0 there must stay within CANONICAL_TOL.
+The standard-form triple of the dilation and that of the generator's
+provenance triple must have the same layout and agree within CANONICAL_TOL:
+the uniqueness theorem makes the two one triple.  Both must have images that
+are exactly 0/1 matrices, and every law residual of both must be exactly 0.0.
 
 Every entry map must be invariant by an exhaustive check. The block map must
 be too where block invariance can hold (n = 1 or k <= 2); elsewhere its
@@ -33,9 +30,9 @@ import numpy as np
 from icpmaps.factory import build_corpus
 from icpmaps.gram import build_gram, gram_is_psd, positivity_falsify
 from icpmaps.norms import norm_estimate, unit_norm
-from icpmaps.stinespring import _canonical_basis, dilate, minimal_compress, unitary_equivalence, verify_dilation
+from icpmaps.stinespring import dilate, minimal_compress, unitary_equivalence, verify_dilation
 
-CANONICAL_TOL = 1e-12  # max entry difference between the two canonical minimal triples
+CANONICAL_TOL = 1e-12  # max entry difference between the two standard-form triples
 
 
 def canonical_distance(t1, t2) -> float:
@@ -45,37 +42,9 @@ def canonical_distance(t1, t2) -> float:
     return max(float(np.abs(x - y).max(initial=0.0)) for x, y in zip(t1.reps + t1.V, t2.reps + t2.V))
 
 
-def outside_label_blocks(triple, kept) -> list[np.ndarray]:
-    """Per factor p, True at (b, i, j) where the image of pi_p(e_b) over the
-    kept spanning columns must vanish: everywhere except where the (block,
-    row) labels of column i's and column j's basis tuples are those of e_b's
-    row and column in factor p and agree in every other factor."""
-    alg, m = triple.algebra, triple.m
-    rows = np.array([alg.basis_label(b)[:2] for b in range(alg.dim)])
-    cols = np.array([alg.basis_label(b)[::2] for b in range(alg.dim)])
-    tuples = np.unravel_index(np.asarray(kept, dtype=np.intp) // (triple.n * triple.h), (alg.dim,) * m)
-    labels = [rows[t] for t in tuples]  # per factor, (kept, 2)
-    outside = []
-    for p in range(m):
-        others = np.ones((len(kept), len(kept)), dtype=bool)
-        for q in range(m):
-            if q != p:
-                others &= (labels[q][:, None] == labels[q][None]).all(axis=-1)
-        at_row = (labels[p][None, :, None] == rows[:, None, None]).all(axis=-1)
-        at_col = (labels[p][None, None, :] == cols[:, None, None]).all(axis=-1)
-        outside.append(~(others & at_row & at_col))
-    return outside
-
-
-def label_block_residue(source, canonical, walk) -> tuple[float, float]:
-    """(largest |entry| of the canonical images outside their label blocks,
-    largest |entry| there of the images before compression set it to 0.0)."""
-    q, _ = _canonical_basis(source.spanning_matrix())
-    left = removed = 0.0
-    for rp, image, mask in zip(source.reps, canonical.reps, outside_label_blocks(source, walk.kept_columns)):
-        left = max(left, float(np.abs(image[mask]).max(initial=0.0)))
-        removed = max(removed, float(np.abs((q.conj().T @ rp @ q)[mask]).max(initial=0.0)))
-    return left, removed
+def exact_images(triple) -> bool:
+    """Whether every representation image is a matrix of exact 0s and 1s."""
+    return all(np.isin(images, (0.0, 1.0)).all() for images in triple.reps)
 
 
 def main() -> int:
@@ -97,11 +66,10 @@ def main() -> int:
         "gram_min_eig": 0.0,
         "reconstruction": 0.0,
         "structural": 0.0,
-        "unitarity": 0.0,
+        "isometry": 0.0,
         "intertwining": 0.0,
         "v_match": 0.0,
         "canonical": 0.0,
-        "label_removed": 0.0,
         "smallest_kept": np.inf,
         "norm_gap": -np.inf,
     }
@@ -142,28 +110,25 @@ def main() -> int:
         kept = [w.smallest_kept for w in (walk1, walk2) if w.smallest_kept is not None]
         worst["smallest_kept"] = min([worst["smallest_kept"]] + kept)
         if canonical > CANONICAL_TOL:
-            failures.append((entry.name, f"canonical minimal triples differ by {canonical:.1e}"))
-        if walk1.kept_columns != walk2.kept_columns:
-            failures.append((entry.name, "canonical walks keep different columns"))
-        removed = 0.0
-        for source, canonical_triple, walk in ((triple, t1, walk1), (entry.triple, t2, walk2)):
-            left, dropped = label_block_residue(source, canonical_triple, walk)
-            removed = max(removed, dropped)
-            if left != 0.0:
-                failures.append((entry.name, f"canonical images reach {left:.1e} outside the label blocks"))
-        worst["label_removed"] = max(worst["label_removed"], removed)
-        if removed > CANONICAL_TOL:
-            failures.append((entry.name, f"label-block mask removed {removed:.1e}"))
+            failures.append((entry.name, f"standard-form triples differ by {canonical:.1e}"))
+        if not np.array_equal(t1.layout, t2.layout):
+            failures.append((entry.name, f"layouts differ: {t1.layout.ravel()} vs {t2.layout.ravel()}"))
+        for label, standard in (("dilation", t1), ("provenance", t2)):
+            if not exact_images(standard):
+                failures.append((entry.name, f"{label} standard form has images that are not exactly 0/1"))
+            laws = verify_dilation(block, standard)
+            if laws.max_structural() != 0.0:
+                failures.append((entry.name, f"{label} standard form has a law residual {laws.max_structural():.1e}"))
         eq = unitary_equivalence(t1, t2)
-        worst["unitarity"] = max(worst["unitarity"], eq.unitarity)
+        worst["isometry"] = max(worst["isometry"], eq.isometry)
         worst["intertwining"] = max(worst["intertwining"], eq.intertwining)
         worst["v_match"] = max(worst["v_match"], eq.v_match)
         if not eq.within():
             failures.append((entry.name, "uniqueness residual"))
         line = (
             f"  {entry.name:<22} {invariance:<24} kappa={triple.kappa:<3} grambound={rel_eig:+.1e} "
-            f"recon={report.reconstruction:.1e} equiv={max(eq.unitarity, eq.intertwining, eq.v_match):.1e} "
-            f"canonical={canonical:.1e} removed={removed:.1e}"
+            f"recon={report.reconstruction:.1e} equiv={max(eq.isometry, eq.intertwining, eq.v_match):.1e} "
+            f"canonical={canonical:.1e} layout={t1.layout.ravel().tolist()}"
         )
         if args.falsifier_trials:
             ce = positivity_falsify(

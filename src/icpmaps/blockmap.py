@@ -98,7 +98,10 @@ class BlockMultilinearMap:
             embedded = self.amplification.embed(MatrixOverAlgebra(self.algebra, labels)).coords()
             unit_index = np.empty(size, dtype=np.intp)
             unit_index[embedded.real.astype(np.intp)] = np.arange(size)
-            ends = np.stack([[phi.coeffs.reshape(-1, self.h**2) for phi in row] for row in self.entries])
+            if n == 1:  # the one entry's coefficients, read in place
+                ends = self.entries[0][0].coeffs.reshape(1, 1, -1, self.h**2)
+            else:
+                ends = np.stack([[phi.coeffs.reshape(-1, self.h**2) for phi in row] for row in self.entries])
             self._grid = ChainGrid(
                 self.amplification.algebra, self.k, self.h, ends, unit_index.reshape(-1, n, n)
             )

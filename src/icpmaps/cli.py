@@ -6,8 +6,9 @@ and every threshold a verdict rests on is fixed in ``tolerances``, so
 identical inputs produce byte-identical reports.
 
 Exit codes: 0 pass, 1 assertion failure (with witness), 2 input error,
-3 construction obstruction (descent failure or, for dilate, non-PSD Gram),
-4 internal error (a LAPACK routine failed).
+3 construction obstruction (for dilate: a non-Hermitian or non-PSD Gram, or
+a triple that does not dilate the map), 4 internal error (a LAPACK routine
+failed).
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ import numpy as np
 from . import factory, norms, serialize
 from .blockmap import as_block_map
 from .errors import (
+    DilationObstructionError,
     NonHermitianGramError,
     NotCompletelyPositiveError,
-    QuotientDescentError,
     SpecFormatError,
 )
 from .gram import admissibility_report, build_gram, cp_refute, gram_is_psd, positivity_falsify
@@ -229,6 +230,8 @@ def cmd_dilate(args) -> int:
     if args.minimal:
         triple, walk = minimal_compress(triple, rank_tol=args.rank_tol)
     residuals = verify_dilation(block, triple)
+    if not certifies(residuals, block.coefficient_scale()):
+        raise DilationObstructionError(residuals.reconstruction, triple.kappa)
     report = serialize.triple_to_json(triple, residuals.to_dict())
     report["command"] = "dilate"
     report["minimal"] = bool(args.minimal)
@@ -419,7 +422,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return EXIT_INPUT
-    except (NotCompletelyPositiveError, QuotientDescentError) as exc:
+    except (NotCompletelyPositiveError, DilationObstructionError) as exc:
         sys.stderr.write(f"construction obstruction: {exc}\n")
         return EXIT_OBSTRUCTION
 

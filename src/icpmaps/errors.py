@@ -30,15 +30,15 @@ class NotCompletelyPositiveError(RuntimeError):
         self.witness = witness
 
 
-class QuotientDescentError(RuntimeError):
-    """Left multiplication does not descend to the quotient space: the kernel
-    of the Gram matrix is not invariant under some basis multiplier."""
+class DilationObstructionError(RuntimeError):
+    """The standard form from the anchor Gram blocks does not dilate a map
+    whose Gram is Hermitian and PSD (a map that is not invariant, or a
+    rank cut that drops part of the map)."""
 
-    def __init__(self, factor, basis_index, residual):
+    def __init__(self, residual, kappa):
         super().__init__(
-            f"multiplication does not descend to quotient: factor {factor}, "
-            f"basis index {basis_index}, residual {residual:.3e}"
+            f"the standard form from the anchor Gram blocks does not dilate the map: "
+            f"reconstruction residual {residual:.3e} at kappa {kappa}"
         )
-        self.factor = factor
-        self.basis_index = basis_index
         self.residual = residual
+        self.kappa = kappa

@@ -338,7 +338,6 @@ def random_icp(
         kappa=kappa,
         reps=tuple(reps),
         V=tuple(v_ops),
-        W=None,
         meta={"source": "generator", "seed": seed},
     )
     return block, triple

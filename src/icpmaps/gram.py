@@ -13,7 +13,8 @@ amplification level.  Two complementary instruments live here:
   loop over the same generator finds;
 * the Gram matrix of the semi-inner product on A^{tensor m} (x) H^n.  A CP
   map always yields a PSD Gram, so a negative eigenvalue soundly refutes
-  complete positivity; the PSD direction feeds the dilation construction.
+  complete positivity; the dilation reads only its anchor blocks, and the
+  whole Gram only to diagnose a map its anchors do not certify.
 """
 
 from __future__ import annotations
@@ -217,8 +218,8 @@ class GramKernel:
 
     @functools.cached_property
     def spectrum(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-        """Eigenpairs of the Hermitian part, read by the PSD test, refuter and
-        dilation: one (index, lam, u) group per class size, with ``index``
+        """Eigenpairs of the Hermitian part, read by the PSD test and the
+        refuter: one (index, lam, u) group per class size, with ``index``
         (classes, size) the flat indices of its classes, ``lam`` their
         eigenvalues, ascending per class, and ``u`` (classes, size, size)
         their eigenvectors as columns over those indices.  One batched
@@ -258,19 +259,6 @@ class GramKernel:
         x = np.zeros(self.size, dtype=np.complex128)
         x[idx[c]] = u[c, :, 0]
         return x
-
-    def pairs_above(self, cut: float) -> tuple[np.ndarray, np.ndarray]:
-        """The eigenvalues above ``cut`` and their eigenvectors as columns
-        over all N indices, (kappa,) and (N, kappa): class by class, and
-        ascending within a class."""
-        lams, rows = [], []
-        for idx, lam, u in self.spectrum:
-            c, e = np.nonzero(lam > cut)
-            vec = np.zeros((len(c), self.size), dtype=np.complex128)
-            vec[np.arange(len(c))[:, None], idx[c]] = u[c, :, e]
-            lams.append(lam[c, e])
-            rows.append(vec)
-        return np.concatenate(lams), np.concatenate(rows).T
 
 
 _HELD_GRAMS = weakref.WeakKeyDictionary()  # map -> weak reference to its kernel

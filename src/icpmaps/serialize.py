@@ -309,31 +309,39 @@ def load_map_spec(data):
 
 
 def triple_to_json(triple, residuals: dict | None = None) -> dict:
-    basis_legend = [list(triple.algebra.basis_label(p)) for p in range(triple.algebra.dim)]
-    return {
+    """A standard-form triple (``DilationTriple.is_standard``) as its layout,
+    mu over the block tuples in C order, and V; any other triple in the
+    general form, its images under every basis element and V."""
+    out = {
         "algebra": algebra_to_json(triple.algebra),
         "k": triple.k,
         "n": triple.n,
         "h": triple.h,
         "kappa": triple.kappa,
         "rank_tol": triple.rank_tol,
-        "basis_legend": basis_legend,
-        "reps": [
-            {f"e{b}": image for b, image in enumerate(matrix_to_json(images))}
-            for images in triple.reps
-        ],
         "V": [matrix_to_json(vj) for vj in triple.V],
         "residuals": residuals or {},
     }
+    if triple.is_standard():
+        out["layout"] = triple.layout.ravel().tolist()
+    else:
+        out["basis_legend"] = [list(triple.algebra.basis_label(p)) for p in range(triple.algebra.dim)]
+        out["reps"] = [
+            {f"e{b}": image for b, image in enumerate(matrix_to_json(images))} for images in triple.reps
+        ]
+    return out
 
 
 def triple_from_json(data):
-    from .stinespring import DilationTriple
+    """A triple in either form of ``triple_to_json``; the layout form gets
+    the exact images of its layout."""
+    from .stinespring import DilationTriple, standard_images
 
     try:
         algebra = algebra_from_json(data["algebra"])
         k, n, h, kappa = (json_int(data[key], repr(key)) for key in ("k", "n", "h", "kappa"))
-        reps_raw = data["reps"]
+        layout_raw = data.get("layout")
+        reps_raw = data["reps"] if layout_raw is None else None
         v_raw = data["V"]
     except (KeyError, TypeError, ValueError) as exc:
         raise SpecFormatError(f"malformed dilation triple: {exc}") from exc
@@ -342,8 +350,44 @@ def triple_from_json(data):
             f"dilation triple needs k, n, h >= 1 and kappa >= 0, got k={k}, n={n}, h={h}, kappa={kappa}"
         )
     m = (k + 1) // 2
-    if not (isinstance(reps_raw, list) and len(reps_raw) == m and isinstance(v_raw, list) and len(v_raw) == n):
-        raise SpecFormatError(f"dilation triple with k={k}, n={n} needs a list of {m} reps and one of {n} V")
+    if not (isinstance(v_raw, list) and len(v_raw) == n):
+        raise SpecFormatError(f"dilation triple with n={n} needs a list of {n} V")
+    layout = None
+    if layout_raw is not None:
+        blocks = algebra.n_blocks**m
+        if not isinstance(layout_raw, list) or len(layout_raw) != blocks:
+            raise SpecFormatError(f"dilation triple layout must list {blocks} multiplicities, got {layout_raw!r}")
+        layout = np.array([json_int(mu, "dilation triple layout entry") for mu in layout_raw], dtype=np.intp)
+        if (layout < 0).any():
+            raise SpecFormatError(f"dilation triple layout has a negative multiplicity: {layout_raw!r}")
+        layout = layout.reshape((algebra.n_blocks,) * m)
+        reps = standard_images(algebra, layout)
+        if reps[0].shape[1] != kappa:
+            raise SpecFormatError(f"dilation triple layout gives kappa {reps[0].shape[1]}, not {kappa}")
+    else:
+        reps = _reps_from_json(reps_raw, algebra, m, kappa)
+    v_ops = tuple(
+        matrix_from_json(vj, (kappa, h), f"dilation triple V[{j}]") if kappa else np.zeros((0, h))
+        for j, vj in enumerate(v_raw)
+    )
+    return DilationTriple(
+        algebra=algebra,
+        k=k,
+        n=n,
+        h=h,
+        kappa=kappa,
+        reps=tuple(reps),
+        V=v_ops,
+        layout=layout,
+        rank_tol=data.get("rank_tol"),
+        meta={"source": "json"},
+    )
+
+
+def _reps_from_json(reps_raw, algebra: Algebra, m: int, kappa: int) -> list:
+    """The m image stacks of a general-form triple."""
+    if not (isinstance(reps_raw, list) and len(reps_raw) == m):
+        raise SpecFormatError(f"dilation triple needs a list of {m} reps")
     reps = []
     for p, per_p in enumerate(reps_raw):
         try:
@@ -358,18 +402,4 @@ def triple_from_json(data):
             if kappa
             else np.zeros((algebra.dim, 0, 0), dtype=np.complex128)
         )
-    v_ops = tuple(
-        matrix_from_json(vj, (kappa, h), f"dilation triple V[{j}]") if kappa else np.zeros((0, h))
-        for j, vj in enumerate(v_raw)
-    )
-    return DilationTriple(
-        algebra=algebra,
-        k=k,
-        n=n,
-        h=h,
-        kappa=kappa,
-        reps=tuple(reps),
-        V=v_ops,
-        rank_tol=data.get("rank_tol"),
-        meta={"source": "json"},
-    )
+    return reps

@@ -1,27 +1,27 @@
-"""Dilation triples: construction from the Gram kernel, verification,
-canonical minimal compression, and unitary equivalence.
+"""Dilation triples in standard form: construction, verification,
+standardization of any triple, and unitary equivalence.
 
-The quotient of A^{tensor m} (x) H^n by the null space of the Gram form is
-realized numerically through a truncated eigendecomposition G = U L U*,
-read class by class from ``GramKernel.spectrum``: eigenpairs above a
-relative rank threshold define W = L_+^{1/2} U_+^* so that G = W^* W, and
-the quotient space is C^kappa with kappa the kept count.  Left
-multiplication on the p-th tensor factor is a partial permutation applied
-as a column gather; it descends to the quotient precisely when it
-preserves ker G, which is verified, not assumed: W L vanishes on ker G iff
-W L equals its restriction to the kept eigenvectors, W L U_+ U_+^*.
-Representations are W P W^+, the operators V_j are W applied to the
-unit-tensor embeddings of H at slot j.
+m commuting unital *-representations of A = (+)_b M_{d_b} are one of
+A^{tensor m}: up to a unitary, the sum over block tuples lambda of
+(C^{d_{lambda_1}} (x) .. (x) C^{d_{lambda_m}}) (x) C^{mu_lambda}, where
+pi_p(e_(b,r,c)) is e_rc on leg p of each lambda with lambda_p = b.  In that
+basis (lambda, then the legs' rows r, then i < mu_lambda, in C order) the
+images are exact 0/1 matrices, and a triple is its layout {lambda: mu_lambda}
+and V.  Gram-Schmidt of the anchors pi_1(e_(b_1,0,c_1)) .. pi_m(e_(b_m,0,c_m))
+V_j e_s in (c, j, s) order, a pivot kept when its square is above rank_tol
+times the largest squared anchor norm, is the echelon factor M_lambda of
+their Gram, and row (lambda, r, i) of V is M_lambda[i, (r, j, s)].
 
-Reconstruction pairs the slots around the middle: for k = 2m-1,
-
-    phi_ij(a_1..a_{2m-1}) = V_i* pi_1(a_m) pi_2(a_{m-1} a_{m+1}) ... pi_m(a_1 a_{2m-1}) V_j
-
-and for k = 2m the p-th factor receives a_{m-p+1} a_{m+p}.
+Reconstruction pairs the slots around the middle: phi_ij(a_1..a_{2m-1}) =
+V_i* pi_1(a_m) pi_2(a_{m-1} a_{m+1}) .. pi_m(a_1 a_{2m-1}) V_j; for k = 2m, factor p gets a_{m-p+1} a_{m+p}.
 """
 
 from __future__ import annotations
 
+import functools
+import hashlib
+import math
+import weakref
 from dataclasses import asdict, dataclass, field, replace
 from typing import Sequence
 
@@ -29,26 +29,24 @@ import numpy as np
 
 from .algebra import Algebra, AlgebraElement
 from .blockmap import as_block_map
-from .errors import NotCompletelyPositiveError, QuotientDescentError
+from .errors import DilationObstructionError, NotCompletelyPositiveError
 from .gram import build_gram, gram_is_psd
-from .tolerances import DESCENT_TOL, EQUIVALENCE_TOLS, RANK_TOL
+from .tolerances import EQUIVALENCE_TOLS, RANK_TOL, certifies
 
 # _batched_opnorm_max: relative slack on its spectral-norm bounds, and the
 # bound below which squares and products of entries may underflow
 OPNORM_BOUND_SLACK = 1e-12
 OPNORM_BOUND_FLOOR = 1e-140
 # verify_dilation: bytes of value differences per pass of the reconstruction residual
-RECONSTRUCTION_CHUNK_BYTES = 16 * 2**20
+RECONSTRUCTION_CHUNK_BYTES = 4 * 2**20
 
 
 @dataclass
 class DilationTriple:
-    """m commuting representation images, n operators H -> K, and provenance.
-
+    """m commuting representation images, n operators H -> K, and provenance:
     reps[p] stacks the kappa-by-kappa images of the basis elements under the
-    p-th representation; V[j] is kappa-by-h.  W, when present, is the
-    quotient map with G = W^* W.
-    """
+    p-th representation, V[j] is kappa-by-h, and ``layout``, on a triple in
+    standard form, is mu over the block tuples, shape (blocks,)*m."""
 
     algebra: Algebra
     k: int
@@ -57,13 +55,18 @@ class DilationTriple:
     kappa: int
     reps: tuple
     V: tuple
-    W: np.ndarray | None = None
+    layout: np.ndarray | None = None
     rank_tol: float | None = None
     meta: dict = field(default_factory=dict)
 
     @property
     def m(self) -> int:
         return (self.k + 1) // 2
+
+    def is_standard(self) -> bool:
+        """Whether the images are exactly ``standard_images`` of the layout."""
+        exact = () if self.layout is None else standard_images(self.algebra, self.layout)
+        return len(exact) == self.m and all(np.array_equal(x, y) for x, y in zip(self.reps, exact))
 
     def rep_apply(self, p: int, x: AlgebraElement) -> np.ndarray:
         """Linear extension of the p-th representation to an element."""
@@ -89,16 +92,6 @@ class DilationTriple:
             t = pair_products(t, self.reps[f]).reshape(len(t) * self.algebra.dim, *t.shape[1:])
         return t
 
-    def spanning_matrix(self, prod: np.ndarray | None = None) -> np.ndarray:
-        """Columns pi_1(e_{b_1})..pi_m(e_{b_m}) V_j e_s over all (b, j, s);
-        ``prod`` is the product tensor when the caller already has it."""
-        d = self.algebra.dim
-        if self.kappa == 0:
-            return np.zeros((0, d**self.m * self.n * self.h), dtype=np.complex128)
-        prod = self.product_tensor() if prod is None else prod
-        cols = prod @ self.stacked_V()  # (d^m, kappa, n*h)
-        return cols.transpose(1, 0, 2).reshape(self.kappa, -1)
-
 
 @dataclass
 class DilationReport:
@@ -119,26 +112,26 @@ class DilationReport:
 
 @dataclass
 class MinimalityReport:
-    """The walk of ``_canonical_basis``: ``spanning_rank`` columns kept of a
-    kappa-dimensional space, and the margins of its cut, each a residual
-    over the largest column norm (``smallest_kept`` is None when no column
-    is kept).  ``kept_columns`` are the kept columns' indices."""
+    """The anchor walk: the standard form's dimension against the triple's,
+    and the cut's margins, pivots over the largest anchor norm (None: none kept)."""
 
     spanning_rank: int
     kappa: int
     is_minimal: bool
     smallest_kept: float | None
     largest_rejected: float
-    kept_columns: tuple = field(repr=False)
 
     def to_dict(self) -> dict:
-        return {key: value for key, value in asdict(self).items() if key != "kept_columns"}
+        return asdict(self)
 
 
 @dataclass
 class EquivalenceReport:
+    """U = Q_2 Q_1* from the standardizing maps Q of two triples of one layout, the worst
+    ||Q*Q - I|| and ||Q* pi_p(e_b) Q - exact image||, and the largest V_j distance of their standard forms."""
+
     U: np.ndarray = field(repr=False)
-    unitarity: float = 0.0
+    isometry: float = 0.0
     intertwining: float = 0.0
     v_match: float = 0.0
     kappa: int = 0
@@ -148,65 +141,136 @@ class EquivalenceReport:
         return all(getattr(self, name) <= tol for name, tol in EQUIVALENCE_TOLS.items())
 
     def to_dict(self) -> dict:
-        return {name: getattr(self, name) for name in ("unitarity", "intertwining", "v_match", "kappa")}
+        return {name: getattr(self, name) for name in ("isometry", "intertwining", "v_match", "kappa")}
 
 
-# -- quotient machinery ---------------------------------------------------
+# -- the standard form ---------------------------------------------------------
 
 
-def _check_rank_tol(rank_tol: float) -> None:
-    """A relative cutoff must be a finite number >= 0: a negative one keeps
-    the Gram's negative eigenvalues, whose square roots are NaN."""
+def _units(algebra: Algebra, block: int, row: bool) -> np.ndarray:
+    """The basis indices of e_(block,r,0) over r (``row``), else of e_(block,0,c) over c."""
+    pairs = [(r, 0) if row else (0, r) for r in range(algebra.block_dims[block])]
+    return np.array([algebra.basis_index(block, *pair) for pair in pairs])
+
+
+def standard_images(algebra: Algebra, layout: np.ndarray) -> tuple:
+    """The m image stacks (d, kappa, kappa) of the standard form with this
+    layout: pi_p(e_(b,r,c)) sends basis vector (lambda, r', i) with b_p = b
+    and r'_p = c to the one with r'_p = r, exactly, and the others to 0."""
+    legs = np.prod(np.asarray(algebra.block_dims)[np.indices(layout.shape)], axis=0)
+    images = np.zeros((layout.ndim, algebra.dim) + (int((legs * layout).sum()),) * 2, dtype=np.complex128)
+    offset = 0
+    for lam in np.ndindex(layout.shape):
+        dims = tuple(algebra.block_dims[b] for b in lam)
+        index = offset + np.arange(math.prod(dims) * int(layout[lam])).reshape(dims + (-1,))
+        for p, b in enumerate(lam):
+            for r, c in np.ndindex(dims[p], dims[p]):
+                images[p, algebra.basis_index(b, r, c), index.take(r, axis=p), index.take(c, axis=p)] = 1.0
+        offset += index.size
+    return tuple(images)
+
+
+def anchor_grams(phi):
+    """(lambda, index, G_lambda) per block tuple lambda in C order: the Gram
+    indices (alpha, j, s), alpha_p = e_(b_p,0,c_p), of its anchors in (c, j, s)
+    order, and the Gram there, gathered from the coefficients as ``build_gram`` does."""
+    block = as_block_map(phi)
+    alg, k, m, n, h = block.algebra, block.k, block.m, block.n, block.h
+    d, star = alg.dim, alg.star_perm
+    for lam in np.ndindex((alg.n_blocks,) * m):
+        units = [_units(alg, b, row=False) for b in lam]
+        size = math.prod(map(len, units))
+        # beta (rows) on axes 0..m-1, alpha (columns) on axes m..2m-1
+        beta = np.ix_(*units, *[[0]] * m)
+        alpha = np.ix_(*[[0]] * m, *units)[m:]
+        if k % 2:  # e_{q_m}*, .., e_{q_2}*, e_{q_1}* e_{p_1}, e_{p_2}, .., e_{p_m}
+            slots = [star[b] for b in beta[m - 1 : 0 : -1]] + [alg.unit_products[star[beta[0]], alpha[0]], *alpha[1:]]
+        else:  # e_{q_m}*, .., e_{q_1}*, e_{p_1}, .., e_{p_m}
+            slots = [star[b] for b in beta[m - 1 :: -1]] + list(alpha)
+        flat = np.broadcast_to(functools.reduce(lambda acc, slot: acc * d + slot, slots), tuple(map(len, units)) * 2)
+        flat = flat.reshape(size, size)
+        gram = np.empty((size, n, h, size, n, h), dtype=np.complex128)
+        for i, j in np.ndindex(n, n):
+            gram[:, i, :, :, j] = block.entries[i][j].coeffs.reshape(-1, h, h)[flat].transpose(0, 2, 1, 3)
+        tuples = np.ravel_multi_index(np.meshgrid(*units, indexing="ij"), (d,) * m).ravel()
+        yield lam, (tuples[:, None] * n * h + np.arange(n * h)).ravel(), gram.reshape(size * n * h, -1)
+
+
+def _over(x: np.ndarray, s: float) -> np.ndarray:
+    """x / s for a real s, part by part: complex division rounds even where s divides exactly."""
+    return (np.ascontiguousarray(x).view(np.float64) / s).view(np.complex128)
+
+
+def _echelon(x: np.ndarray, cut: float, gram: bool):
+    """Gram-Schmidt in column order over the columns of x, or with ``gram`` over the Hermitian
+    part of a Gram (its echelon Cholesky factor), a column kept when its squared residual is
+    above ``cut``: (kept orthonormal columns of x, M zero left of each row's real pivot, kept
+    squared pivots, the largest rejected).  Echelon columns with positive pivots come back exactly."""
+    res = (x + x.conj().T) / 2.0 if gram else x.copy()
+    qs, rows, kept, rejected = [], [], [], -np.inf
+    for c in range(x.shape[1]):
+        piv2 = float(res[c, c].real if gram else np.vdot(res[:, c], res[:, c]).real)
+        if not piv2 > cut:
+            rejected = max(rejected, piv2)
+            continue
+        row = np.zeros(x.shape[1], dtype=np.complex128)
+        if gram:
+            row[c:] = _over(res[c, c:], np.sqrt(piv2))
+            res[c:, c:] -= np.outer(row[c:].conj(), row[c:])
+        else:
+            qs.append(_over(res[:, c], np.sqrt(piv2)))
+            row[c:] = qs[-1].conj() @ res[:, c:]
+            res[:, c:] -= np.outer(qs[-1], row[c:])
+        row[c] = np.sqrt(piv2)  # real, where round-off may leave an imaginary part
+        rows.append(row)
+        kept.append(piv2)
+    q = np.array(qs, dtype=np.complex128).reshape(len(qs), len(x)).T
+    return q, np.array(rows, dtype=np.complex128).reshape(len(rows), x.shape[1]), kept, rejected
+
+
+def _walk(like, blocks: dict, rank_tol: float, gram: bool):
+    """``_echelon`` over each block tuple's anchors, cut at rank_tol times the
+    largest squared anchor norm: (standard-form triple shaped like ``like``,
+    the cut's margins, the kept anchors' orthonormal bases).  A ValueError
+    names ``rank_tol`` when it is not a finite number >= 0, or when a kept
+    pivot is within the walk's round-off."""
     if not np.isfinite(rank_tol) or rank_tol < 0:
         raise ValueError(f"rank_tol must be a finite number >= 0, got {rank_tol}")
+    norms2 = [x.diagonal().real if gram else (x.real**2 + x.imag**2).sum(axis=0) for x in blocks.values()]
+    top = float(max([0.0, *(x.max() for x in norms2 if x.size)]))
+    scale = top or 1.0
+    walks = {lam: _echelon(x, rank_tol * top, gram) for lam, x in blocks.items()}
+    kept, bases = [p for w in walks.values() for p in w[2]], {lam: w[0] for lam, w in walks.items()}
+    if kept and min(kept) <= sum(x.shape[1] for x in blocks.values()) * np.finfo(float).eps * scale:
+        raise ValueError(
+            f"rank_tol {rank_tol:g} keeps a spanning column whose residual against the kept columns "
+            f"before it, {math.sqrt(min(kept) / scale):.1e} of the largest column norm, is within round-off"
+        )
+    nh = like.n * like.h  # row (lambda, r, i) of V is M_lambda[i, (r, j, s)]
+    v = [f.reshape(len(f), -1, nh).transpose(1, 0, 2).reshape(-1, nh) for _, f, _, _ in walks.values() if len(f)]
+    layout = np.array([len(w[1]) for w in walks.values()], dtype=np.intp).reshape((like.algebra.n_blocks,) * like.m)
+    v = np.concatenate([np.zeros((0, nh), dtype=np.complex128)] + v)
+    rejected = max([0.0, *(w[3] for w in walks.values())])
+    margins = (math.sqrt(min(kept) / scale) if kept else None, math.sqrt(rejected / scale))
+    images = standard_images(like.algebra, layout)
+    v_ops = tuple(np.hsplit(v, like.n))
+    return DilationTriple(like.algebra, like.k, like.n, like.h, len(v), images, v_ops, layout, rank_tol), margins, bases
 
 
 def dilate(phi, rank_tol: float = RANK_TOL) -> DilationTriple:
-    """Construct a dilation triple from the Gram kernel.
-
-    Raises :class:`NotCompletelyPositiveError` when the Gram has a genuinely
-    negative eigenvalue, and :class:`QuotientDescentError` when some basis
-    multiplier fails to preserve ker G (construction obstruction outside the
-    theorem's hypotheses).
-    """
-    _check_rank_tol(rank_tol)
+    """The standard-form triple from the anchor Gram blocks, certified by ``verify_dilation``.
+    Only a triple that fails builds the Gram, to say why: ``NonHermitianGramError``,
+    :class:`NotCompletelyPositiveError`, else :class:`DilationObstructionError`."""
     block = as_block_map(phi)
-    alg, k, n, h, m = block.algebra, block.k, block.n, block.h, block.m
-    d = alg.dim
-    gram = build_gram(block)
-    psd, min_eig = gram_is_psd(gram)
-    if not psd:
-        raise NotCompletelyPositiveError(min_eig)
-    lam_max = max(gram.extreme_eigenvalues()[1], 0.0)
-    lam, u = gram.pairs_above(rank_tol * lam_max)  # u: (N, kappa), the kept eigenvectors U_kappa
-    kappa = len(lam)
-    root = np.sqrt(lam)
-    uh = u.conj().T
-    w = root[:, None] * uh  # (kappa, N)
-    scale = np.sqrt(lam_max) if lam_max > 0 else 1.0
-    # W's columns grouped by alpha = (p_1..p_m), then a zero column d^m: column alpha of
-    # W L_{p,b} is column alpha + (r - q) d^(m-1-p) of W if e_b e_q = e_r on factor p, else d^m
-    w_pad = np.concatenate([w.reshape(kappa, d**m, n * h), np.zeros((kappa, 1, n * h))], axis=1)
-    digits = np.indices((d,) * m).reshape(m, -1)
-    reps = []
-    for p in range(m):
-        r = alg.unit_products[:, digits[p]]  # (b, alpha)
-        moved = np.where(r >= 0, np.arange(d**m) + (r - digits[p]) * d ** (m - 1 - p), d**m)
-        images = np.empty((d, kappa, kappa), dtype=np.complex128)
-        for b in range(d):
-            wl = w_pad[:, moved[b]].reshape(w.shape)
-            wlu = wl @ u
-            # ||W L - (W L U_kappa) U_kappa*|| = ||W L (I - U_kappa U_kappa*)||: W L on ker G
-            residual = float(np.linalg.norm(wl - wlu @ uh, 2)) if 0 < kappa < gram.size else 0.0
-            if residual > DESCENT_TOL * scale:
-                raise QuotientDescentError(p, b, residual)
-            images[b] = wlu / root[None, :]  # W L W^+, with W^+ = U_kappa L_kappa^(-1/2)
-        reps.append(images)
-    # V_j = W iota_j, iota_j : H -> A^{tensor m} (x) H^n sends f to 1 x .. x 1 x (f at slot j)
-    unit = alg.identity_coords[digits].prod(axis=0)
-    v_ops = tuple(w @ np.kron(np.outer(unit, slot).reshape(-1, 1), np.eye(h)) for slot in np.eye(n))
-    meta = {"gram_min_eigenvalue": min_eig, "source": "gram-quotient"}
-    return DilationTriple(alg, k, n, h, kappa, tuple(reps), v_ops, W=w, rank_tol=rank_tol, meta=meta)
+    triple, _, _ = _walk(block, {lam: g for lam, _, g in anchor_grams(block)}, rank_tol, gram=True)
+    triple.meta["source"] = "anchor-gram"
+    residuals = verify_dilation(block, triple)
+    if not certifies(residuals, block.coefficient_scale()):
+        psd, min_eig = gram_is_psd(build_gram(block))
+        if not psd:
+            raise NotCompletelyPositiveError(min_eig)
+        raise DilationObstructionError(residuals.reconstruction, triple.kappa)
+    return triple
 
 
 # -- verification -----------------------------------------------------------
@@ -214,24 +278,20 @@ def dilate(phi, rank_tol: float = RANK_TOL) -> DilationTriple:
 
 def _batched_opnorm_max(mats: np.ndarray, floor: float = 0.0) -> float:
     """max spectral norm over the leading axes of a (..., a, b) stack, or
-    ``floor`` (a norm already found elsewhere) when that is larger.
-
-    Both the Frobenius norm and sqrt(||A||_1 ||A||_inf) bound ||A||_2 from
-    above, so the matrices are decomposed one at a time in decreasing order
-    of the smaller bound, until a bound times (1 + OPNORM_BOUND_SLACK), which
-    absorbs its rounding (the bounds are attained on rank-one matrices),
-    cannot exceed the largest spectral norm found.  Each value is the SVD of
-    its own matrix, so the result is the full batched SVD's maximum to the
-    bit.  Where the bounds are not finite (NaN, inf or overflow), or where
-    squares of nonzero entries may underflow, the full batched SVD runs.
-    """
-    if mats.size == 0:
+    ``floor`` (a norm already found elsewhere) when that is larger.  The
+    Frobenius norm and sqrt(||A||_1 ||A||_inf) bound ||A||_2, so matrices are
+    decomposed in decreasing order of the smaller bound until a bound times
+    (1 + OPNORM_BOUND_SLACK), for its rounding, cannot beat the largest norm
+    found: the full batched SVD's maximum to the bit.  A stack of zeros
+    costs one pass; where the bounds are not finite, or squares of nonzero
+    entries may underflow, the full batched SVD runs."""
+    if not mats.any():  # empty, or every norm is 0
         return floor
     flat = mats.reshape(-1, mats.shape[-2], mats.shape[-1])
     with np.errstate(over="ignore", invalid="ignore"):
         mags = np.abs(flat)
         holder = np.sqrt(mags.sum(axis=1).max(axis=1) * mags.sum(axis=2).max(axis=1))
-        bound = np.minimum(np.linalg.norm(flat, axis=(1, 2)), holder)
+        bound = np.minimum(np.sqrt(np.square(mags).sum(axis=(1, 2))), holder)
     top = bound.max()
     if not top < np.inf or (top < OPNORM_BOUND_FLOOR and flat.any()):
         return float(np.maximum(floor, np.linalg.svd(flat, compute_uv=False)[:, 0].max()))
@@ -245,11 +305,16 @@ def _batched_opnorm_max(mats: np.ndarray, floor: float = 0.0) -> float:
 
 def pair_products(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """x[a] @ y[b] for all (a, b): (A, u, i) times (B, i, v) -> (A, B, u, v),
-    as one GEMM over the stacked rows of x and the stacked columns of y."""
+    as one GEMM over the stacked rows of x and the stacked columns of y; a
+    real GEMM, a quarter of the work, when neither has an imaginary part
+    (the exact images of a standard form)."""
     a, u, i = x.shape
     b, _, v = y.shape
+    dtype = np.result_type(x, y)
+    if dtype.kind == "c" and not (np.imag(x).any() or np.imag(y).any()):
+        x, y = x.real, y.real
     flat = x.reshape(a * u, i) @ y.transpose(1, 0, 2).reshape(i, b * v)
-    return flat.reshape(a, u, b, v).transpose(0, 2, 1, 3)
+    return flat.reshape(a, u, b, v).transpose(0, 2, 1, 3).astype(dtype, copy=False)
 
 
 def commutation_residual(reps: Sequence[np.ndarray]) -> float:
@@ -277,31 +342,17 @@ def law_residuals(algebra: Algebra, reps: Sequence[np.ndarray]) -> dict:
         star = max(star, _batched_opnorm_max(rp[algebra.star_perm] - rp.conj().transpose(0, 2, 1)))
         unit = np.tensordot(algebra.identity_coords, rp, axes=(0, 0))
         unital = max(unital, _batched_opnorm_max(unit[None] - np.eye(kappa)))
-    return {
-        "multiplicativity": mult,
-        "star": star,
-        "unitality": unital,
-        "commutation": commutation_residual(reps),
-    }
+    return {"multiplicativity": mult, "star": star, "unitality": unital, "commutation": commutation_residual(reps)}
 
 
-def theorem_form_values(
-    algebra: Algebra, reps: Sequence[np.ndarray], v_ops: Sequence[np.ndarray], k: int
-) -> np.ndarray:
-    """Values V_i* pi_1(..) .. pi_m(..) V_j on all basis tuples.
-
-    Returns shape (d,)*k + (n*h, n*h) with (i, j) blocks of size h; used both
-    by the factory (as a definition) and by verification (as the target).
-
-    The kappa-by-kappa chain of pi products is never formed: V* is folded
-    into the first factor, giving (.., nh, kappa) blocks that the middle
-    factors act on from the right, and V into the last factor, giving
-    (d^2, kappa, nh), so the last step is one GEMM over the basis indices.
-    Paired factors pi_p(e_a e_b) come from the structure constants after the
-    V contraction where there is one.  Cost d^(k-2) nh kappa^2 + d^k (nh)^2
-    kappa flops and d^k (nh)^2 + d^(k-2) nh kappa memory, against
-    d^k kappa^3 and d^k kappa^2 for the full chain.
-    """
+def theorem_form_values(algebra: Algebra, reps: Sequence[np.ndarray], v_ops: Sequence, k: int) -> np.ndarray:
+    """Values V_i* pi_1(..) .. pi_m(..) V_j on all basis tuples, shape
+    (d,)*k + (n*h, n*h) with (i, j) blocks of size h: the factory's
+    definition and verification's target.  No kappa-by-kappa chain is
+    formed: V* is folded into the first factor, which the middle factors act
+    on from the right, and V into the last, so the last step is one GEMM
+    over the basis indices; paired factors pi_p(e_a e_b) come from the
+    structure constants after the V contraction where there is one."""
     d = algebra.dim
     m = (k + 1) // 2
     mt = algebra.mult_table
@@ -328,158 +379,108 @@ def theorem_form_values(
     return vals.transpose(list(np.argsort(order)) + [k, k + 1])
 
 
+_VERIFIED = weakref.WeakKeyDictionary()  # map -> {digest of a triple's images and V: its report}
+
+
 def verify_dilation(phi, triple: DilationTriple) -> DilationReport:
-    """Residuals of the reconstruction identity and of the structural laws."""
+    """Residuals of the reconstruction identity and of the structural laws,
+    kept for the map's lifetime under a digest of the triple's images and V:
+    a certified triple, or a copy of it to the bit, is not verified again."""
     block = as_block_map(phi)
     alg, k = block.algebra, block.k
     if (alg, k, block.n, block.h) != (triple.algebra, triple.k, triple.n, triple.h):
         raise ValueError("triple shape does not match the map")
-    if triple.kappa == 0:
-        recon = float(np.abs(block.stacked_coeffs()).max()) if block.stacked_coeffs().size else 0.0
-        return DilationReport(recon, 0.0, 0.0, 0.0, 0.0)
-    vals = theorem_form_values(alg, triple.reps, triple.V, k)
-    recon = _reconstruction_residual(block, vals)
-    return DilationReport(recon, **law_residuals(alg, triple.reps))
+    arrays = [np.ascontiguousarray(x) for x in (*triple.reps, *triple.V)]
+    key = hashlib.blake2b(repr([(x.dtype.str, x.shape) for x in arrays]).encode() + b"".join(map(bytes, arrays)))
+    key = key.digest()
+    held = _VERIFIED.setdefault(phi, {})
+    if key not in held and triple.kappa == 0:
+        coeffs = block.stacked_coeffs()
+        held[key] = DilationReport(float(np.abs(coeffs).max()) if coeffs.size else 0.0, 0.0, 0.0, 0.0, 0.0)
+    elif key not in held:
+        vals = theorem_form_values(alg, triple.reps, triple.V, k)
+        held[key] = DilationReport(_reconstruction_residual(block, vals), **law_residuals(alg, triple.reps))
+    return replace(held[key])
 
 
 def _reconstruction_residual(block, vals: np.ndarray) -> float:
-    """max over basis tuples of ||vals - phi||, with ``vals`` in the layout
-    of ``theorem_form_values``.  The differences are formed from the grid
-    entries for a few values of the first slot at a time, within
-    ``RECONSTRUCTION_CHUNK_BYTES``, so no second tensor the size of the map
-    is held; each chunk passes the largest norm so far to
-    ``_batched_opnorm_max`` as its floor, so the result is the maximum of
-    the per-matrix SVDs, bit for bit, as over the whole stack at once."""
-    h = block.h
-    step = max(1, RECONSTRUCTION_CHUNK_BYTES // vals[0].nbytes)
+    """max over basis tuples of ||vals - phi||, from differences formed a run
+    of the first slot whose values fit ``RECONSTRUCTION_CHUNK_BYTES`` at a
+    time (for each index of the slots before it), each passing the largest
+    norm so far as ``_batched_opnorm_max``'s floor: the per-matrix SVD maximum."""
+    h, lead = block.h, 0
+    while lead < block.k - 1 and vals[(0,) * (lead + 1)].nbytes > RECONSTRUCTION_CHUNK_BYTES:
+        lead += 1
+    step = max(1, RECONSTRUCTION_CHUNK_BYTES // vals[(0,) * (lead + 1)].nbytes)
     worst = 0.0
-    for start in range(0, len(vals), step):
-        diff = np.array(vals[start : start + step])
-        for i, row in enumerate(block.entries):
-            for j, phi in enumerate(row):
-                diff[..., i * h : (i + 1) * h, j * h : (j + 1) * h] -= phi.coeffs[start : start + step]
-        worst = _batched_opnorm_max(diff, worst)
+    for outer in np.ndindex(vals.shape[:lead]):
+        for start in range(0, vals.shape[lead], step):
+            at = outer + (slice(start, start + step),)
+            diff = np.array(vals[at])
+            for i, j in np.ndindex(block.n, block.n):
+                diff[..., i * h : (i + 1) * h, j * h : (j + 1) * h] -= block.entries[i][j].coeffs[at]
+            worst = _batched_opnorm_max(diff, worst)
     return worst
 
 
-# -- minimality and uniqueness ------------------------------------------------
+# -- standardization and uniqueness ---------------------------------------------
 
 
-def _canonical_basis(span: np.ndarray, rank_tol: float = RANK_TOL) -> tuple[np.ndarray, MinimalityReport]:
-    """Walk the columns of ``span`` in order, keeping each whose residual
-    against the columns kept before it exceeds ``rank_tol`` times the largest
-    column norm; return Q of the kept columns' QR with a positive diagonal in
-    R (their Gram-Schmidt basis) and the walk's report.  The walk and R read
-    only inner products, so U span keeps the same columns and gives U Q.
-
-    Each step finds the first column above the cut, keeps the run of columns
-    from there whose QR diagonal stays above it (each one's residual against
-    the run before it), and removes the run from the later residuals.  A
-    ValueError names ``rank_tol`` when a kept column's diagonal in the final
-    R is not above the cut: a cut at or near 0 keeps columns of round-off."""
-    res, kept, margins, rejected, start = span.copy(), [], [], 0.0, 0
-    tail = np.linalg.norm(res, axis=0)
-    top = float(tail.max(initial=0.0))
-    cut, kappa = rank_tol * top, span.shape[0]
-    while True:
-        above = np.flatnonzero(tail > cut) if len(kept) < kappa else ()
-        first = above[0] if len(above) else len(tail)
-        rejected = max(rejected, float(tail[:first].max(initial=0.0)))
-        if first == len(tail):
-            break
-        start += first
-        q, r = np.linalg.qr(res[:, start : start + kappa - len(kept)])
-        diag = np.abs(np.diag(r))
-        run = 1 + int(np.argmin(np.append(diag[1:] > cut, False)))
-        kept += range(start, start + run)
-        margins += diag[:run].tolist()
-        start += run
-        res[:, start:] -= q[:, :run] @ (q[:, :run].conj().T @ res[:, start:])
-        tail = np.linalg.norm(res[:, start:], axis=0)
-    q, r = np.linalg.qr(span[:, kept])
-    scale = top if top > 0 else 1.0
-    final = np.abs(np.diag(r))
-    if not (final > cut).all():
-        raise ValueError(
-            f"rank_tol {rank_tol:g} keeps a spanning column whose residual against the kept columns "
-            f"before it, {final.min() / scale:.1e} of the largest column norm, is not above rank_tol"
-        )
-    smallest = min(margins) / scale if margins else None
-    report = MinimalityReport(len(kept), kappa, len(kept) == kappa, smallest, rejected / scale, tuple(kept))
-    return q * (np.diag(r) / final), report
+def _applied(reps: Sequence[np.ndarray], units: Sequence[np.ndarray], x: np.ndarray) -> np.ndarray:
+    """pi_1(e_{u_1}) .. pi_m(e_{u_m}) x over the tuples of ``units``, as rows over (u_1..u_m, columns of x)."""
+    for p in reversed(range(len(reps))):
+        images = reps[p][units[p]]
+        x = images.reshape(images.shape[:1] + (1,) * (x.ndim - 2) + images.shape[1:]) @ x
+    x = np.moveaxis(x, -2, 0)
+    return x.reshape(len(x), math.prod(x.shape[1:]))
 
 
-def _label_blocks(triple: DilationTriple, kept: Sequence[int]) -> list[np.ndarray]:
-    """Per factor p, the (d, len(kept), len(kept)) pattern outside which the
-    image of pi_p(e_b) in the canonical basis over the ``kept`` spanning
-    columns vanishes, for b = e_(blk,r,c): entry (i, j) needs row label
-    (blk, r) in factor p at column i, (blk, c) at column j, and equal labels
-    in every other factor.  Column (b_1..b_m, j, s) lies in the range of
-    the commuting projections pi_q(e_(blk,l,l)) at the row labels l of
-    b_1..b_m, these ranges are mutually orthogonal, and Gram-Schmidt keeps
-    each basis vector in its column's range."""
+def _standardize(triple: DilationTriple, rank_tol: float):
+    """The anchor walk over a triple's own images: (standard form, report, bases)."""
     alg, m = triple.algebra, triple.m
-    tuples = np.unravel_index(np.asarray(kept, dtype=np.intp) // (triple.n * triple.h), (alg.dim,) * m)
-    labels = alg.row_labels[np.stack(tuples)]  # (m, kept)
-    same = labels[:, :, None] == labels[:, None, :]
-    rows, cols = alg.row_labels[:, None, None], alg.row_labels[alg.star_perm][:, None, None]
-    return [
-        np.delete(same, p, axis=0).all(axis=0) & (labels[p][:, None] == rows) & (labels[p] == cols)
-        for p in range(m)
-    ]
+    anchors = [_units(alg, b, row=False) for b in range(alg.n_blocks)]
+    vs = triple.stacked_V()
+    blocks = {lam: _applied(triple.reps, [anchors[b] for b in lam], vs) for lam in np.ndindex((alg.n_blocks,) * m)}
+    standard, margins, bases = _walk(triple, blocks, rank_tol, gram=False)
+    return standard, MinimalityReport(standard.kappa, triple.kappa, standard.kappa == triple.kappa, *margins), bases
 
 
-def minimal_compress(
-    triple: DilationTriple, rank_tol: float = RANK_TOL
-) -> tuple[DilationTriple, MinimalityReport]:
-    """The canonical minimal triple: restrict to the span of representation
-    products applied to sum_j V_j H, in the basis Q that ``_canonical_basis``
-    fixes on ``spanning_matrix``.  It still dilates the same map, and
-    unitarily equivalent triples compress to the same one.  Outside its
-    ``_label_blocks`` pattern, where the image of a commuting family of
-    unital *-representations vanishes in exact arithmetic, each image's
-    round-off is set to 0.0 (an entry already zero keeps its sign)."""
-    _check_rank_tol(rank_tol)
-    q, report = _canonical_basis(triple.spanning_matrix(), rank_tol)
-    qh = q.conj().T
-    images = (qh @ rp @ q for rp in triple.reps)
-    blocks = _label_blocks(triple, report.kept_columns)
-    compressed = replace(
-        triple,
-        kappa=report.spanning_rank,
-        reps=tuple(np.where(mask | (img == 0), img, 0.0) for img, mask in zip(images, blocks)),
-        V=tuple(qh @ vj for vj in triple.V),
-        W=(qh @ triple.W) if triple.W is not None else None,
-        rank_tol=rank_tol,
-        meta={**triple.meta, "compressed_from": triple.kappa},
-    )
-    return compressed, report
+def minimal_compress(triple: DilationTriple, rank_tol: float = RANK_TOL) -> tuple[DilationTriple, MinimalityReport]:
+    """The standard form of ``triple``, on the span of the representation
+    products applied to sum_j V_j H: it dilates the same map, unitarily
+    equivalent triples give the same one, and a standard form comes back."""
+    standard, report, _ = _standardize(triple, rank_tol)
+    standard.meta = {**triple.meta, "compressed_from": triple.kappa}
+    return standard, report
 
 
 def unitary_equivalence(t1: DilationTriple, t2: DilationTriple) -> EquivalenceReport:
-    """U = Q_2 Q_1* from the canonical bases of both triples' spanning
-    families, and how unitary and intertwining it actually is."""
-    prods, bases = [], []
+    """Triples are unitarily equivalent when their standard forms have one
+    layout and their Vs agree.  Q takes standard basis vector (lambda, r, i)
+    to pi_1(e_(b_1,r_1,0)) .. pi_m(e_(b_m,r_m,0)) applied to anchor basis
+    vector i of lambda; the report says how far Q is from an isometry that
+    takes the triple's images to the exact ones."""
+    forms = []
     for triple in (t1, t2):
-        prods.append(triple.product_tensor())
-        q, walk = _canonical_basis(triple.spanning_matrix(prods[-1]))
+        standard, walk, bases = _standardize(triple, RANK_TOL)
         if not walk.is_minimal:
-            raise ValueError(
-                f"triple is not minimal: spanning rank {walk.spanning_rank} < dimension {triple.kappa}"
-            )
-        bases.append(q)
-    if t1.kappa != t2.kappa:
+            raise ValueError(f"triple is not minimal: spanning rank {walk.spanning_rank} != dimension {triple.kappa}")
+        rows = [_units(triple.algebra, b, row=True) for b in range(triple.algebra.n_blocks)]
+        parts = [_applied(triple.reps, [rows[b] for b in lam], q) for lam, q in bases.items()]
+        forms.append((standard, np.concatenate([np.zeros((triple.kappa, 0), dtype=np.complex128)] + parts, axis=1)))
+    (s1, q1), (s2, q2) = forms
+    if not np.array_equal(s1.layout, s2.layout):  # kappa is the layout's
         raise ValueError(
-            f"dimension mismatch after minimality: {t1.kappa} vs {t2.kappa} "
-            "(triples cannot be unitarily equivalent)"
+            f"{'dimension' if t1.kappa != t2.kappa else 'layout'} mismatch after minimality: kappa {t1.kappa} vs "
+            f"{t2.kappa}, multiplicities {s1.layout.ravel().tolist()} vs {s2.layout.ravel().tolist()} (not equivalent)"
         )
-    if t1.kappa == 0:
-        return EquivalenceReport(U=np.zeros((0, 0), dtype=np.complex128), kappa=0)
-    u_map = bases[1] @ bases[0].conj().T
-    unitarity = float(np.linalg.norm(u_map.conj().T @ u_map - np.eye(t1.kappa), 2))
-    inter = _batched_opnorm_max(prods[1] @ u_map - u_map @ prods[0])
-    v_match = max(float(np.linalg.norm(u_map @ v1 - v2, 2)) for v1, v2 in zip(t1.V, t2.V))
-    return EquivalenceReport(u_map, unitarity, inter, v_match, t1.kappa)
+    isometry = intertwining = 0.0
+    for triple, q, standard in ((t1, q1, s1), (t2, q2, s2)):
+        isometry = _batched_opnorm_max(q.conj().T @ q - np.eye(triple.kappa), isometry)
+        for rp, exact in zip(triple.reps, standard.reps):
+            intertwining = _batched_opnorm_max(q.conj().T @ rp @ q - exact, intertwining)
+    v_match = max((float(np.linalg.norm(x - y, 2)) for x, y in zip(s1.V, s2.V)), default=0.0) if t1.kappa else 0.0
+    return EquivalenceReport(q2 @ q1.conj().T, isometry, intertwining, v_match, t1.kappa)
 
 
 def block_state_vectors(phi, triple: DilationTriple | None = None):
@@ -488,8 +489,5 @@ def block_state_vectors(phi, triple: DilationTriple | None = None):
     block = as_block_map(phi)
     if block.h != 1:
         raise ValueError(f"block-state form requires scalar codomain, got h={block.h}")
-    if triple is None:
-        triple = dilate(block)
-    report = verify_dilation(block, triple)
-    vectors = [vj[:, 0].copy() for vj in triple.V]
-    return vectors, report
+    triple = dilate(block) if triple is None else triple
+    return [vj[:, 0].copy() for vj in triple.V], verify_dilation(block, triple)

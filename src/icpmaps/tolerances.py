@@ -9,9 +9,8 @@ GRAM_PSD_TOL = 1e-9  # lowest Gram eigenvalue, times max(1, spectral norm)
 GRAM_HERMITIAN_TOL = 1e-8  # max |G - G*| / (1 + max |G|)
 PALINDROME_TOL = 1e-12  # admissible tuples: max |a_i - a_(k+1-i)*|
 COEFFICIENT_TOL = 1e-9  # invariance and symmetry deviations, times 1 + coefficient scale
-RANK_TOL = 1e-10  # kept eigen- and singular values, relative to the largest
-DESCENT_TOL = 1e-8  # quotient descent residual, times sqrt(largest Gram eigenvalue)
-EQUIVALENCE_TOLS = {"unitarity": 1e-9, "intertwining": 1e-7, "v_match": 1e-7}
+RANK_TOL = 1e-10  # kept squared pivots of the anchor walk, relative to the largest squared anchor norm
+EQUIVALENCE_TOLS = {"isometry": 1e-9, "intertwining": 1e-7, "v_match": 1e-7}
 # CP certificate: reconstruction times 1 + coefficient scale, structural laws absolute
 CERTIFICATE_TOLS = {"reconstruction": 1e-8, "structural": 1e-6}
 RELATIVE_MARGIN = 1e-6  # norm estimates against their bound

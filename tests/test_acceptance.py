@@ -103,16 +103,16 @@ def test_c04_dilation_roundtrip(corpus):
 
 def test_c05_minimality_and_uniqueness(corpus):
     start = time.perf_counter()
-    worst = {"unitarity": 0.0, "intertwining": 0.0, "v_match": 0.0}
+    worst = {"isometry": 0.0, "intertwining": 0.0, "v_match": 0.0}
     for entry in corpus:
         dilated = _CACHE.get("dilated", {}).get(entry.name) or dilate(entry.block_map)
         t1, _ = minimal_compress(dilated)
         t2, _ = minimal_compress(entry.triple)
         eq = unitary_equivalence(t1, t2)
-        assert eq.unitarity <= 1e-9, entry.name
+        assert eq.isometry <= 1e-9, entry.name
         assert eq.intertwining <= 1e-7, entry.name
         assert eq.v_match <= 1e-7, entry.name
-        worst["unitarity"] = max(worst["unitarity"], eq.unitarity)
+        worst["isometry"] = max(worst["isometry"], eq.isometry)
         worst["intertwining"] = max(worst["intertwining"], eq.intertwining)
         worst["v_match"] = max(worst["v_match"], eq.v_match)
     elapsed = time.perf_counter() - start

@@ -227,3 +227,19 @@ def test_amplify_size_guard():
 def test_amplified_algebra_is_built_once_per_level():
     assert amplified_algebra(Algebra([2, 1]), 3) is amplified_algebra(Algebra([2, 1]), 3)
     assert amplified_algebra(Algebra([2, 1]), 2) is not amplified_algebra(Algebra([2, 1]), 3)
+
+
+def test_single_entry_grid_reads_its_coefficients_in_place():
+    # n = 1: the chain grid's ends are a view of the one entry's coefficients,
+    # where a stacked copy held them twice, and every value keeps its bits
+    rng = np.random.default_rng(3)
+    for alg, k, h in [(Algebra([2]), 5, 2), (Algebra([1, 2]), 3, 1), (Algebra([3]), 4, 2)]:
+        block = BlockMultilinearMap([[random_map(alg, k, h, rng)]])
+        grid = block.chain_grid()
+        assert np.shares_memory(grid.ends, block.entries[0][0].coeffs)
+        copied = BlockMultilinearMap(block.entries)
+        copied._grid = multimap.ChainGrid(grid.arg_algebra, k, h, grid.ends.copy(), grid.unit_index)
+        assert not np.shares_memory(copied.chain_grid().ends, block.entries[0][0].coeffs)
+        for t in (1, 2, 3):
+            mats = [rng.standard_normal((4, t, t, alg.dim)) + 1j * rng.standard_normal((4, t, t, alg.dim)) for _ in range(k)]
+            assert np.array_equal(amplified_evaluate(block, t, mats), amplified_evaluate(copied, t, mats))

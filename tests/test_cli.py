@@ -156,7 +156,7 @@ def test_equiv_fails_when_triples_do_not_dilate_the_map(tmp_path, capsys):
     assert code == 1
     report = json.loads(out)
     assert report["passed"] is False
-    assert report["equivalence"]["unitarity"] <= 1e-9
+    assert report["equivalence"]["isometry"] <= 1e-9
     assert report["triple1_residuals"]["reconstruction"] > 1.0
     assert main(["equiv", t1, t2, own]) == 0
 
@@ -172,7 +172,7 @@ def test_dilate_and_equiv_flow(tmp_path, capsys):
     assert code == 0
     report = json.loads(out)
     assert report["passed"] is True
-    assert report["equivalence"]["unitarity"] <= 1e-9
+    assert report["equivalence"]["isometry"] <= 1e-9
     assert report["triple1_residuals"]["reconstruction"] <= 1e-8
 
 
@@ -183,7 +183,8 @@ def test_dilate_reports_residuals(tmp_path, capsys):
     report = json.loads(out)
     assert report["kappa"] == 1
     assert report["residuals"]["reconstruction"] <= 1e-12
-    assert set(report["reps"][0].keys()) == {"e0", "e1"}
+    # a standard-form triple is written as its layout (mu over the block tuples) and V
+    assert report["layout"] == [1, 0, 0, 0] and "reps" not in report
 
 
 def test_dilate_non_psd_is_obstruction(tmp_path, capsys):
@@ -192,17 +193,36 @@ def test_dilate_non_psd_is_obstruction(tmp_path, capsys):
     assert main(["dilate", spec]) == 3
 
 
+@pytest.mark.parametrize("minimal", [False, True], ids=["raw", "minimal"])
+@pytest.mark.parametrize(
+    "spec, diagnosis",
+    [
+        ({"kind": "psi"}, "Gram matrix is non-Hermitian"),
+        ({"kind": "schur", "lam": [[[1.0, 0.0], [2.0, 0.0]], [[2.0, 0.0], [1.0, 0.0]]]}, "Gram kernel is not positive"),
+    ],
+    ids=["psi", "schur"],
+)
+def test_dilate_diagnoses_a_map_its_anchors_do_not_certify(tmp_path, capsys, spec, diagnosis, minimal):
+    # the anchors' triple fails the certificate; the Gram, built only then, says why
+    path = write_spec(tmp_path, "spec.json", spec)
+    capsys.readouterr()
+    assert main(["dilate", path] + (["--minimal"] if minimal else [])) == 3
+    assert capsys.readouterr().err.startswith(f"construction obstruction: {diagnosis}")
+
+
 def test_lapack_failure_is_internal_error(tmp_path, capsys, monkeypatch):
-    # LinAlgError subclasses ValueError, and was reported as an input error
-    spec = write_spec(tmp_path, "trace.json", {"kind": "trace", "n": 2})
+    # LinAlgError subclasses ValueError, and was reported as an input error;
+    # dilate's certificate decomposes the reconstruction differences, which are
+    # round-off on a generated map (on the trace map they are exactly zero)
+    spec = write_spec(tmp_path, "gen.json", {"kind": "dilation", "algebra": {"blocks": [2]}, "k": 3, "n": 1, "h": 1, "seed": 0})
     out = tmp_path / "triple.json"
 
-    def failing_eigh(*args, **kwargs):
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    def failing_svd(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
 
-    monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+    monkeypatch.setattr(np.linalg, "svd", failing_svd)
     assert main(["dilate", spec, "--out", str(out)]) == cli.EXIT_INTERNAL == 4
-    assert capsys.readouterr().err == "internal error: Eigenvalues did not converge\n"
+    assert capsys.readouterr().err == "internal error: SVD did not converge\n"
     assert not out.exists()
 
 
@@ -334,7 +354,7 @@ def test_each_command_diagonalizes_its_gram_once(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", counting(np.linalg.eigvalsh))
     for argv, code, gram_size, shapes in [
         (["check", spec, "--cp", "--trials", "20"], 0, 32, [(4, 8, 8)]),
-        (["dilate", spec], 0, 32, [(4, 8, 8)]),
+        (["dilate", spec], 0, 0, []),  # a certified dilation forms no Gram
         (["check", non_cp, "--cp"], 1, 2, [(1, 2, 2)]),  # the refuter reads the same spectrum
     ]:
         solved.clear()
@@ -344,11 +364,16 @@ def test_each_command_diagonalizes_its_gram_once(tmp_path, capsys, monkeypatch):
         assert solved == shapes, argv
 
 
-def _minimal_triple(tmp_path):
+def _minimal_triple(tmp_path, general=True):
+    """A map spec and its minimal triple file; with ``general`` the triple is
+    rewritten in the general form, its images under every basis element."""
     spec = str(tmp_path / "map.json")
     assert main(["gen", "dilation", "--algebra", "2", "--k", "3", "--out", spec]) == 0
     triple = str(tmp_path / "triple.json")
     assert main(["dilate", spec, "--minimal", "--out", triple]) == 0
+    if general:
+        read = serialize.triple_from_json(json.loads(open(triple).read()))
+        write_spec(tmp_path, "triple.json", serialize.triple_to_json(dataclasses.replace(read, layout=None)))
     return spec, triple
 
 
@@ -391,6 +416,49 @@ def test_equiv_malformed_triple_is_input_error(tmp_path, capsys, defect):
     err = capsys.readouterr().err
     assert err.startswith("input error: ") and "dilation triple" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "defect",
+    [
+        lambda t: t.update(layout=t["layout"][:-1]),
+        lambda t: t.update(layout=5),
+        lambda t: t["layout"].__setitem__(0, -1),
+        lambda t: t["layout"].__setitem__(0, True),
+        lambda t: t["layout"].__setitem__(0, 1.0),
+        lambda t: t.update(kappa=t["kappa"] + 1),
+        lambda t: t["V"][0].pop(),
+        lambda t: t.update(V=t["V"] + t["V"]),
+    ],
+    ids=["short-layout", "layout-not-a-list", "negative-multiplicity", "boolean-multiplicity",
+         "float-multiplicity", "kappa-not-the-layouts", "short-V", "two-V-for-n-1"],
+)
+def test_equiv_malformed_layout_triple_is_input_error(tmp_path, capsys, defect):
+    spec, triple = _minimal_triple(tmp_path, general=False)
+    data = json.loads(open(triple).read())
+    assert "layout" in data and "reps" not in data
+    defect(data)
+    broken = write_spec(tmp_path, "broken.json", data)
+    capsys.readouterr()
+    assert main(["equiv", broken, triple, spec]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and "dilation triple" in err, err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("minimal", [False, True], ids=["raw", "minimal"])
+def test_dilate_that_does_not_dilate_the_map_is_obstruction(tmp_path, capsys, minimal):
+    # a cut of 0.5 drops part of the map: the triple (kappa 16, reconstruction
+    # residual 2.97) was written with exit 0, and `equiv` of it with itself exited 1
+    spec = str(tmp_path / "plain.json")
+    assert main(["gen", "dilation", "--algebra", "2", "--k", "5", "--n", "1", "--h", "2", "--seed", "0", "--out", spec]) == 0
+    out = tmp_path / "triple.json"
+    capsys.readouterr()
+    argv = ["dilate", spec, "--rank-tol", "0.5", "--out", str(out)] + (["--minimal"] if minimal else [])
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("construction obstruction: ") and "reconstruction residual" in err, err
+    assert not out.exists()
 
 
 def test_dilate_minimal_is_stable_under_round_off(tmp_path, capsys):
@@ -446,7 +514,7 @@ def test_equiv_echoes_the_tolerances_it_applies(tmp_path, capsys):
     code, out = run(capsys, "equiv", t1, t1, spec)
     assert code == 0
     echoed = json.loads(out)["tolerances"]
-    assert echoed == EQUIVALENCE_TOLS == {"unitarity": 1e-9, "intertwining": 1e-7, "v_match": 1e-7}
+    assert echoed == EQUIVALENCE_TOLS == {"isometry": 1e-9, "intertwining": 1e-7, "v_match": 1e-7}
     for name, tol in EQUIVALENCE_TOLS.items():
         assert EquivalenceReport(U=None, **{name: tol}).within()
         assert not EquivalenceReport(U=None, **{name: 2 * tol}).within()

@@ -5,7 +5,8 @@ process, and requires an exit code in 0-4 with no exception escaping.
 A mutation drops a field (or list item) or replaces it with a null, a
 boolean, a string, a negative number, a float or a nested list.  The
 ``@example`` cases, which run on every test run, are inputs that once ended
-in a traceback or were read as something else; each must exit 2.
+in a traceback, were read as something else or were answered with the
+wrong exit code; each must exit with its own expected code.
 """
 
 import contextlib
@@ -111,14 +112,22 @@ MALFORMED_TRIPLES = [  # read as the triple they were written from
 ]
 
 
+PLAIN = {"kind": "dilation", "algebra": {"blocks": [2]}, "k": 5, "n": 1, "h": 2, "seed": 0}
+
+
 def _examples(test):
-    """Each malformed spec through every spec command, each malformed
-    triple through every triple command, a negative ``--iters`` and a
-    ``--rank-tol`` of 0 under ``dilate --minimal``: all must be input errors."""
+    """Each malformed spec through every spec command and each malformed
+    triple through every triple command, and a negative ``--iters``: all
+    must be input errors.  Under ``dilate --minimal``, ``--rank-tol 0`` is
+    an input error where it keeps a pivot of round-off (on ``PLAIN``) and
+    passes where no pivot above 0 is round-off (on the ``dilation`` base);
+    ``--rank-tol 0.5`` drops part of ``PLAIN`` and is an obstruction."""
     cases = [(argv, doc, 2) for doc in MALFORMED for argv in SPEC_COMMANDS]
     cases += [(argv, doc, 2) for doc in MALFORMED_TRIPLES for argv in TRIPLE_COMMANDS]
     cases.append(((*SPEC_COMMANDS[-1], "--iters", "-1"), BASES["dilation"], 2))
-    cases.append(((*SPEC_COMMANDS[2], "--rank-tol", "0"), BASES["dilation"], 2))
+    cases.append(((*SPEC_COMMANDS[2], "--rank-tol", "0"), PLAIN, 2))
+    cases.append(((*SPEC_COMMANDS[2], "--rank-tol", "0"), BASES["dilation"], 0))
+    cases.append(((*SPEC_COMMANDS[2], "--rank-tol", "0.5"), PLAIN, 3))
     for case in cases:
         test = example(case)(test)
     return test

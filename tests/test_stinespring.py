@@ -1,4 +1,5 @@
 import itertools
+import json
 import tracemalloc
 from dataclasses import replace
 
@@ -7,7 +8,7 @@ import pytest
 
 from icpmaps import cli, serialize, stinespring
 from icpmaps.algebra import Algebra
-from icpmaps.errors import NotCompletelyPositiveError, QuotientDescentError
+from icpmaps.errors import DilationObstructionError, NotCompletelyPositiveError
 from icpmaps.factory import (
     point_evaluation_example,
     random_icp,
@@ -25,6 +26,7 @@ from icpmaps.stinespring import (
     unitary_equivalence,
     verify_dilation,
 )
+from icpmaps.tolerances import certifies
 
 
 def test_worked_example_dilation_is_rank_one():
@@ -70,51 +72,49 @@ def test_roundtrip_on_corpus(corpus):
         assert triple.kappa == rank, entry.name
 
 
-def _left_mult_oracle(alg, m, tail, p, b):
-    """L_{p,b}, left multiplication by e_b on tensor factor p of
-    A^{tensor m} (x) H^n, built one coordinate at a time; tail = n h."""
-    d = alg.dim
-    bb, br, bc = alg.basis_label(b)
-    out = np.zeros((d**m * tail, d**m * tail))
-    for alpha in itertools.product(range(d), repeat=m):
-        qb, qr, qc = alg.basis_label(alpha[p])
-        if (qb, qr) != (bb, bc):
-            continue  # e_b e_q = 0
-        beta = alpha[:p] + (alg.basis_index(bb, br, qc),) + alpha[p + 1 :]
-        src = int(np.ravel_multi_index(alpha, (d,) * m)) * tail
-        dst = int(np.ravel_multi_index(beta, (d,) * m)) * tail
-        out[dst : dst + tail, src : src + tail] = np.eye(tail)
+def _standard_images_oracle(alg, layout):
+    """pi_p(e_(b,r,c)) of the standard form, one basis vector at a time: the
+    vector (lambda, r', i), in C order of lambda, then r', then i, goes to
+    the one with r'_p = r when lambda_p = b and r'_p = c, else to 0."""
+    m = layout.ndim
+    basis = [
+        (lam, rows, i)
+        for lam in itertools.product(range(alg.n_blocks), repeat=m)
+        for rows in itertools.product(*(range(alg.block_dims[b]) for b in lam))
+        for i in range(layout[lam])
+    ]
+    position = {vec: pos for pos, vec in enumerate(basis)}
+    out = np.zeros((m, alg.dim, len(basis), len(basis)))
+    for p, e in itertools.product(range(m), range(alg.dim)):
+        b, r, c = alg.basis_label(e)
+        for lam, rows, i in basis:
+            if lam[p] == b and rows[p] == c:
+                target = (lam, rows[:p] + (r,) + rows[p + 1 :], i)
+                out[p, e, position[target], position[(lam, rows, i)]] = 1.0
     return out
 
 
-def _unit_slot_oracle(alg, m, n, h, j):
-    """iota_j : f -> 1 x .. x 1 x (f at slot j); the unit is the sum of the
-    diagonal matrix units."""
-    d = alg.dim
-    out = np.zeros((d**m * n * h, h))
-    for alpha in itertools.product(range(d), repeat=m):
-        if all(alg.basis_label(q)[1] == alg.basis_label(q)[2] for q in alpha):
-            row = (int(np.ravel_multi_index(alpha, (d,) * m)) * n + j) * h
-            out[row : row + h] = np.eye(h)
-    return out
-
-
-def test_quotient_maps_match_coordinate_oracles(corpus):
-    # pi_p(e_b) W = W L_{p,b} on the quotient, and V_j = W iota_j
+def test_standard_form_matches_coordinate_oracles(corpus):
+    # the images are the layout's 0/1 matrix units, and row (lambda, r, i) of V is
+    # M[i, (r, j, s)] for an echelon M with real positive pivots and M* M the anchor Gram
     for entry in corpus:
         block = entry.block_map
-        alg, m, n, h = block.algebra, block.m, block.n, block.h
+        alg, n, h = block.algebra, block.n, block.h
         triple = dilate(block)
-        w = triple.W
-        scale = max(1.0, np.linalg.norm(w, 2))
-        for p in range(m):
-            for b in range(alg.dim):
-                lhs = triple.reps[p][b] @ w
-                rhs = w @ _left_mult_oracle(alg, m, n * h, p, b)
-                assert np.linalg.norm(lhs - rhs, 2) <= 1e-12 * scale, (entry.name, p, b)
-        for j in range(n):
-            v_oracle = w @ _unit_slot_oracle(alg, m, n, h, j)
-            assert np.linalg.norm(triple.V[j] - v_oracle, 2) <= 1e-12 * scale, (entry.name, j)
+        assert np.array_equal(np.stack(triple.reps), _standard_images_oracle(alg, triple.layout)), entry.name
+        gram = build_gram(block).matrix
+        scale = max(1.0, np.abs(gram).max())
+        rows = triple.stacked_V()
+        offset = 0
+        for lam, index, _ in stinespring.anchor_grams(block):
+            legs, mu = int(np.prod([alg.block_dims[b] for b in lam])), int(triple.layout[lam])
+            mat = rows[offset : offset + legs * mu].reshape(legs, mu, n * h).transpose(1, 0, 2).reshape(mu, legs * n * h)
+            offset += legs * mu
+            assert np.abs(mat.conj().T @ mat - gram[np.ix_(index, index)]).max() <= 1e-12 * scale, entry.name
+            pivots = [int(np.flatnonzero(row)[0]) for row in mat]
+            assert pivots == sorted(set(pivots)), entry.name
+            assert all(row[c].imag == 0.0 and row[c].real > 0.0 for row, c in zip(mat, pivots)), entry.name
+        assert offset == triple.kappa, entry.name
 
 
 @pytest.fixture(scope="module")
@@ -129,13 +129,18 @@ def non_invariant_psd_map():
     return MultilinearMap(alg, 2, 1, g[alg.star_perm][:, :, None, None])
 
 
-def test_non_invariant_map_fails_quotient_descent(non_invariant_psd_map):
+def test_non_invariant_map_fails_the_anchor_certificate(non_invariant_psd_map, monkeypatch):
+    # the anchors give a triple that does not dilate the map; only then is the Gram
+    # built, and a Hermitian PSD Gram leaves a construction obstruction
     phi = non_invariant_psd_map
     assert phi.is_symmetric() and not phi.is_invariant()
-    with pytest.raises(QuotientDescentError) as err:
+    built = []
+    monkeypatch.setattr(stinespring, "build_gram", lambda m: built.append(m) or build_gram(m))
+    with pytest.raises(DilationObstructionError, match="reconstruction residual") as err:
         dilate(phi)
-    assert (err.value.factor, err.value.basis_index) == (0, 0)
-    assert err.value.residual == pytest.approx(1.1413, abs=1e-4)
+    assert len(built) == 1
+    assert err.value.kappa == 4
+    assert err.value.residual == pytest.approx(3.8746, abs=1e-4)
 
 
 def test_non_invariant_map_is_diagonalized_whole(non_invariant_psd_map):
@@ -239,7 +244,7 @@ def test_equivalence_with_unitary_conjugate(corpus):
         V=tuple(u @ vj for vj in t1.V),
     )
     report = unitary_equivalence(t1, t2)
-    assert report.unitarity <= 1e-9
+    assert report.isometry <= 1e-9
     assert report.intertwining <= 1e-9
     assert report.v_match <= 1e-9
 
@@ -249,7 +254,7 @@ def test_equivalence_of_independent_constructions(corpus):
         t1, _ = minimal_compress(dilate(entry.block_map))
         t2, _ = minimal_compress(entry.triple)
         report = unitary_equivalence(t1, t2)
-        assert report.unitarity <= 1e-9, entry.name
+        assert report.isometry <= 1e-9, entry.name
         assert report.intertwining <= 1e-7, entry.name
         assert report.v_match <= 1e-7, entry.name
 
@@ -259,7 +264,7 @@ def test_self_equivalence_is_identity(corpus):
     t1, _ = minimal_compress(dilate(entry.block_map))
     report = unitary_equivalence(t1, t1)
     assert np.abs(report.U - np.eye(t1.kappa)).max() <= 1e-10
-    assert report.unitarity <= 1e-12 and report.intertwining <= 1e-12 and report.v_match <= 1e-12
+    assert report.isometry <= 1e-12 and report.intertwining <= 1e-12 and report.v_match <= 1e-12
 
 
 def test_recompression_is_identity_up_to_unitary(corpus):
@@ -268,7 +273,7 @@ def test_recompression_is_identity_up_to_unitary(corpus):
     t2, report = minimal_compress(t1)
     assert report.is_minimal
     eq = unitary_equivalence(t1, t2)
-    assert eq.unitarity <= 1e-9 and eq.intertwining <= 1e-9 and eq.v_match <= 1e-9
+    assert eq.isometry <= 1e-9 and eq.intertwining <= 1e-9 and eq.v_match <= 1e-9
 
 
 def _haar_conjugate(triple, seed):
@@ -288,14 +293,15 @@ def _entry_distance(t1, t2):
 
 def test_canonical_triple_is_unitarily_invariant(corpus):
     # one representative per class: the dilation, a Haar conjugate of it and the
-    # generator's provenance triple compress to the same triple
+    # generator's provenance triple standardize to the same layout and V
     for entry in corpus[:12]:
         triple = dilate(entry.block_map)
         base, walk = minimal_compress(triple)
         assert walk.is_minimal and walk.spanning_rank == triple.kappa, entry.name
+        assert _entry_distance(base, triple) == 0.0, entry.name  # the walk is exact on a standard form
         for other in (_haar_conjugate(triple, 3), entry.triple):
-            again, other_walk = minimal_compress(other)
-            assert other_walk.kept_columns == walk.kept_columns, entry.name
+            again, _ = minimal_compress(other)
+            assert np.array_equal(again.layout, base.layout), entry.name
             assert _entry_distance(base, again) <= 1e-12, entry.name
 
 
@@ -303,55 +309,54 @@ def test_canonical_triple_is_unitarily_invariant(corpus):
 BENCHMARK_SHAPES = [((2,), 3, 2, 2), ((2,), 4, 2, 2), ((2, 2), 3, 2, 2), ((2,), 5, 1, 2), ((3,), 4, 1, 2)]
 
 
-def _outside_label_blocks(triple, kept):
-    """Per factor p, True at (b, i, j) where the image of pi_p(e_b) in the
-    canonical basis over the ``kept`` spanning columns vanishes: the (block,
-    row) labels of column i's tuple and column j's tuple must be those of the
-    row and the column of e_b in factor p, and agree in every other factor."""
-    alg, m = triple.algebra, triple.m
-    labels = [
-        [alg.basis_label(b)[:2] for b in np.unravel_index(c // (triple.n * triple.h), (alg.dim,) * m)]
-        for c in kept
-    ]
-    outside = []
-    for p in range(m):
-        mask = np.ones((alg.dim, len(kept), len(kept)), dtype=bool)
-        for b in range(alg.dim):
-            blk, r, c = alg.basis_label(b)
-            for i, li in enumerate(labels):
-                for j, lj in enumerate(labels):
-                    others = all(li[q] == lj[q] for q in range(m) if q != p)
-                    mask[b, i, j] = not (others and li[p] == (blk, r) and lj[p] == (blk, c))
-        outside.append(mask)
-    return outside
-
-
-def test_canonical_images_vanish_exactly_outside_the_label_blocks(corpus):
-    cases = [(entry.name, entry.block_map, entry.triple, False) for entry in corpus]
-    for (blocks, k, n, h), seed in itertools.product(BENCHMARK_SHAPES, range(4)):
+def _standard_cases(corpus):
+    """(name, map, provenance triple) over the corpus and the benchmark's
+    spec shapes at n = 1 and n = 2, seeds 0-3."""
+    cases = [(entry.name, entry.block_map, entry.triple) for entry in corpus]
+    for (blocks, k, _, h), n, seed in itertools.product(BENCHMARK_SHAPES, (1, 2), range(4)):
         block, triple = random_icp(Algebra(list(blocks)), k, n, h, seed=seed)
-        cases.append((f"{blocks}-k{k}-n{n}-h{h}-seed{seed}", block, triple, True))
-    for name, block, triple, benchmark in cases:
-        canonical, walk = minimal_compress(triple)
-        outside = _outside_label_blocks(triple, walk.kept_columns)
-        q, _ = stinespring._canonical_basis(triple.spanning_matrix())
-        for rp, image, mask in zip(triple.reps, canonical.reps, outside):
-            assert not image[mask].any(), name
-            # only round-off is dropped: the images before masking
-            full = q.conj().T @ rp @ q
-            assert np.abs(full - image).max() <= 1e-13 * np.abs(image).max(), name
-        # a 1e-15 perturbation of V keeps the walk and the zeros
-        shifted = replace(triple, V=tuple(vj + 1e-15 for vj in triple.V))
-        again, shifted_walk = minimal_compress(shifted)
-        assert shifted_walk.kept_columns == walk.kept_columns, name
-        assert all(not image[mask].any() for image, mask in zip(again.reps, outside)), name
-        if benchmark:
-            # the dilation's own triple is already zero there before masking
-            dilated = dilate(block)
-            q, dilated_walk = stinespring._canonical_basis(dilated.spanning_matrix())
-            assert dilated_walk.kept_columns == walk.kept_columns, name
-            for rp, mask in zip(dilated.reps, outside):
-                assert not (q.conj().T @ rp @ q)[mask].any(), name
+        cases.append((f"{blocks}-k{k}-n{n}-h{h}-seed{seed}", block, triple))
+    return cases
+
+
+def test_anchor_blocks_are_principal_submatrices_of_the_gram(corpus):
+    for name, block, _ in _standard_cases(corpus):
+        gram = build_gram(block).matrix
+        alg, m = block.algebra, block.m
+        seen = []
+        for lam, index, anchor in stinespring.anchor_grams(block):
+            assert np.array_equal(anchor, gram[np.ix_(index, index)]), (name, lam)
+            seen.append(index)
+        # each anchor tuple (e_(b_1,0,c_1), .., e_(b_m,0,c_m)) once, with every (j, s)
+        seen = np.concatenate(seen)
+        assert len(seen) == len(set(seen)) == sum(alg.block_dims) ** m * block.n * block.h, name
+
+
+def test_standard_forms_are_exact_and_agree_with_the_provenance(corpus):
+    for name, block, provenance in _standard_cases(corpus):
+        dilated = dilate(block)
+        standard, walk = minimal_compress(provenance)
+        assert dilated.kappa == standard.kappa == walk.spanning_rank, name
+        assert np.array_equal(dilated.layout, standard.layout), name
+        for triple in (dilated, standard):
+            assert all(np.isin(rp, (0.0, 1.0)).all() for rp in triple.reps), name
+            report = verify_dilation(block, triple)
+            assert report.max_structural() == 0.0, name
+            assert certifies(report, block.coefficient_scale()), name
+        assert _entry_distance(dilated, standard) <= 1e-12, name
+        # a 1e-15 perturbation of V keeps the layout and moves the standard form by round-off
+        shifted, _ = minimal_compress(replace(provenance, V=tuple(vj + 1e-15 for vj in provenance.V)))
+        assert np.array_equal(shifted.layout, standard.layout), name
+        assert _entry_distance(shifted, standard) <= 1e-12, name
+
+
+def test_certified_dilate_forms_no_gram(corpus, monkeypatch):
+    def forbidden(phi):
+        raise AssertionError("build_gram called")
+
+    monkeypatch.setattr(stinespring, "build_gram", forbidden)
+    for name, block, _ in _standard_cases(corpus):
+        assert verify_dilation(block, dilate(block)).reconstruction <= 1e-8 * (1.0 + block.coefficient_scale()), name
 
 
 def test_walk_reports_the_margins_of_its_cut(corpus):
@@ -360,11 +365,44 @@ def test_walk_reports_the_margins_of_its_cut(corpus):
     _, walk = minimal_compress(triple)
     assert set(walk.to_dict()) == {"spanning_rank", "kappa", "is_minimal", "smallest_kept", "largest_rejected"}
     assert walk.smallest_kept > 1e-3 and walk.largest_rejected <= 1e-13
-    # the walk keeps the first column above the cut, then walks on in column order
-    norms = np.linalg.norm(triple.spanning_matrix(), axis=0)
-    assert list(walk.kept_columns) == sorted(walk.kept_columns)
-    assert walk.kept_columns[0] == int(np.flatnonzero(norms > 1e-10 * norms.max())[0])
-    assert minimal_compress(_haar_conjugate(triple, 4))[1].kept_columns == walk.kept_columns
+    # margins are pivots over the largest anchor norm: a Haar conjugate reads them to round-off
+    again = minimal_compress(_haar_conjugate(triple, 4))[1]
+    assert again.spanning_rank == walk.spanning_rank and again.is_minimal
+    assert again.smallest_kept == pytest.approx(walk.smallest_kept, rel=1e-9)
+    # the cut compares squared pivots with rank_tol: just above the smallest, that pivot goes
+    cut, dropped = minimal_compress(triple, rank_tol=1.0001 * walk.smallest_kept**2)
+    assert not dropped.is_minimal and cut.kappa < triple.kappa
+    assert dropped.largest_rejected == pytest.approx(walk.smallest_kept, rel=1e-9)
+
+
+def test_haar_conjugate_in_the_general_form_standardizes_back(corpus):
+    for entry in corpus[::5]:
+        triple = dilate(entry.block_map)
+        conjugate = _haar_conjugate(triple, 5)
+        data = json.loads(serialize.dumps(serialize.triple_to_json(conjugate)))
+        assert "reps" in data and "layout" not in data, entry.name
+        read = serialize.triple_from_json(data)
+        again, walk = minimal_compress(read)
+        assert walk.is_minimal and np.array_equal(again.layout, triple.layout), entry.name
+        assert _entry_distance(again, triple) <= 1e-12, entry.name
+        eq = unitary_equivalence(triple, read)
+        assert eq.within() and eq.v_match <= 1e-12, entry.name
+
+
+def test_equivalence_fails_on_a_changed_multiplicity_or_v_column():
+    block, _ = random_icp(Algebra([1, 1]), 3, 1, 2, seed=5)
+    triple = dilate(block)
+    assert triple.layout.ravel().tolist() == [0, 1, 0, 2]
+    # one column of one V changed: same layout, other V
+    v0 = triple.V[0].copy()
+    v0[:, 1] *= -1.0
+    eq = unitary_equivalence(triple, replace(triple, V=(v0,)))
+    assert not eq.within() and eq.v_match > 1e-3 and eq.isometry == eq.intertwining == 0.0
+    # one multiplicity moved to another block tuple (legs of size 1): same kappa, other layout
+    layout = np.array([[1, 0], [0, 2]])
+    moved = replace(triple, layout=layout, reps=stinespring.standard_images(triple.algebra, layout))
+    with pytest.raises(ValueError, match="layout mismatch"):
+        unitary_equivalence(triple, moved)
 
 
 def test_nonminimal_input_rejected(corpus):
@@ -516,7 +554,7 @@ def test_reconstruction_residual_in_chunks_is_the_whole_stack_maximum(corpus, mo
         vals[-1].flat[-1] += 1.0  # the largest residual in the last chunk
         whole = stinespring._batched_opnorm_max(vals - block.stacked_coeffs())
         assert stinespring._reconstruction_residual(block, vals) == whole
-        monkeypatch.setattr(stinespring, "RECONSTRUCTION_CHUNK_BYTES", 1)  # one first-slot value per chunk
+        monkeypatch.setattr(stinespring, "RECONSTRUCTION_CHUNK_BYTES", 1)  # one basis tuple per chunk
         assert stinespring._reconstruction_residual(block, vals) == whole
         monkeypatch.undo()
         assert stinespring._batched_opnorm_max(vals - block.stacked_coeffs(), 2.0 * whole + 1.0) == 2.0 * whole + 1.0
