@@ -6,8 +6,9 @@ and every threshold a verdict rests on is fixed in ``tolerances``, so
 identical inputs produce byte-identical reports.
 
 Exit codes: 0 pass, 1 assertion failure (with witness), 2 input error,
-3 construction obstruction (for dilate: a non-Hermitian or non-PSD Gram, or
-a triple that does not dilate the map), 4 internal error (a LAPACK routine
+3 construction obstruction (only from dilate and russo-dye --cb: a
+non-Hermitian or non-PSD Gram, or a triple that does not dilate the map;
+check reports these as its cp section), 4 internal error (a LAPACK routine
 failed).
 """
 
@@ -27,7 +28,7 @@ from .errors import (
     NotCompletelyPositiveError,
     SpecFormatError,
 )
-from .gram import admissibility_report, build_gram, cp_refute, gram_is_psd, positivity_falsify
+from .gram import admissibility_report, positivity_falsify
 from .multimap import MultilinearMap, amplified_evaluate
 from .stinespring import dilate, minimal_compress, unitary_equivalence, verify_dilation
 from .tolerances import EQUIVALENCE_TOLS, RANK_TOL, certifies
@@ -140,54 +141,34 @@ def cmd_check(args) -> int:
             checks["positivity"] = {"counterexample": falsified.to_dict()}
             verdicts["positivity"] = "fail"
     if "cp" in wanted:
-        gram = build_gram(block)
+        # a certified dilation proves CP (claim (e)); `dilate` builds the Gram only to say why one fails
         try:
-            psd, min_eig = gram_is_psd(gram)
+            triple = dilate(block)
         except NonHermitianGramError as exc:
             # non-real quadratic form: some admissible value is non-Hermitian
-            checks["cp"] = {
-                "gram_hermitian": False,
-                "hermiticity_residual": gram.hermiticity_residual,
-                "detail": str(exc),
-            }
+            checks["cp"] = {"gram_hermitian": False, "hermiticity_residual": exc.residual, "detail": str(exc)}
             verdicts["cp"] = "fail"
-            psd = None
-        if psd is False:
-            refutation = cp_refute(block)
+        except NotCompletelyPositiveError as exc:
             checks["cp"] = {
                 "gram_psd": False,
-                "gram_min_eigenvalue": min_eig,
-                "refutation": refutation.to_dict(),
+                "gram_min_eigenvalue": exc.min_eigenvalue,
+                "refutation": exc.witness.to_dict(),
             }
             verdicts["cp"] = "fail"
-        elif psd:
+        except DilationObstructionError as exc:
+            # a PSD Gram the anchors do not certify: only a sampled tuple can still refute;
             # the falsifier is seeded, so the positivity check above already has its result
-            if "positivity" in wanted:
-                ce = falsified
-            else:
-                ce = positivity_falsify(block, levels=levels, trials=args.trials, seed=args.seed)
-            if ce is not None:
-                checks["cp"] = {
-                    "gram_psd": True,
-                    "gram_min_eigenvalue": min_eig,
-                    "falsifier": ce.to_dict(),
-                }
-                verdicts["cp"] = "fail"
-            else:
-                triple = dilate(block)
-                residuals = verify_dilation(block, triple)
-                certified = certifies(residuals, block.coefficient_scale())
-                checks["cp"] = {
-                    "gram_psd": True,
-                    "gram_min_eigenvalue": min_eig,
-                    "falsifier": None,
-                    "certificate": {
-                        "kappa": triple.kappa,
-                        "residuals": residuals.to_dict(),
-                        "valid": certified,
-                    },
-                }
-                verdicts["cp"] = "pass" if certified else "inconclusive"
+            if "positivity" not in wanted:
+                falsified = positivity_falsify(block, levels=levels, trials=args.trials, seed=args.seed)
+            checks["cp"] = {
+                "certificate": {"kappa": exc.kappa, "residuals": exc.report.to_dict(), "valid": False},
+                "falsifier": None if falsified is None else falsified.to_dict(),
+            }
+            verdicts["cp"] = "inconclusive" if falsified is None else "fail"
+        else:
+            residuals = verify_dilation(block, triple)  # the report `dilate` certified, kept for the map
+            checks["cp"] = {"certificate": {"kappa": triple.kappa, "residuals": residuals.to_dict(), "valid": True}}
+            verdicts["cp"] = "pass"
     if data.get("kind") == "eval" and int(data.get("dim", 2)) == 2:
         mats = factory.worked_level2_tuple()
         phi = obj if isinstance(obj, MultilinearMap) else block.entries[0][0]
@@ -231,7 +212,7 @@ def cmd_dilate(args) -> int:
         triple, walk = minimal_compress(triple, rank_tol=args.rank_tol)
     residuals = verify_dilation(block, triple)
     if not certifies(residuals, block.coefficient_scale()):
-        raise DilationObstructionError(residuals.reconstruction, triple.kappa)
+        raise DilationObstructionError(residuals, triple.kappa)
     report = serialize.triple_to_json(triple, residuals.to_dict())
     report["command"] = "dilate"
     report["minimal"] = bool(args.minimal)

@@ -198,7 +198,8 @@ def trace_example(nmat: int = 2) -> MultilinearMap:
 
 def point_evaluation_example(dim: int = 2, point: int = 0) -> MultilinearMap:
     """(f, g, h) -> f(x0) g(x0) h(x0) on functions over a finite space of the
-    given size, with marked point x0; positive and invariant but not CP."""
+    given size, with marked point x0: a character in each slot, so invariant
+    and CP, dilated at kappa 1 with every residual exactly 0.0."""
     algebra = Algebra([1] * dim)
     coeffs = np.zeros((dim, dim, dim, 1, 1), dtype=np.complex128)
     coeffs[point, point, point, 0, 0] = 1.0

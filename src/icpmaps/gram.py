@@ -20,7 +20,6 @@ amplification level.  Two complementary instruments live here:
 from __future__ import annotations
 
 import functools
-import weakref
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -191,11 +190,10 @@ class GramKernel:
     def size(self) -> int:
         return self.matrix.shape[0]
 
-    @functools.cached_property
+    @property
     def hermiticity_residual(self) -> float:
         """max |G - G*| / (1 + max |G|), over ``GRAM_CHUNK_ROWS`` rows at a
-        time so that no temporary is as large as the matrix; computed once,
-        as the kernel is read-only."""
+        time so that no temporary is as large as the matrix."""
         g = self.matrix
         chunks = [slice(s, s + GRAM_CHUNK_ROWS) for s in range(0, self.size, GRAM_CHUNK_ROWS)]
         scale = 1.0 + float(max(np.abs(g[rows]).max() for rows in chunks))
@@ -261,9 +259,6 @@ class GramKernel:
         return x
 
 
-_HELD_GRAMS = weakref.WeakKeyDictionary()  # map -> weak reference to its kernel
-
-
 def build_gram(phi) -> GramKernel:
     """Gram matrix of the map's semi-inner product.
 
@@ -273,13 +268,8 @@ def build_gram(phi) -> GramKernel:
         odd k:   phi_ij(e_{q_m}*, .., e_{q_2}*, e_{q_1}* e_{p_1}, e_{p_2}, .., e_{p_m})
         even k:  phi_ij(e_{q_m}*, .., e_{q_1}*, e_{p_1}, .., e_{p_m})
 
-    While a caller holds the (read-only) kernel, the same map gets it back,
-    so a command that tests the Gram and then dilates or refutes forms it
-    once; no kernel outlives its last holder.
+    The matrix is read-only.
     """
-    held = _HELD_GRAMS.get(phi, lambda: None)()
-    if held is not None:
-        return held
     block = as_block_map(phi)
     alg, k, n, h = block.algebra, block.k, block.n, block.h
     d, m = alg.dim, block.m
@@ -296,9 +286,7 @@ def build_gram(phi) -> GramKernel:
             tij = _gram_core(block.entries[i][j], m)
             blocks[whole + (i, slice(None)) + whole + (j, slice(None))] = tij.transpose(axes)
     matrix.setflags(write=False)
-    gram = GramKernel(matrix=matrix, algebra=alg, k=k, n=n, h=h)
-    _HELD_GRAMS[phi] = weakref.ref(gram)
-    return gram
+    return GramKernel(matrix=matrix, algebra=alg, k=k, n=n, h=h)
 
 
 def _gram_core(phi: MultilinearMap, m: int) -> np.ndarray:
@@ -333,10 +321,7 @@ def gram_is_psd(gram: GramKernel, tol: float | None = None) -> tuple[bool, float
     """PSD test; raises if the Gram is not Hermitian within tolerance."""
     herm_res = gram.hermiticity_residual
     if herm_res > GRAM_HERMITIAN_TOL:
-        raise NonHermitianGramError(
-            f"Gram matrix is non-Hermitian (relative residual {herm_res:.3e}); "
-            "source map is malformed or not symmetric"
-        )
+        raise NonHermitianGramError(herm_res)
     min_eig = gram.extreme_eigenvalues()[0]
     tol = GRAM_PSD_TOL * max(1.0, gram.spectral_norm()) if tol is None else tol
     return bool(min_eig >= -tol), min_eig
@@ -364,7 +349,8 @@ def cp_refute(phi) -> RefutationRecord | None:
     """Sound CP refuter: a negative Gram eigenvalue certifies non-CP.
 
     Returns None when the Gram is PSD; that alone is inconclusive (the
-    certificate path is a successful dilation).
+    certificate path is a successful dilation).  Raises
+    ``NonHermitianGramError`` when the Gram is not Hermitian.
     """
     gram = build_gram(phi)
     psd, min_eig = gram_is_psd(gram)

@@ -30,7 +30,7 @@ import numpy as np
 from .algebra import Algebra, AlgebraElement
 from .blockmap import as_block_map
 from .errors import DilationObstructionError, NotCompletelyPositiveError
-from .gram import build_gram, gram_is_psd
+from .gram import cp_refute
 from .tolerances import EQUIVALENCE_TOLS, RANK_TOL, certifies
 
 # _batched_opnorm_max: relative slack on its spectral-norm bounds, and the
@@ -83,14 +83,6 @@ class DilationTriple:
         if self.kappa == 0:
             return 0.0
         return max(float(np.linalg.norm(vj, 2)) ** 2 for vj in self.V)
-
-    def product_tensor(self) -> np.ndarray:
-        """pi_1(e_{b_1}) ... pi_m(e_{b_m}) for all basis tuples, shape
-        (d^m, kappa, kappa) with (b_1..b_m) raveled in C order."""
-        t = self.reps[0]
-        for f in range(1, self.m):
-            t = pair_products(t, self.reps[f]).reshape(len(t) * self.algebra.dim, *t.shape[1:])
-        return t
 
 
 @dataclass
@@ -259,17 +251,17 @@ def _walk(like, blocks: dict, rank_tol: float, gram: bool):
 
 def dilate(phi, rank_tol: float = RANK_TOL) -> DilationTriple:
     """The standard-form triple from the anchor Gram blocks, certified by ``verify_dilation``.
-    Only a triple that fails builds the Gram, to say why: ``NonHermitianGramError``,
-    :class:`NotCompletelyPositiveError`, else :class:`DilationObstructionError`."""
+    Only a triple that fails builds the Gram, for ``cp_refute`` to say why: ``NonHermitianGramError``,
+    :class:`NotCompletelyPositiveError`, else :class:`DilationObstructionError` with the triple's residuals."""
     block = as_block_map(phi)
     triple, _, _ = _walk(block, {lam: g for lam, _, g in anchor_grams(block)}, rank_tol, gram=True)
     triple.meta["source"] = "anchor-gram"
     residuals = verify_dilation(block, triple)
     if not certifies(residuals, block.coefficient_scale()):
-        psd, min_eig = gram_is_psd(build_gram(block))
-        if not psd:
-            raise NotCompletelyPositiveError(min_eig)
-        raise DilationObstructionError(residuals.reconstruction, triple.kappa)
+        refutation = cp_refute(block)
+        if refutation is not None:
+            raise NotCompletelyPositiveError(refutation.min_eigenvalue, refutation)
+        raise DilationObstructionError(residuals, triple.kappa)
     return triple
 
 

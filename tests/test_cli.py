@@ -9,10 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from icpmaps import cli, serialize
+from icpmaps import cli, gram, serialize
 from icpmaps.algebra import Algebra
 from icpmaps.cli import main
 from icpmaps.factory import from_dilation_data, point_evaluation_example, random_icp, trace_example
+from icpmaps.gram import Counterexample
 from icpmaps.multimap import MultilinearMap
 from icpmaps.stinespring import EquivalenceReport, unitary_equivalence
 from icpmaps.tolerances import EQUIVALENCE_TOLS
@@ -245,14 +246,54 @@ def test_check_cp_flags_asymmetric_source(tmp_path, capsys):
     assert report["checks"]["cp"]["gram_hermitian"] is False
 
 
-def test_check_cp_certificate_includes_falsifier_silence(tmp_path, capsys):
+def test_check_cp_certificate_includes_falsifier_silence(tmp_path, capsys, monkeypatch):
+    # a certified dilation proves CP: the certificate is the whole cp section, and
+    # neither the Gram nor the falsifier runs, so no trial is spent on a certified map
     spec = write_spec(tmp_path, "trace.json", {"kind": "trace", "n": 2})
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("called on a certified map")
+
+    monkeypatch.setattr(gram, "build_gram", forbidden)
+    monkeypatch.setattr(cli, "positivity_falsify", forbidden)
     code, out = run(capsys, "check", spec, "--cp", "--trials", "40")
     assert code == 0
     report = json.loads(out)
     assert report["verdicts"]["cp"] == "pass"
-    assert report["checks"]["cp"]["falsifier"] is None
+    assert set(report["checks"]["cp"]) == {"certificate"}
     assert report["checks"]["cp"]["certificate"]["valid"] is True
+
+
+@pytest.mark.parametrize("argv", [["--cp"], []], ids=["cp", "default"])
+def test_check_cp_is_inconclusive_on_a_psd_map_its_anchors_do_not_certify(
+    tmp_path, capsys, non_invariant_psd_map, argv
+):
+    # a Hermitian PSD Gram refutes nothing and the falsifier finds nothing, so the failed
+    # certificate is reported with its residuals (this exited 3 with no report)
+    spec = write_spec(tmp_path, "non_invariant.json", serialize.map_to_json(non_invariant_psd_map))
+    code, out = run(capsys, "check", spec, *argv, "--trials", "50")
+    report = json.loads(out)
+    # by default the map also fails the invariance check, the theorems' hypothesis
+    assert report["verdicts"].get("invariant") == (None if argv else "fail")
+    assert code == (0 if argv else 1)
+    assert report["verdicts"]["cp"] == "inconclusive"
+    cp = report["checks"]["cp"]
+    assert cp["falsifier"] is None
+    assert cp["certificate"]["valid"] is False and cp["certificate"]["kappa"] == 4
+    assert cp["certificate"]["residuals"]["reconstruction"] == pytest.approx(3.8746, abs=1e-4)
+    assert cp["certificate"]["residuals"]["commutation"] == 0.0
+
+
+def test_check_cp_falsifier_hit_fails_a_map_its_anchors_do_not_certify(tmp_path, capsys, monkeypatch, non_invariant_psd_map):
+    spec = write_spec(tmp_path, "non_invariant.json", serialize.map_to_json(non_invariant_psd_map))
+    hit = Counterexample(mats=[], level=1, min_eigenvalue=-1.0, value_norm=1.0)
+    monkeypatch.setattr(cli, "positivity_falsify", lambda *args, **kwargs: hit)
+    code, out = run(capsys, "check", spec, "--cp")
+    assert code == 1
+    report = json.loads(out)
+    assert report["verdicts"]["cp"] == "fail"
+    assert report["checks"]["cp"]["falsifier"] == hit.to_dict()
+    assert report["checks"]["cp"]["certificate"]["valid"] is False
 
 
 def test_russo_dye_command(tmp_path, capsys):
@@ -333,7 +374,7 @@ def test_check_invariant_verdict_is_the_theorem_hypothesis(tmp_path, capsys):
 
 
 def test_each_command_diagonalizes_its_gram_once(tmp_path, capsys, monkeypatch):
-    # M_2, k = 3, n = 2, h = 1: Gram size 4^2 * 2 = 32 in four classes of 8; the non-CP
+    # M_2, k = 3, n = 2, h = 1: a certified `check --cp` or `dilate` forms no Gram; the non-CP
     # Schur map's Gram (size 2) is not split.  Every eigensolve outside the falsifier is
     # a Gram class: together they must cover the Gram's indices exactly once
     spec = str(tmp_path / "map.json")
@@ -353,9 +394,9 @@ def test_each_command_diagonalizes_its_gram_once(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counting(np.linalg.eigh))
     monkeypatch.setattr(np.linalg, "eigvalsh", counting(np.linalg.eigvalsh))
     for argv, code, gram_size, shapes in [
-        (["check", spec, "--cp", "--trials", "20"], 0, 32, [(4, 8, 8)]),
-        (["dilate", spec], 0, 0, []),  # a certified dilation forms no Gram
-        (["check", non_cp, "--cp"], 1, 2, [(1, 2, 2)]),  # the refuter reads the same spectrum
+        (["check", spec, "--cp", "--trials", "20"], 0, 0, []),
+        (["dilate", spec], 0, 0, []),
+        (["check", non_cp, "--cp"], 1, 2, [(1, 2, 2)]),  # the refuter inside `dilate`
     ]:
         solved.clear()
         assert main(argv) == code, argv

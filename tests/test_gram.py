@@ -1,5 +1,4 @@
 import inspect
-import weakref
 
 import numpy as np
 import pytest
@@ -122,6 +121,7 @@ def test_worked_example_gram_by_brute_force():
                     expected[q1 * 2 + q2, p1 * 2 + p2] = phi.evaluate(args)[0, 0]
     assert np.array_equal(gram.matrix, expected)
     assert expected[0, 0] == 1.0 and np.count_nonzero(expected) == 1
+    assert not gram.matrix.flags.writeable
 
 
 def test_gram_k1_is_choi_type_matrix():
@@ -160,17 +160,6 @@ def test_non_hermitian_gram_raises():
     phi = MultilinearMap(Algebra([1, 1]), 3, 1, coeffs)
     with pytest.raises(NonHermitianGramError):
         gram_is_psd(build_gram(phi))
-
-
-def test_gram_is_shared_while_held_and_freed_with_its_last_holder():
-    phi = point_evaluation_example(2)
-    gram = build_gram(phi)
-    assert build_gram(phi) is gram
-    assert build_gram(trace_example(2)) is not gram
-    assert not gram.matrix.flags.writeable
-    held = weakref.ref(gram)
-    del gram
-    assert held() is None
 
 
 def test_cp_refute(small_corpus):
@@ -310,27 +299,30 @@ def test_falsifier_rejects_trials_below_one(trials):
 
 
 def test_check_cp_computes_the_hermiticity_residual_once(monkeypatch, tmp_path):
-    # `check --cp` tests the Gram in its own PSD check and again inside
-    # `dilate`, on the one kernel it holds
+    # a certified `check --cp` forms no Gram; on psi, which its anchors do not certify,
+    # the refuter inside `dilate` tests the Gram once and the report reads that residual
     import json
 
     from icpmaps import cli
     from icpmaps.gram import GramKernel
 
     computed = []
-    cached = GramKernel.__dict__["hermiticity_residual"]
-    residual = cached.func
+    residual = GramKernel.hermiticity_residual.fget
 
     def counted(self):
         computed.append(self.size)
         return residual(self)
 
-    monkeypatch.setattr(cached, "func", counted)
-    spec = tmp_path / "spec.json"
+    monkeypatch.setattr(GramKernel, "hermiticity_residual", property(counted))
+    spec, psi, out = tmp_path / "spec.json", tmp_path / "psi.json", tmp_path / "report.json"
     spec.write_text(json.dumps({"kind": "dilation", "algebra": {"blocks": [2]}, "k": 3, "n": 2, "h": 1, "seed": 0}))
-    assert cli.main(["check", str(spec), "--cp", "--out", str(tmp_path / "report.json")]) == 0
-    assert json.loads((tmp_path / "report.json").read_text())["checks"]["cp"]["certificate"]["valid"]
-    assert computed == [32]
+    assert cli.main(["check", str(spec), "--cp", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["checks"]["cp"]["certificate"]["valid"]
+    assert computed == []
+    psi.write_text(json.dumps({"kind": "psi"}))
+    assert cli.main(["check", str(psi), "--cp", "--out", str(out)]) == 1
+    assert json.loads(out.read_text())["checks"]["cp"]["hermiticity_residual"] == 0.5
+    assert computed == [64]
 
 
 # -- class-by-class spectrum ---------------------------------------------------

@@ -17,7 +17,6 @@ from icpmaps.factory import (
     validate_representation,
 )
 from icpmaps.stinespring import (
-    DilationTriple,
     dilate,
     law_residuals,
     minimal_compress,
@@ -115,25 +114,6 @@ def test_law_residuals_match_einsum_on_representations(blocks):
     assert law_residuals(alg, families[0])["commutation"] <= 1e-13
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
-def test_product_tensor_matches_einsum_chain(k):
-    alg = Algebra([2, 1])
-    m = (k + 1) // 2
-    rng = np.random.default_rng(k)
-    triple = DilationTriple(
-        algebra=alg, k=k, n=1, h=1, kappa=3,
-        reps=tuple(_gaussian(rng, alg.dim, 3, 3) for _ in range(m)),
-        V=(_gaussian(rng, 3, 1),),
-    )
-    expected = triple.reps[0]
-    for f in range(1, m):
-        expected = np.einsum("...ij,bjk->...bik", expected, triple.reps[f])
-    expected = expected.reshape(alg.dim**m, 3, 3)
-    got = triple.product_tensor()
-    assert got.shape == expected.shape
-    assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
-
-
 def test_residuals_and_product_tensor_use_no_einsum(monkeypatch):
     block, triple = random_icp(Algebra([2]), 4, 2, 1, seed=3)
 
@@ -145,7 +125,6 @@ def test_residuals_and_product_tensor_use_no_einsum(monkeypatch):
     assert report.reconstruction <= 1e-12 and report.max_structural() <= 1e-12
     assert max(representation_residuals(triple.algebra, triple.reps[0]).values()) <= 1e-12
     assert commutation_residual(triple.reps) <= 1e-12
-    assert triple.product_tensor().shape == (4**2, triple.kappa, triple.kappa)
 
 
 def test_perturbed_representation_is_rejected():

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from icpmaps import cli, serialize, stinespring
+from icpmaps import cli, gram, serialize, stinespring
 from icpmaps.algebra import Algebra
 from icpmaps.errors import DilationObstructionError, NotCompletelyPositiveError
 from icpmaps.factory import (
@@ -117,30 +117,19 @@ def test_standard_form_matches_coordinate_oracles(corpus):
         assert offset == triple.kappa, entry.name
 
 
-@pytest.fixture(scope="module")
-def non_invariant_psd_map():
-    """k = 2 scalar map on M_2 with phi(e_a, e_b) = G[a*, b], G = z z*: its
-    Gram is G, PSD, but the map is not invariant, so ker G is not preserved
-    by left multiplication."""
-    alg = Algebra([2])
-    rng = np.random.default_rng(0)
-    z = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
-    g = z @ z.conj().T
-    return MultilinearMap(alg, 2, 1, g[alg.star_perm][:, :, None, None])
-
-
 def test_non_invariant_map_fails_the_anchor_certificate(non_invariant_psd_map, monkeypatch):
     # the anchors give a triple that does not dilate the map; only then is the Gram
     # built, and a Hermitian PSD Gram leaves a construction obstruction
     phi = non_invariant_psd_map
     assert phi.is_symmetric() and not phi.is_invariant()
     built = []
-    monkeypatch.setattr(stinespring, "build_gram", lambda m: built.append(m) or build_gram(m))
+    monkeypatch.setattr(gram, "build_gram", lambda m: built.append(m) or build_gram(m))
     with pytest.raises(DilationObstructionError, match="reconstruction residual") as err:
         dilate(phi)
     assert len(built) == 1
     assert err.value.kappa == 4
-    assert err.value.residual == pytest.approx(3.8746, abs=1e-4)
+    assert err.value.residual == err.value.report.reconstruction == pytest.approx(3.8746, abs=1e-4)
+    assert err.value.report.max_structural() == 0.0
 
 
 def test_non_invariant_map_is_diagonalized_whole(non_invariant_psd_map):
@@ -354,7 +343,7 @@ def test_certified_dilate_forms_no_gram(corpus, monkeypatch):
     def forbidden(phi):
         raise AssertionError("build_gram called")
 
-    monkeypatch.setattr(stinespring, "build_gram", forbidden)
+    monkeypatch.setattr(gram, "build_gram", forbidden)
     for name, block, _ in _standard_cases(corpus):
         assert verify_dilation(block, dilate(block)).reconstruction <= 1e-8 * (1.0 + block.coefficient_scale()), name
 
