@@ -141,7 +141,7 @@ def cmd_check(args) -> int:
             checks["positivity"] = {"counterexample": falsified.to_dict()}
             verdicts["positivity"] = "fail"
     if "cp" in wanted:
-        # a certified dilation proves CP (claim (e)); `dilate` builds the Gram only to say why one fails
+        # a certified dilation proves CP (claim (e)); `dilate` builds the Gram only for a map it does not clear
         try:
             triple = dilate(block)
         except NonHermitianGramError as exc:

@@ -50,5 +50,4 @@ class DilationObstructionError(RuntimeError):
             f"reconstruction residual {report.reconstruction:.3e} at kappa {kappa}"
         )
         self.report = report
-        self.residual = report.reconstruction
         self.kappa = kappa

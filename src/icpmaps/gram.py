@@ -14,7 +14,7 @@ amplification level.  Two complementary instruments live here:
 * the Gram matrix of the semi-inner product on A^{tensor m} (x) H^n.  A CP
   map always yields a PSD Gram, so a negative eigenvalue soundly refutes
   complete positivity; the dilation reads only its anchor blocks, and the
-  whole Gram only to diagnose a map its anchors do not certify.
+  whole Gram only to decide a map its anchor blocks do not clear.
 """
 
 from __future__ import annotations

@@ -31,7 +31,7 @@ from .algebra import Algebra, AlgebraElement
 from .blockmap import as_block_map
 from .errors import DilationObstructionError, NotCompletelyPositiveError
 from .gram import cp_refute
-from .tolerances import EQUIVALENCE_TOLS, RANK_TOL, certifies
+from .tolerances import EQUIVALENCE_TOLS, GRAM_HERMITIAN_TOL, GRAM_PSD_TOL, RANK_TOL, certifies
 
 # _batched_opnorm_max: relative slack on its spectral-norm bounds, and the
 # bound below which squares and products of entries may underflow
@@ -197,7 +197,8 @@ def _echelon(x: np.ndarray, cut: float, gram: bool):
     """Gram-Schmidt in column order over the columns of x, or with ``gram`` over the Hermitian
     part of a Gram (its echelon Cholesky factor), a column kept when its squared residual is
     above ``cut``: (kept orthonormal columns of x, M zero left of each row's real pivot, kept
-    squared pivots, the largest rejected).  Echelon columns with positive pivots come back exactly."""
+    squared pivots, the largest rejected, with ``gram`` a floor under the lowest eigenvalue of the
+    Hermitian part, else 0).  Echelon columns with positive pivots come back exactly."""
     res = (x + x.conj().T) / 2.0 if gram else x.copy()
     qs, rows, kept, rejected = [], [], [], -np.inf
     for c in range(x.shape[1]):
@@ -217,13 +218,18 @@ def _echelon(x: np.ndarray, cut: float, gram: bool):
         rows.append(row)
         kept.append(piv2)
     q = np.array(qs, dtype=np.complex128).reshape(len(qs), len(x)).T
-    return q, np.array(rows, dtype=np.complex128).reshape(len(rows), x.shape[1]), kept, rejected
+    floor = 0.0
+    if gram:  # res is now the Hermitian part minus M* M, so Gershgorin's bound on it is a floor
+        d = res.diagonal().real
+        floor = float(np.min(d + np.abs(d) - np.abs(res).sum(axis=1), initial=0.0))
+    return q, np.array(rows, dtype=np.complex128).reshape(len(rows), x.shape[1]), kept, rejected, floor
 
 
 def _walk(like, blocks: dict, rank_tol: float, gram: bool):
     """``_echelon`` over each block tuple's anchors, cut at rank_tol times the
     largest squared anchor norm: (standard-form triple shaped like ``like``,
-    the cut's margins, the kept anchors' orthonormal bases).  A ValueError
+    the cut's margins, the kept anchors' orthonormal bases, with ``gram`` the
+    blocks' eigenvalue floor over max(1, that norm)).  A ValueError
     names ``rank_tol`` when it is not a finite number >= 0, or when a kept
     pivot is within the walk's round-off."""
     if not np.isfinite(rank_tol) or rank_tol < 0:
@@ -239,29 +245,38 @@ def _walk(like, blocks: dict, rank_tol: float, gram: bool):
             f"before it, {math.sqrt(min(kept) / scale):.1e} of the largest column norm, is within round-off"
         )
     nh = like.n * like.h  # row (lambda, r, i) of V is M_lambda[i, (r, j, s)]
-    v = [f.reshape(len(f), -1, nh).transpose(1, 0, 2).reshape(-1, nh) for _, f, _, _ in walks.values() if len(f)]
+    v = [f.reshape(len(f), -1, nh).transpose(1, 0, 2).reshape(-1, nh) for _, f, *_ in walks.values() if len(f)]
     layout = np.array([len(w[1]) for w in walks.values()], dtype=np.intp).reshape((like.algebra.n_blocks,) * like.m)
     v = np.concatenate([np.zeros((0, nh), dtype=np.complex128)] + v)
     rejected = max([0.0, *(w[3] for w in walks.values())])
     margins = (math.sqrt(min(kept) / scale) if kept else None, math.sqrt(rejected / scale))
     images = standard_images(like.algebra, layout)
     v_ops = tuple(np.hsplit(v, like.n))
-    return DilationTriple(like.algebra, like.k, like.n, like.h, len(v), images, v_ops, layout, rank_tol), margins, bases
+    floor = min([0.0, *(w[4] for w in walks.values())]) / max(1.0, top)
+    triple = DilationTriple(like.algebra, like.k, like.n, like.h, len(v), images, v_ops, layout, rank_tol)
+    return triple, margins, bases, floor
 
 
 def dilate(phi, rank_tol: float = RANK_TOL) -> DilationTriple:
     """The standard-form triple from the anchor Gram blocks, certified by ``verify_dilation``.
-    Only a triple that fails builds the Gram, for ``cp_refute`` to say why: ``NonHermitianGramError``,
-    :class:`NotCompletelyPositiveError`, else :class:`DilationObstructionError` with the triple's residuals."""
+    The anchor blocks are classes of the Gram, so a certificate stands only where they also pass
+    its Hermitian and PSD tests.  Only a map that fails one builds the Gram, for ``cp_refute`` to
+    decide: ``NonHermitianGramError``, :class:`NotCompletelyPositiveError`, else, when the
+    certificate failed, :class:`DilationObstructionError` with the triple's residuals."""
     block = as_block_map(phi)
-    triple, _, _ = _walk(block, {lam: g for lam, _, g in anchor_grams(block)}, rank_tol, gram=True)
+    blocks = {lam: g for lam, _, g in anchor_grams(block)}
+    triple, _, _, floor = _walk(block, blocks, rank_tol, gram=True)
     triple.meta["source"] = "anchor-gram"
     residuals = verify_dilation(block, triple)
-    if not certifies(residuals, block.coefficient_scale()):
+    skew = max([0.0, *(np.abs(g - g.conj().T).max() for g in blocks.values() if g.size)])
+    skew /= 1.0 + max([0.0, *(np.abs(g).max() for g in blocks.values() if g.size)])
+    certified = certifies(residuals, block.coefficient_scale())
+    if not certified or skew > GRAM_HERMITIAN_TOL or floor < -GRAM_PSD_TOL:
         refutation = cp_refute(block)
         if refutation is not None:
             raise NotCompletelyPositiveError(refutation.min_eigenvalue, refutation)
-        raise DilationObstructionError(residuals, triple.kappa)
+        if not certified:
+            raise DilationObstructionError(residuals, triple.kappa)
     return triple
 
 
@@ -433,7 +448,7 @@ def _standardize(triple: DilationTriple, rank_tol: float):
     anchors = [_units(alg, b, row=False) for b in range(alg.n_blocks)]
     vs = triple.stacked_V()
     blocks = {lam: _applied(triple.reps, [anchors[b] for b in lam], vs) for lam in np.ndindex((alg.n_blocks,) * m)}
-    standard, margins, bases = _walk(triple, blocks, rank_tol, gram=False)
+    standard, margins, bases, _ = _walk(triple, blocks, rank_tol, gram=False)
     return standard, MinimalityReport(standard.kappa, triple.kappa, standard.kappa == triple.kappa, *margins), bases
 
 

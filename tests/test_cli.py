@@ -12,7 +12,13 @@ import pytest
 from icpmaps import cli, gram, serialize
 from icpmaps.algebra import Algebra
 from icpmaps.cli import main
-from icpmaps.factory import from_dilation_data, point_evaluation_example, random_icp, trace_example
+from icpmaps.factory import (
+    commutative_invariant_family,
+    from_dilation_data,
+    point_evaluation_example,
+    random_icp,
+    trace_example,
+)
 from icpmaps.gram import Counterexample
 from icpmaps.multimap import MultilinearMap
 from icpmaps.stinespring import EquivalenceReport, unitary_equivalence
@@ -244,6 +250,24 @@ def test_check_cp_flags_asymmetric_source(tmp_path, capsys):
     report = json.loads(out)
     assert report["verdicts"]["cp"] == "fail"
     assert report["checks"]["cp"]["gram_hermitian"] is False
+
+
+@pytest.mark.parametrize(
+    "gamma", [[[1, -3e-9], [0.5, 1]], [[1, -1e-8], [0.5, 1]], [[1, 1.5e-8j], [0.5, 1]]], ids=["3e-9", "1e-8", "1.5e-8j"]
+)
+def test_check_cp_refutes_maps_within_the_certificate_tolerance(tmp_path, capsys, gamma):
+    # the anchors' triple reconstructs these maps within the certificate's tolerance, but an
+    # anchor block, a class of the Gram, fails the Gram's PSD or Hermitian test: the refuter decides
+    spec = write_spec(tmp_path, "comm.json", serialize.map_to_json(commutative_invariant_family(gamma)))
+    code, out = run(capsys, "check", spec, "--cp")
+    assert code == 1
+    report = json.loads(out)
+    assert report["verdicts"]["cp"] == "fail"
+    cp = report["checks"]["cp"]
+    if gamma[0][1].real:
+        assert cp["gram_psd"] is False and cp["refutation"]["min_eigenvalue"] == pytest.approx(gamma[0][1])
+    else:
+        assert cp["gram_hermitian"] is False and cp["hermiticity_residual"] == pytest.approx(1.5e-8)
 
 
 def test_check_cp_certificate_includes_falsifier_silence(tmp_path, capsys, monkeypatch):

@@ -128,7 +128,7 @@ def test_non_invariant_map_fails_the_anchor_certificate(non_invariant_psd_map, m
         dilate(phi)
     assert len(built) == 1
     assert err.value.kappa == 4
-    assert err.value.residual == err.value.report.reconstruction == pytest.approx(3.8746, abs=1e-4)
+    assert err.value.report.reconstruction == pytest.approx(3.8746, abs=1e-4)
     assert err.value.report.max_structural() == 0.0
 
 
@@ -346,6 +346,20 @@ def test_certified_dilate_forms_no_gram(corpus, monkeypatch):
     monkeypatch.setattr(gram, "build_gram", forbidden)
     for name, block, _ in _standard_cases(corpus):
         assert verify_dilation(block, dilate(block)).reconstruction <= 1e-8 * (1.0 + block.coefficient_scale()), name
+
+
+def test_echelon_floor_sees_a_negative_eigenvalue_behind_rejected_pivots(corpus):
+    # both pivots are positive and below the cut, so the walk keeps nothing, yet the
+    # block's lowest eigenvalue is 1e-12 - 5e-9: the floor bounds it from below
+    x = np.array([[1e-12, 5e-9], [5e-9, 1e-12]], dtype=np.complex128)
+    q, rows, kept, rejected, floor = stinespring._echelon(x, 1e-10, gram=True)
+    assert rows.shape == (0, 2) and kept == [] and rejected == 1e-12
+    assert floor <= np.linalg.eigvalsh(x)[0] < -4e-9
+    # on the corpus, a floor of the anchor blocks of a CP map is round-off of their scale
+    for entry in corpus[::7]:
+        for _, _, g in stinespring.anchor_grams(entry.block_map):
+            floor = stinespring._echelon(g, 1e-10 * g.diagonal().real.max(), gram=True)[4]
+            assert -1e-13 * g.diagonal().real.max() <= floor <= np.linalg.eigvalsh((g + g.conj().T) / 2)[0], entry.name
 
 
 def test_walk_reports_the_margins_of_its_cut(corpus):
