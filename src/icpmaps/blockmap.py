@@ -69,13 +69,6 @@ class BlockMultilinearMap:
     def coefficient_scale(self) -> float:
         return max(phi.coefficient_scale() for row in self.entries for phi in row)
 
-    def stacked_coeffs(self) -> np.ndarray:
-        """Grid assembled as one tensor of shape (d,)*k + (n*h, n*h):
-        entry (i*h+u, j*h+v) of slice [p...] is phi_ij coefficient (u, v)."""
-        d, k, h, n = self.algebra.dim, self.k, self.h, self.n
-        ends = self.chain_grid().ends.reshape(n, n, -1, h, h)
-        return ends.transpose(2, 0, 3, 1, 4).reshape((d,) * k + (n * h, n * h))
-
     # -- evaluation -------------------------------------------------------
 
     def block_evaluate(self, mats: Sequence[MatrixOverAlgebra]) -> np.ndarray:

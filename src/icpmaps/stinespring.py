@@ -10,7 +10,8 @@ images are exact 0/1 matrices, and a triple is its layout {lambda: mu_lambda}
 and V.  Gram-Schmidt of the anchors pi_1(e_(b_1,0,c_1)) .. pi_m(e_(b_m,0,c_m))
 V_j e_s in (c, j, s) order, a pivot kept when its square is above rank_tol
 times the largest squared anchor norm, is the echelon factor M_lambda of
-their Gram, and row (lambda, r, i) of V is M_lambda[i, (r, j, s)].
+their Gram, and row (lambda, r, i) of V is M_lambda[i, (r, j, s)].  The laws
+hold there by construction, so verification measures them only off that form.
 
 Reconstruction pairs the slots around the middle: phi_ij(a_1..a_{2m-1}) =
 V_i* pi_1(a_m) pi_2(a_{m-1} a_{m+1}) .. pi_m(a_1 a_{2m-1}) V_j; for k = 2m, factor p gets a_{m-p+1} a_{m+p}.
@@ -392,7 +393,8 @@ _VERIFIED = weakref.WeakKeyDictionary()  # map -> {digest of a triple's images a
 def verify_dilation(phi, triple: DilationTriple) -> DilationReport:
     """Residuals of the reconstruction identity and of the structural laws,
     kept for the map's lifetime under a digest of the triple's images and V:
-    a certified triple, or a copy of it to the bit, is not verified again."""
+    a certified triple, or a copy of it to the bit, is not verified again.
+    The laws are ``law_residuals`` of the images, or 0.0 when ``is_standard``."""
     block = as_block_map(phi)
     alg, k = block.algebra, block.k
     if (alg, k, block.n, block.h) != (triple.algebra, triple.k, triple.n, triple.h):
@@ -401,12 +403,10 @@ def verify_dilation(phi, triple: DilationTriple) -> DilationReport:
     key = hashlib.blake2b(repr([(x.dtype.str, x.shape) for x in arrays]).encode() + b"".join(map(bytes, arrays)))
     key = key.digest()
     held = _VERIFIED.setdefault(phi, {})
-    if key not in held and triple.kappa == 0:
-        coeffs = block.stacked_coeffs()
-        held[key] = DilationReport(float(np.abs(coeffs).max()) if coeffs.size else 0.0, 0.0, 0.0, 0.0, 0.0)
-    elif key not in held:
+    if key not in held:
         vals = theorem_form_values(alg, triple.reps, triple.V, k)
-        held[key] = DilationReport(_reconstruction_residual(block, vals), **law_residuals(alg, triple.reps))
+        report = DilationReport(_reconstruction_residual(block, vals), 0.0, 0.0, 0.0, 0.0)
+        held[key] = report if triple.is_standard() else replace(report, **law_residuals(alg, triple.reps))
     return replace(held[key])
 
 

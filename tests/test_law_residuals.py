@@ -1,6 +1,8 @@
 """The all-pairs product kernel and the representation-law residuals built
 on it, against their einsum definitions."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -17,10 +19,12 @@ from icpmaps.factory import (
     validate_representation,
 )
 from icpmaps.stinespring import (
+    DilationTriple,
     dilate,
     law_residuals,
     minimal_compress,
     pair_products,
+    standard_images,
     verify_dilation,
 )
 from icpmaps.tolerances import REP_TOL
@@ -249,3 +253,28 @@ def test_pruned_law_residuals_decompose_fewer_matrices(monkeypatch):
             continue
         stack_sizes = 2 * (81 + 9 + 1) + 81  # per factor: products, adjoints, unit; then the commuting pair
         assert 0 < sum(decomposed) < stack_sizes // 2, decomposed  # 39 when written
+
+
+def _seeded_layouts():
+    """Layouts over m = 1..3 on M_2, M_3, M_2 + C and C^3: multiplicities 0..2
+    with one tuple nonzero, so other tuples may be empty, and one all-zero layout per shape."""
+    rng = np.random.default_rng(29)
+    for blocks, m in itertools.product(([2], [3], [2, 1], [1, 1, 1]), (1, 2, 3)):
+        shape = (len(blocks),) * m
+        yield blocks, np.zeros(shape, dtype=np.intp)
+        for _ in range(2):
+            layout = rng.integers(0, 3, size=shape)
+            layout.flat[rng.integers(layout.size)] = rng.integers(1, 3)
+            yield blocks, layout
+
+
+@pytest.mark.parametrize("blocks, layout", list(_seeded_layouts()))
+def test_standard_images_meet_every_law_exactly(blocks, layout):
+    # what verify_dilation takes for 0.0 on a standard form without forming a product
+    alg = Algebra(blocks)
+    images = standard_images(alg, layout)
+    assert len(images) == layout.ndim
+    assert law_residuals(alg, images) == dict.fromkeys(("multiplicativity", "star", "unitality", "commutation"), 0.0)
+    kappa = images[0].shape[1]
+    triple = DilationTriple(alg, 2 * layout.ndim, 1, 1, kappa, images, (np.zeros((kappa, 1)),), layout)
+    assert triple.is_standard()

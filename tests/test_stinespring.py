@@ -1,6 +1,7 @@
 import itertools
 import json
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -21,6 +22,7 @@ from icpmaps.stinespring import (
     DilationTriple,
     dilate,
     block_state_vectors,
+    law_residuals,
     minimal_compress,
     theorem_form_values,
     unitary_equivalence,
@@ -49,6 +51,20 @@ def test_zero_map_dilates_to_empty_triple():
     assert triple.kappa == 0
     report = verify_dilation(zero, triple)
     assert report.reconstruction == 0.0
+
+
+def test_empty_triple_reconstruction_residual_is_a_spectral_norm():
+    # M_2, k = 2, h = 2 with phi(e_(1,1), e_(1,1)) = [[1, 1], [1, 1]] and all else 0: no anchor
+    # reaches e_(1,1), so kappa = 0 and the residual is ||phi(e_(1,1), e_(1,1))|| = 2, not its largest entry
+    alg = Algebra([2])
+    coeffs = np.zeros((4, 4, 2, 2), dtype=complex)
+    e = alg.basis_index(0, 1, 1)
+    coeffs[e, e] = 1.0
+    phi = MultilinearMap(alg, 2, 2, coeffs)
+    with pytest.raises(DilationObstructionError) as raised:
+        dilate(phi)
+    assert raised.value.kappa == 0
+    assert raised.value.report == stinespring.DilationReport(2.0, 0.0, 0.0, 0.0, 0.0)
 
 
 def test_non_psd_gram_refuses_dilation():
@@ -339,6 +355,55 @@ def test_standard_forms_are_exact_and_agree_with_the_provenance(corpus):
         assert _entry_distance(shifted, standard) <= 1e-12, name
 
 
+def test_verify_measures_the_laws_only_off_the_standard_form(corpus, monkeypatch):
+    calls = []
+
+    def counted(algebra, reps):
+        calls.append(len(reps))
+        return law_residuals(algebra, reps)
+
+    monkeypatch.setattr(stinespring, "law_residuals", counted)
+    monkeypatch.setattr(stinespring, "_VERIFIED", weakref.WeakKeyDictionary())  # no report from earlier tests
+    cases = [(e.block_map, e.triple) for e in corpus[::9] if e.triple.kappa > 1]
+    for block, generated in cases + [random_icp(Algebra([3]), 4, 1, 2, seed=0)]:
+        triple = dilate(block)  # its verify_dilation call reads is_standard, not the laws
+        assert triple.is_standard() and calls == []
+        assert verify_dilation(block, triple).max_structural() == 0.0 and calls == []
+        for general in (generated, _haar_conjugate(triple, 6)):
+            assert not general.is_standard()
+            report = verify_dilation(block, general)
+            assert calls == [triple.m], calls
+            assert 0.0 < report.max_structural() <= 1e-12  # round-off of the rotated images
+            calls.clear()
+
+
+def test_standard_shortcut_reports_the_bits_of_the_law_pass(corpus, monkeypatch):
+    # the exact images meet every law exactly, so taking them as 0.0 changes no report
+    for name, block, _ in _standard_cases(corpus)[::3]:
+        triple = dilate(block)
+        fast = verify_dilation(block, triple)
+        monkeypatch.setattr(stinespring, "_VERIFIED", weakref.WeakKeyDictionary())
+        monkeypatch.setattr(DilationTriple, "is_standard", lambda self: False)
+        assert verify_dilation(block, triple) == fast, name
+        monkeypatch.undo()
+
+
+def test_a_moved_image_entry_leaves_the_standard_form():
+    block, _ = random_icp(Algebra([2, 1]), 3, 1, 2, seed=4)
+    triple = dilate(block)
+    rng = np.random.default_rng(4)
+    for _ in range(5):
+        reps = [rp.copy() for rp in triple.reps]
+        p = int(rng.integers(len(reps)))
+        reps[p][tuple(int(rng.integers(s)) for s in reps[p].shape)] += 1e-9
+        moved = replace(triple, reps=tuple(reps))
+        assert not moved.is_standard()
+        laws = law_residuals(moved.algebra, moved.reps)
+        assert max(laws["multiplicativity"], laws["star"]) >= 1e-10, laws
+        report = verify_dilation(block, moved)
+        assert (report.multiplicativity, report.star) == (laws["multiplicativity"], laws["star"])
+
+
 def test_certified_dilate_forms_no_gram(corpus, monkeypatch):
     def forbidden(phi):
         raise AssertionError("build_gram called")
@@ -549,18 +614,27 @@ def test_theorem_form_values_memory():
     assert peak < 32e6
 
 
+def _stacked_coeffs(block):
+    """The grid as one tensor (d,)*k + (n*h, n*h): entry (i*h+u, j*h+v) of a slice is phi_ij's coefficient (u, v)."""
+    h = block.h
+    out = np.empty(block.entries[0][0].coeffs.shape[:-2] + (block.n * h,) * 2, dtype=np.complex128)
+    for i, j in np.ndindex(block.n, block.n):
+        out[..., i * h : (i + 1) * h, j * h : (j + 1) * h] = block.entries[i][j].coeffs
+    return out
+
+
 def test_reconstruction_residual_in_chunks_is_the_whole_stack_maximum(corpus, monkeypatch):
     cases = [(e.block_map, e.triple) for e in corpus[::7]]
     cases.append(random_icp(Algebra([1, 2]), 5, 2, 1, seed=3))
     for block, triple in cases:
         vals = theorem_form_values(block.algebra, triple.reps, triple.V, block.k)
         vals[-1].flat[-1] += 1.0  # the largest residual in the last chunk
-        whole = stinespring._batched_opnorm_max(vals - block.stacked_coeffs())
+        whole = stinespring._batched_opnorm_max(vals - _stacked_coeffs(block))
         assert stinespring._reconstruction_residual(block, vals) == whole
         monkeypatch.setattr(stinespring, "RECONSTRUCTION_CHUNK_BYTES", 1)  # one basis tuple per chunk
         assert stinespring._reconstruction_residual(block, vals) == whole
         monkeypatch.undo()
-        assert stinespring._batched_opnorm_max(vals - block.stacked_coeffs(), 2.0 * whole + 1.0) == 2.0 * whole + 1.0
+        assert stinespring._batched_opnorm_max(vals - _stacked_coeffs(block), 2.0 * whole + 1.0) == 2.0 * whole + 1.0
 
 
 def test_reconstruction_residual_holds_no_second_map_sized_tensor(monkeypatch):
