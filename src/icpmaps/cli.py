@@ -9,7 +9,7 @@ Exit codes: 0 pass, 1 assertion failure (with witness), 2 input error,
 3 construction obstruction (only from dilate and russo-dye --cb: a
 non-Hermitian or non-PSD Gram, or a triple that does not dilate the map;
 check reports these as its cp section), 4 internal error (a LAPACK routine
-failed).
+failed, or numpy could not allocate an array the input asks for).
 """
 
 from __future__ import annotations
@@ -396,8 +396,8 @@ def main(argv=None) -> int:
     except NonHermitianGramError as exc:
         sys.stderr.write(f"construction obstruction: {exc}\n")
         return EXIT_OBSTRUCTION
-    except np.linalg.LinAlgError as exc:
-        # a ValueError subclass, yet a numerical fault rather than bad input
+    except (np.linalg.LinAlgError, MemoryError) as exc:
+        # LinAlgError is a ValueError subclass, yet a numerical fault rather than bad input
         sys.stderr.write(f"internal error: {exc}\n")
         return EXIT_INTERNAL
     except ValueError as exc:

@@ -11,9 +11,8 @@ code.
 from __future__ import annotations
 
 import itertools
-import math
+import json
 import numbers
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -22,103 +21,18 @@ from .blockmap import BlockMultilinearMap
 from .errors import SpecFormatError
 from .multimap import MultilinearMap
 
-_INDENT = "  "
-
 
 def dumps(obj) -> str:
-    """Deterministic JSON: sorted keys, fixed layout, trailing newline.
-
-    The text is ``json.dumps(obj, sort_keys=True, indent=2) + "\\n"`` with
-    every float64 ndarray in ``obj`` read as its ``tolist()``; an array is
-    written with one ``float.__repr__`` pass over its entries and one join
-    per axis.  Anything else json rejects raises TypeError, as it does there.
-    """
-    out: list[str] = []
-    _write(obj, 0, out, set())
-    out.append("\n")
-    return "".join(out)
+    """Deterministic JSON: ``json.dumps(obj, sort_keys=True, indent=2)`` and a
+    trailing newline, with every float64 ndarray in ``obj`` read as its
+    ``tolist()``.  Anything else json rejects raises TypeError there."""
+    return json.dumps(obj, sort_keys=True, indent=2, default=_array_list) + "\n"
 
 
-def _float_text(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x == math.inf:
-        return "Infinity"
-    if x == -math.inf:
-        return "-Infinity"
-    return float.__repr__(x)
-
-
-def _key_text(key) -> str:
-    if isinstance(key, str):
-        return key
-    if isinstance(key, float):
-        return _float_text(key)
-    if key is True:
-        return "true"
-    if key is False:
-        return "false"
-    if key is None:
-        return "null"
-    if isinstance(key, int):
-        return int.__repr__(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
-
-
-def _write(o, level: int, out: list, open_ids: set) -> None:
-    """Append o's text at indent ``level``, in the order json's encoder
-    tests the types (bool before int, int and float subclasses as such)."""
-    if isinstance(o, str):
-        out.append(encode_basestring_ascii(o))
-    elif o is None:
-        out.append("null")
-    elif o is True:
-        out.append("true")
-    elif o is False:
-        out.append("false")
-    elif isinstance(o, int):
-        out.append(int.__repr__(o))
-    elif isinstance(o, float):
-        out.append(_float_text(o))
-    elif isinstance(o, np.ndarray) and o.dtype == np.float64:
-        out.append(_array_text(o, level))
-    elif isinstance(o, (list, tuple, dict)):
-        is_dict = isinstance(o, dict)
-        if not o:
-            out.append("{}" if is_dict else "[]")
-            return
-        if id(o) in open_ids:
-            raise ValueError("Circular reference detected")
-        open_ids.add(id(o))
-        inner = "\n" + _INDENT * (level + 1)
-        out.append(("{" if is_dict else "[") + inner)
-        for i, item in enumerate(sorted(o.items()) if is_dict else o):
-            if i:
-                out.append("," + inner)
-            if is_dict:
-                key, item = item
-                out.append(encode_basestring_ascii(_key_text(key)) + ": ")
-            _write(item, level + 1, out, open_ids)
-        out.append("\n" + _INDENT * level + ("}" if is_dict else "]"))
-        open_ids.discard(id(o))
-    else:
-        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
-
-
-def _array_text(arr: np.ndarray, level: int) -> str:
-    """``arr.tolist()`` laid out as json lays out a list at indent ``level``:
-    the entries' texts are grouped into lists from the last axis outwards."""
-    flat = arr.ravel().tolist()
-    texts = list(map(float.__repr__ if np.isfinite(arr).all() else _float_text, flat))
-    for axis in range(arr.ndim - 1, -1, -1):
-        size = arr.shape[axis]
-        if size == 0:
-            texts = ["[]"] * math.prod(arr.shape[:axis])
-            continue
-        inner = "\n" + _INDENT * (level + axis + 1)
-        head, sep, tail = "[" + inner, "," + inner, "\n" + _INDENT * (level + axis) + "]"
-        texts = [head + row + tail for row in map(sep.join, zip(*[iter(texts)] * size))]
-    return texts[0]
+def _array_list(o) -> list:
+    if isinstance(o, np.ndarray) and o.dtype == np.float64:
+        return o.tolist()
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
 
 
 # -- scalars / matrices -----------------------------------------------------
@@ -305,7 +219,7 @@ def load_map_spec(data):
     raise SpecFormatError("spec is neither a generator, block map, nor map spec")
 
 
-# -- gram / dilation ------------------------------------------------------------
+# -- dilation triples -----------------------------------------------------------
 
 
 def triple_to_json(triple, residuals: dict | None = None) -> dict:
@@ -335,7 +249,7 @@ def triple_to_json(triple, residuals: dict | None = None) -> dict:
 def triple_from_json(data):
     """A triple in either form of ``triple_to_json``; the layout form gets
     the exact images of its layout."""
-    from .stinespring import DilationTriple, standard_images
+    from .stinespring import DilationTriple, layout_kappa, standard_images
 
     try:
         algebra = algebra_from_json(data["algebra"])
@@ -357,31 +271,23 @@ def triple_from_json(data):
         blocks = algebra.n_blocks**m
         if not isinstance(layout_raw, list) or len(layout_raw) != blocks:
             raise SpecFormatError(f"dilation triple layout must list {blocks} multiplicities, got {layout_raw!r}")
-        layout = np.array([json_int(mu, "dilation triple layout entry") for mu in layout_raw], dtype=np.intp)
-        if (layout < 0).any():
+        mus = [json_int(mu, "dilation triple layout entry") for mu in layout_raw]
+        if min(mus) < 0:
             raise SpecFormatError(f"dilation triple layout has a negative multiplicity: {layout_raw!r}")
-        layout = layout.reshape((algebra.n_blocks,) * m)
-        reps = standard_images(algebra, layout)
-        if reps[0].shape[1] != kappa:
-            raise SpecFormatError(f"dilation triple layout gives kappa {reps[0].shape[1]}, not {kappa}")
-    else:
-        reps = _reps_from_json(reps_raw, algebra, m, kappa)
+        layout = np.array(mus, dtype=object).reshape((algebra.n_blocks,) * m)  # Python ints: no overflow
+        if layout_kappa(algebra, layout) != kappa:
+            raise SpecFormatError(f"dilation triple layout gives kappa {layout_kappa(algebra, layout)}, not {kappa}")
     v_ops = tuple(
         matrix_from_json(vj, (kappa, h), f"dilation triple V[{j}]") if kappa else np.zeros((0, h))
         for j, vj in enumerate(v_raw)
     )
-    return DilationTriple(
-        algebra=algebra,
-        k=k,
-        n=n,
-        h=h,
-        kappa=kappa,
-        reps=tuple(reps),
-        V=v_ops,
-        layout=layout,
-        rank_tol=data.get("rank_tol"),
-        meta={"source": "json"},
-    )
+    if layout is None:
+        reps = _reps_from_json(reps_raw, algebra, m, kappa)
+    else:  # V has kappa rows, so the multiplicities fit intp and the images fit the file
+        layout = layout.astype(np.intp)
+        reps = standard_images(algebra, layout)
+    meta = {"source": "json"}
+    return DilationTriple(algebra, k, n, h, kappa, tuple(reps), v_ops, layout, data.get("rank_tol"), meta=meta)
 
 
 def _reps_from_json(reps_raw, algebra: Algebra, m: int, kappa: int) -> list:

@@ -146,12 +146,18 @@ def _units(algebra: Algebra, block: int, row: bool) -> np.ndarray:
     return np.array([algebra.basis_index(block, *pair) for pair in pairs])
 
 
+def layout_kappa(algebra: Algebra, layout: np.ndarray) -> int:
+    """kappa = sum over lambda of mu_lambda prod_p d_(lambda_p), the dimension
+    of the standard form with this layout; exact on a layout of Python ints."""
+    legs = np.prod(np.asarray(algebra.block_dims)[np.indices(layout.shape)], axis=0)
+    return int((legs * layout).sum())
+
+
 def standard_images(algebra: Algebra, layout: np.ndarray) -> tuple:
     """The m image stacks (d, kappa, kappa) of the standard form with this
     layout: pi_p(e_(b,r,c)) sends basis vector (lambda, r', i) with b_p = b
     and r'_p = c to the one with r'_p = r, exactly, and the others to 0."""
-    legs = np.prod(np.asarray(algebra.block_dims)[np.indices(layout.shape)], axis=0)
-    images = np.zeros((layout.ndim, algebra.dim) + (int((legs * layout).sum()),) * 2, dtype=np.complex128)
+    images = np.zeros((layout.ndim, algebra.dim) + (layout_kappa(algebra, layout),) * 2, dtype=np.complex128)
     offset = 0
     for lam in np.ndindex(layout.shape):
         dims = tuple(algebra.block_dims[b] for b in lam)
@@ -313,16 +319,11 @@ def _batched_opnorm_max(mats: np.ndarray, floor: float = 0.0) -> float:
 
 def pair_products(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """x[a] @ y[b] for all (a, b): (A, u, i) times (B, i, v) -> (A, B, u, v),
-    as one GEMM over the stacked rows of x and the stacked columns of y; a
-    real GEMM, a quarter of the work, when neither has an imaginary part
-    (the exact images of a standard form)."""
+    as one GEMM over the stacked rows of x and the stacked columns of y."""
     a, u, i = x.shape
     b, _, v = y.shape
-    dtype = np.result_type(x, y)
-    if dtype.kind == "c" and not (np.imag(x).any() or np.imag(y).any()):
-        x, y = x.real, y.real
     flat = x.reshape(a * u, i) @ y.transpose(1, 0, 2).reshape(i, b * v)
-    return flat.reshape(a, u, b, v).transpose(0, 2, 1, 3).astype(dtype, copy=False)
+    return flat.reshape(a, u, b, v).transpose(0, 2, 1, 3)
 
 
 def commutation_residual(reps: Sequence[np.ndarray]) -> float:

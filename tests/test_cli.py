@@ -233,6 +233,20 @@ def test_lapack_failure_is_internal_error(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [{"kind": "dilation", "algebra": {"blocks": [2]}, "k": 40}, {"kind": "eval", "dim": 100000}],
+    ids=["dilation-k40", "eval-dim-1e5"],
+)
+def test_refused_allocation_is_internal_error(tmp_path, spec):
+    # numpy refuses these PiB-sized arrays at once; the MemoryError escaped as a
+    # traceback with exit 1, the code of a failed assertion
+    proc = _run_cli("validate", write_spec(tmp_path, "spec.json", spec))
+    assert proc.returncode == cli.EXIT_INTERNAL == 4
+    assert proc.stderr.startswith("internal error: Unable to allocate ")
+    assert "Traceback" not in proc.stderr
+
+
 def test_check_cp_refutes_non_psd(tmp_path, capsys):
     lam = [[[1.0, 0.0], [2.0, 0.0]], [[2.0, 0.0], [1.0, 0.0]]]
     spec = write_spec(tmp_path, "schur.json", {"kind": "schur", "lam": lam})

@@ -106,9 +106,11 @@ MALFORMED = [  # each once ended in a traceback or was read as something else
     {**BASES["map"], "h": float(BASES["map"]["h"])},
     {**BASES["block"], "n": True},
 ]
-MALFORMED_TRIPLES = [  # read as the triple they were written from
+MALFORMED_TRIPLES = [  # read as the triple they were written from, or (the last two) ended in a traceback
     {**BASES["triple"], "kappa": BASES["triple"]["kappa"] + 0.5},
     {**BASES["triple"], "k": str(BASES["triple"]["k"])},
+    {**BASES["triple"], "layout": [1000000], "kappa": 4},  # its images asked numpy for 1.82 PiB
+    {**BASES["triple"], "layout": [10**30], "kappa": 4},  # overflowed an intp
 ]
 
 

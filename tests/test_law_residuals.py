@@ -64,13 +64,17 @@ def _close(got, expected, scale):
     return abs(got - expected) <= 1e-12 * max(abs(expected), scale)
 
 
-PAIR_SHAPES = [((3, 4, 5), (2, 5, 6)), ((1, 2, 2), (4, 2, 2)), ((9, 6, 6), (9, 6, 6))]
+PAIR_SHAPES = [((3, 4, 5), (2, 5, 6)), ((1, 2, 2), (4, 2, 2)), ((9, 6, 6), (9, 6, 6)), "real"]
 
 
 @pytest.mark.parametrize("shapes", PAIR_SHAPES)
 def test_pair_products_matches_einsum(shapes):
-    rng = np.random.default_rng(shapes[0][0])
-    x, y = _gaussian(rng, *shapes[0]), _gaussian(rng, *shapes[1])
+    if shapes == "real":  # complex stacks with no imaginary part: 0/1 standard images, a real Gaussian stack
+        x = standard_images(Algebra([2, 1]), np.array([[1, 2], [0, 1]]))[0]
+        y = np.random.default_rng(5).standard_normal((3, x.shape[2], 4)).astype(np.complex128)
+    else:
+        rng = np.random.default_rng(shapes[0][0])
+        x, y = _gaussian(rng, *shapes[0]), _gaussian(rng, *shapes[1])
     expected = np.einsum("aij,bjk->abik", x, y)
     got = pair_products(x, y)
     assert got.shape == expected.shape
