@@ -429,6 +429,13 @@ def _spec_int(kind: str, key: str, value, low: int = 1, high: int | None = None)
     return value
 
 
+def _spec_count(kind: str, what: str, count: int) -> None:
+    """Refuse spec fields that size an array of ``count`` entries (``what``) beyond an intp."""
+    top = int(np.iinfo(np.intp).max)
+    if count > top:
+        raise SpecFormatError(f"{kind} spec needs {what} <= {top}, got {count}")
+
+
 def from_generator_spec(spec: dict):
     """Build a map from a {"kind": ...} fixture spec; returns a
     MultilinearMap or BlockMultilinearMap."""
@@ -439,21 +446,23 @@ def from_generator_spec(spec: dict):
         return trace_example(_spec_int(kind, "n", spec.get("n", 2)))
     if kind == "eval":
         dim = _spec_int(kind, "dim", spec.get("dim", 2))
+        _spec_count(kind, "dim**3", dim**3)
         return point_evaluation_example(dim, _spec_int(kind, "point", spec.get("point", 0), 0, dim))
     if kind == "schur":
         if "lam" not in spec:
             raise SpecFormatError("schur spec needs a 'lam' matrix")
-        return schur_block_map(serialize.matrix_from_json(spec["lam"]))
+        return schur_block_map(serialize.finite(serialize.matrix_from_json(spec["lam"]), "schur spec field 'lam'"))
     if kind == "psi":
         return noninvariant_block_example()
     if kind == "dilation":
         try:
             algebra = serialize.algebra_from_json(spec["algebra"])
-            k = _spec_int(kind, "k", spec["k"])
+            k = _spec_int(kind, "k", spec["k"], high=63)  # the coefficients' k + 2 axes: numpy allows 64
         except KeyError as exc:
             raise SpecFormatError(f"dilation spec missing field: {exc}") from exc
         n = _spec_int(kind, "n", spec.get("n", 1))
         h = _spec_int(kind, "h", spec.get("h", 1))
+        _spec_count(kind, "(n*h)**2", (n * h) ** 2)
         seed = _spec_int(kind, "seed", spec.get("seed", 0), low=0)
         block, _ = random_icp(algebra, k, n, h, seed=seed)
         return block

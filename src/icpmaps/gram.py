@@ -14,12 +14,15 @@ amplification level.  Two complementary instruments live here:
 * the Gram matrix of the semi-inner product on A^{tensor m} (x) H^n.  A CP
   map always yields a PSD Gram, so a negative eigenvalue soundly refutes
   complete positivity; the dilation reads only its anchor blocks, and the
-  whole Gram only to decide a map its anchor blocks do not clear.
+  whole Gram only to decide a map its anchor blocks do not clear.  One
+  gather, ``_gather``, holds the basis tuple each entry reads and the flat
+  index, and forms both the whole Gram and the anchor blocks.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -34,7 +37,7 @@ from .algebra import (
 )
 from .blockmap import as_block_map
 from .errors import NonHermitianGramError
-from .multimap import MultilinearMap, amplified_evaluate
+from .multimap import amplified_evaluate
 from .tolerances import FALSIFIER_TOL, GRAM_HERMITIAN_TOL, GRAM_PSD_TOL, PALINDROME_TOL
 
 # rows of the Gram per pass of the Hermiticity check: 256 rows of an N = 2048 Gram are 8 MiB
@@ -170,9 +173,8 @@ class GramKernel:
     """Matrix of the semi-inner product on A^{tensor m} (x) H^n.
 
     Row index encodes the second (conjugate-linear) argument, column index
-    the first, so positivity of the form reads x^dagger G x >= 0.  The flat
-    index is ((alpha, slot j), component s) with alpha = (p_1..p_m) raveled
-    in C order.
+    the first, so positivity of the form reads x^dagger G x >= 0; entries
+    and the flat index ((alpha, slot j), component s) are ``_gather``'s.
 
     The class of an index is the (block, row) label of each factor's unit.
     A pair of factors enters an entry only through e_q* e_p, which vanishes
@@ -259,8 +261,9 @@ class GramKernel:
         return x
 
 
-def build_gram(phi) -> GramKernel:
-    """Gram matrix of the map's semi-inner product.
+def _gather(block, units: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The Gram over the unit tuples of ``units``, one array of basis indices per
+    factor: (their flat Gram indices, the Gram there), read from the coefficients.
 
     Entry at row (beta=(q_1..q_m), slot i, component u) and column
     (alpha=(p_1..p_m), slot j, component s) is the (u, s) entry of
@@ -268,53 +271,38 @@ def build_gram(phi) -> GramKernel:
         odd k:   phi_ij(e_{q_m}*, .., e_{q_2}*, e_{q_1}* e_{p_1}, e_{p_2}, .., e_{p_m})
         even k:  phi_ij(e_{q_m}*, .., e_{q_1}*, e_{p_1}, .., e_{p_m})
 
-    The matrix is read-only.
+    and 0 where e_{q_1}* e_{p_1} = 0.  Rows and columns run over the tuples
+    in C order; the flat index of ((alpha, j), s) is alpha's basis indices
+    raveled in C order, times n h, plus j h + s.
     """
+    alg, k, m, n, h = block.algebra, block.k, block.m, block.n, block.h
+    d, star = alg.dim, alg.star_perm
+    lens = tuple(map(len, units))
+    size = math.prod(lens)
+    grid = np.ix_(*units, *units)  # beta on axes 0..m-1, alpha on axes m..2m-1
+    beta, alpha = grid[:m], list(grid[m:])
+    if k % 2:
+        mid = alg.unit_products[star[beta[0]], alpha[0]]
+        slots = [star[q] for q in beta[:0:-1]] + [np.maximum(mid, 0)] + alpha[1:]  # mid < 0 is zeroed below
+    else:
+        slots = [star[q] for q in beta[::-1]] + alpha
+    tuples = functools.reduce(lambda acc, slot: acc * d + slot, slots).reshape(size, size)
+    gram = np.empty((size, n, h, size, n, h), dtype=np.complex128)
+    for i, j in np.ndindex(n, n):
+        gram[:, i, :, :, j] = block.entries[i][j].coeffs.reshape(-1, h, h)[tuples].transpose(0, 2, 1, 3)
+    if k % 2:
+        gram.transpose(0, 3, 1, 2, 4, 5)[np.broadcast_to(mid < 0, lens * 2).reshape(size, size)] = 0.0
+    flat = functools.reduce(lambda acc, p: acc * d + p, alpha).ravel()
+    return (flat[:, None] * n * h + np.arange(n * h)).ravel(), gram.reshape(size * n * h, -1)
+
+
+def build_gram(phi) -> GramKernel:
+    """Gram matrix of the map's semi-inner product, ``_gather`` over every unit tuple.
+    The matrix is read-only."""
     block = as_block_map(phi)
-    alg, k, n, h = block.algebra, block.k, block.n, block.h
-    d, m = alg.dim, block.m
-    dm = d**m
-    size = dm * n * h
-    matrix = np.empty((size, size), dtype=np.complex128)
-    # axes (q_1..q_m, i, u, p_1..p_m, j, s); each core, (q.., p.., u, s), is written
-    # through a view, so no reshaped copy of it is made
-    blocks = matrix.reshape((d,) * m + (n, h) + (d,) * m + (n, h))
-    whole = (slice(None),) * m
-    axes = list(range(m)) + [2 * m] + list(range(m, 2 * m)) + [2 * m + 1]
-    for i in range(n):
-        for j in range(n):
-            tij = _gram_core(block.entries[i][j], m)
-            blocks[whole + (i, slice(None)) + whole + (j, slice(None))] = tij.transpose(axes)
+    _, matrix = _gather(block, [np.arange(block.algebra.dim)] * block.m)
     matrix.setflags(write=False)
-    return GramKernel(matrix=matrix, algebra=alg, k=k, n=n, h=h)
-
-
-def _gram_core(phi: MultilinearMap, m: int) -> np.ndarray:
-    """Kernel tensor of one entry map, axes (q_1..q_m, p_1..p_m, u, s)."""
-    alg, k = phi.algebra, phi.k
-    perm = alg.star_perm
-    if k % 2 == 1:
-        # slots 0..m-2 hold e_{q_m}*..e_{q_2}*, slot m-1 the product, rest p's
-        a = _star_leading(phi, m - 1)
-        msp = alg.mult_table[perm]  # msp[q_1, p_1, r] = M[q_1*, p_1, r]
-        t = np.tensordot(msp, a, axes=(2, m - 1))
-        # axes now (q_1, p_1, q_m, .., q_2, p_2, .., p_m, u, s)
-        axes = [0] + list(range(m, 1, -1)) + [1] + list(range(m + 1, 2 * m)) + [2 * m, 2 * m + 1]
-        return t.transpose(axes)
-    axes = list(range(m - 1, -1, -1)) + list(range(m, 2 * m + 2))
-    return _star_leading(phi, m).transpose(axes)
-
-
-def _star_leading(phi: MultilinearMap, lead: int) -> np.ndarray:
-    """The coefficients with the basis of the first ``lead`` slots starred,
-    e_p -> e_p*, as one gather over their raveled tuples (one copy)."""
-    d, perm = phi.algebra.dim, phi.algebra.star_perm
-    if lead == 0:
-        return phi.coeffs
-    tuples = perm
-    for _ in range(lead - 1):
-        tuples = (tuples[:, None] * d + perm[None, :]).ravel()
-    return np.take(phi.coeffs.reshape(d**lead, -1), tuples, axis=0).reshape(phi.coeffs.shape)
+    return GramKernel(matrix=matrix, algebra=block.algebra, k=block.k, n=block.n, h=block.h)
 
 
 def gram_is_psd(gram: GramKernel, tol: float | None = None) -> tuple[bool, float]:

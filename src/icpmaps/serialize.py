@@ -90,6 +90,13 @@ def matrix_from_json(data, shape=None, what: str = "matrix") -> np.ndarray:
     return pairs.view(np.complex128)[..., 0]
 
 
+def finite(x: np.ndarray, what: str) -> np.ndarray:
+    """x, refused when an entry is NaN or infinite.  ``what`` names the field."""
+    if not np.isfinite(x).all():
+        raise SpecFormatError(f"{what} has a non-finite entry (NaN or infinity)")
+    return x
+
+
 def _check_leaves(node, what: str) -> None:
     """Refuse a null, a string or a boolean anywhere in nested lists."""
     if isinstance(node, list):
@@ -175,7 +182,7 @@ def map_from_json(data) -> MultilinearMap:
         raise SpecFormatError(f"malformed map spec: {exc}") from exc
     if k < 1 or h < 1:
         raise SpecFormatError(f"arity and codomain dimension must be >= 1, got k={k}, h={h}")
-    coeffs = matrix_from_json(raw, (algebra.dim,) * k + (h, h), "map coefficients")
+    coeffs = finite(matrix_from_json(raw, (algebra.dim,) * k + (h, h), "map coefficients"), "map spec field 'coeffs'")
     return MultilinearMap(algebra, k, h, coeffs)
 
 

@@ -19,7 +19,6 @@ V_i* pi_1(a_m) pi_2(a_{m-1} a_{m+1}) .. pi_m(a_1 a_{2m-1}) V_j; for k = 2m, fact
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import math
 import weakref
@@ -31,7 +30,7 @@ import numpy as np
 from .algebra import Algebra, AlgebraElement
 from .blockmap import as_block_map
 from .errors import DilationObstructionError, NotCompletelyPositiveError
-from .gram import cp_refute
+from .gram import _gather, cp_refute
 from .tolerances import EQUIVALENCE_TOLS, GRAM_HERMITIAN_TOL, GRAM_PSD_TOL, RANK_TOL, certifies
 
 # _batched_opnorm_max: relative slack on its spectral-norm bounds, and the
@@ -171,28 +170,11 @@ def standard_images(algebra: Algebra, layout: np.ndarray) -> tuple:
 
 def anchor_grams(phi):
     """(lambda, index, G_lambda) per block tuple lambda in C order: the Gram
-    indices (alpha, j, s), alpha_p = e_(b_p,0,c_p), of its anchors in (c, j, s)
-    order, and the Gram there, gathered from the coefficients as ``build_gram`` does."""
+    ``gram._gather`` reads at its anchors alpha_p = e_(b_p,0,c_p), in (c, j, s)
+    order, and their flat Gram indices."""
     block = as_block_map(phi)
-    alg, k, m, n, h = block.algebra, block.k, block.m, block.n, block.h
-    d, star = alg.dim, alg.star_perm
-    for lam in np.ndindex((alg.n_blocks,) * m):
-        units = [_units(alg, b, row=False) for b in lam]
-        size = math.prod(map(len, units))
-        # beta (rows) on axes 0..m-1, alpha (columns) on axes m..2m-1
-        beta = np.ix_(*units, *[[0]] * m)
-        alpha = np.ix_(*[[0]] * m, *units)[m:]
-        if k % 2:  # e_{q_m}*, .., e_{q_2}*, e_{q_1}* e_{p_1}, e_{p_2}, .., e_{p_m}
-            slots = [star[b] for b in beta[m - 1 : 0 : -1]] + [alg.unit_products[star[beta[0]], alpha[0]], *alpha[1:]]
-        else:  # e_{q_m}*, .., e_{q_1}*, e_{p_1}, .., e_{p_m}
-            slots = [star[b] for b in beta[m - 1 :: -1]] + list(alpha)
-        flat = np.broadcast_to(functools.reduce(lambda acc, slot: acc * d + slot, slots), tuple(map(len, units)) * 2)
-        flat = flat.reshape(size, size)
-        gram = np.empty((size, n, h, size, n, h), dtype=np.complex128)
-        for i, j in np.ndindex(n, n):
-            gram[:, i, :, :, j] = block.entries[i][j].coeffs.reshape(-1, h, h)[flat].transpose(0, 2, 1, 3)
-        tuples = np.ravel_multi_index(np.meshgrid(*units, indexing="ij"), (d,) * m).ravel()
-        yield lam, (tuples[:, None] * n * h + np.arange(n * h)).ravel(), gram.reshape(size * n * h, -1)
+    for lam in np.ndindex((block.algebra.n_blocks,) * block.m):
+        yield (lam, *_gather(block, [_units(block.algebra, b, row=False) for b in lam]))
 
 
 def _over(x: np.ndarray, s: float) -> np.ndarray:

@@ -247,6 +247,45 @@ def test_refused_allocation_is_internal_error(tmp_path, spec):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"kind": "eval", "dim": 10**30},
+        {"kind": "dilation", "algebra": {"blocks": [2]}, "k": 10**30},
+        {"kind": "dilation", "algebra": {"blocks": [2]}, "k": 3, "n": 10**30},
+    ],
+    ids=["eval-dim-1e30", "dilation-k-1e30", "dilation-n-1e30"],
+)
+def test_unbounded_generator_field_is_input_error(tmp_path, spec):
+    # the first overflowed an intp with a traceback (exit 1), the other two hung
+    proc = _run_cli("validate", write_spec(tmp_path, "spec.json", spec))
+    assert proc.returncode == cli.EXIT_INPUT == 2
+    assert proc.stderr.startswith("input error: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
+def _c2_map_spec(value) -> dict:
+    """A C^2, k = 2, h = 1 map spec with ``value`` as its first coefficient."""
+    coeffs = [[[[[value, 0.0]]], [[[0.0, 0.0]]]], [[[[0.0, 0.0]]], [[[1.0, 0.0]]]]]
+    return {"algebra": {"blocks": [1, 1]}, "k": 2, "h": 1, "coeffs": coeffs}
+
+
+@pytest.mark.parametrize(
+    "spec,field",
+    [(_c2_map_spec(x), "'coeffs'") for x in (float("nan"), float("inf"), float("-inf"))]
+    + [({"n": 1, "entries": [_c2_map_spec(float("nan"))]}, "'coeffs'")]
+    + [({"kind": "schur", "lam": [[[1.0, 0.0], [float("inf"), 0.0]], [[0.5, 0.0], [1.0, 0.0]]]}, "'lam'")],
+    ids=["coeffs-nan", "coeffs-inf", "coeffs-minus-inf", "block-entry-nan", "schur-lam-inf"],
+)
+def test_non_finite_coefficient_is_input_error(tmp_path, spec, field):
+    # NaN ended in "internal error: SVD did not converge" (exit 4), and +inf in a
+    # reconstruction residual of nan (exit 3) or invariant and symmetric fails (exit 1)
+    proc = _run_cli("check", write_spec(tmp_path, "spec.json", spec))
+    assert proc.returncode == cli.EXIT_INPUT == 2
+    assert proc.stderr.startswith("input error: ") and field in proc.stderr and "non-finite" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_check_cp_refutes_non_psd(tmp_path, capsys):
     lam = [[[1.0, 0.0], [2.0, 0.0]], [[2.0, 0.0], [1.0, 0.0]]]
     spec = write_spec(tmp_path, "schur.json", {"kind": "schur", "lam": lam})

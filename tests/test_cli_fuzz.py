@@ -13,6 +13,7 @@ import contextlib
 import copy
 import io
 import json
+import math
 
 import pytest
 from hypothesis import example, given, settings
@@ -91,6 +92,13 @@ def _run(files, argv, doc) -> tuple[int, str]:
     return code, err.getvalue()
 
 
+def _map_with(value):
+    """The map base with ``value`` as the real part of its first coefficient."""
+    doc = copy.deepcopy(BASES["map"])
+    doc["coeffs"][0][0][0][0][0][0] = value
+    return doc
+
+
 MALFORMED = [  # each once ended in a traceback or was read as something else
     {"n": 1, "entries": 5},
     {**BASES["dilation"], "seed": None},
@@ -105,6 +113,13 @@ MALFORMED = [  # each once ended in a traceback or was read as something else
     {**BASES["dilation"], "k": "3"},
     {**BASES["map"], "h": float(BASES["map"]["h"])},
     {**BASES["block"], "n": True},
+    {"kind": "eval", "dim": 10**30},  # overflowed an intp
+    {**BASES["dilation"], "k": 10**30},  # hung, as did the next
+    {**BASES["dilation"], "n": 10**30},
+    _map_with(math.nan),  # exit 4, SVD did not converge
+    _map_with(math.inf),  # a nan residual or a fail verdict
+    {"n": 1, "entries": [_map_with(-math.inf)]},
+    {**BASES["schur"], "lam": [[[1.0, 0.0], [math.nan, 0.0]], [[0.5, 0.0], [1.0, 0.0]]]},
 ]
 MALFORMED_TRIPLES = [  # read as the triple they were written from, or (the last two) ended in a traceback
     {**BASES["triple"], "kappa": BASES["triple"]["kappa"] + 0.5},

@@ -1,4 +1,5 @@
 import inspect
+import itertools
 
 import numpy as np
 import pytest
@@ -122,6 +123,41 @@ def test_worked_example_gram_by_brute_force():
     assert np.array_equal(gram.matrix, expected)
     assert expected[0, 0] == 1.0 and np.count_nonzero(expected) == 1
     assert not gram.matrix.flags.writeable
+
+
+@pytest.mark.parametrize("blocks", [(2,), (2, 1), (1, 1, 1)], ids=["m2", "m2c", "c3"])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_gram_entries_are_the_defining_values(blocks, k):
+    """On random non-invariant grids with n, h in {1, 2}, the (i, j) block at
+    row tuple beta and column tuple alpha is phi_ij evaluated on basis
+    elements at its defining tuple: every tuple pair where there are at most
+    256, else 256 drawn ones, among them for odd k pairs with e_{q_1}* e_{p_1} = 0."""
+    alg = Algebra(list(blocks))
+    d, m = alg.dim, (k + 1) // 2
+    e = [alg.basis_element(p) for p in range(d)]
+    rng = np.random.default_rng([k, *blocks])
+    pairs = list(itertools.product(np.ndindex((d,) * m), repeat=2))
+    for n, h in itertools.product((1, 2), (1, 2)):
+        shape = (d,) * k + (h, h)
+        entries = [
+            [MultilinearMap(alg, k, h, rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) for _ in range(n)]
+            for _ in range(n)
+        ]
+        gram = build_gram(BlockMultilinearMap(entries)).matrix
+        vanishing = 0
+        for pick in rng.permutation(len(pairs))[:256]:
+            beta, alpha = pairs[pick]
+            if k % 2:
+                middle = multiply(e[beta[0]].star(), e[alpha[0]])
+                vanishing += not middle.coords().any()
+                args = [e[q].star() for q in beta[:0:-1]] + [middle] + [e[p] for p in alpha[1:]]
+            else:
+                args = [e[q].star() for q in beta[::-1]] + [e[p] for p in alpha]
+            row, col = (np.ravel_multi_index(t, (d,) * m) * n * h for t in (beta, alpha))
+            for i, j in np.ndindex(n, n):
+                got = gram[row + i * h : row + (i + 1) * h, col + j * h : col + (j + 1) * h]
+                assert np.array_equal(got, entries[i][j].evaluate(args)), (n, h, beta, alpha, i, j)
+        assert vanishing or k % 2 == 0
 
 
 def test_gram_k1_is_choi_type_matrix():
