@@ -11,7 +11,9 @@ are exactly 0/1 matrices, and every law residual of both must be exactly 0.0.
 
 Every entry map must be invariant by an exhaustive check. The block map must
 be too where block invariance can hold (n = 1 or k <= 2); elsewhere its
-report is printed as information.
+report is printed as information.  Every grid must be symmetric
+(``block_is_symmetric``).  The generator checks neither property: both hold
+by construction, and this script and the tier-1 tests assert them.
 
 Prints one line per map and a summary table of worst residuals; exits
 nonzero if any check fails its tolerance.
@@ -89,6 +91,10 @@ def main() -> int:
             f"inv={sum(r['invariant'] for r in entry_reports)}/{len(entry_reports)} "
             f"block={'pass' if block_report['invariant'] else 'fail'}{'' if block_required else '(info)'}"
         )
+        if not block.block_is_symmetric():  # its Gram is not Hermitian, so nothing below applies
+            failures.append((entry.name, "grid not symmetric"))
+            print(f"  {entry.name:<22} {invariance:<24} sym=fail")
+            continue
         gram = build_gram(block)
         psd, min_eig = gram_is_psd(gram)
         rel_eig = min_eig / max(1.0, gram.spectral_norm())
@@ -126,7 +132,8 @@ def main() -> int:
         if not eq.within():
             failures.append((entry.name, "uniqueness residual"))
         line = (
-            f"  {entry.name:<22} {invariance:<24} kappa={triple.kappa:<3} grambound={rel_eig:+.1e} "
+            f"  {entry.name:<22} {invariance:<24} sym=pass "
+            f"kappa={triple.kappa:<3} grambound={rel_eig:+.1e} "
             f"recon={report.reconstruction:.1e} equiv={max(eq.isometry, eq.intertwining, eq.v_match):.1e} "
             f"canonical={canonical:.1e} layout={t1.layout.ravel().tolist()}"
         )

@@ -159,26 +159,35 @@ class Algebra:
     def validate_structure(self) -> None:
         """Check associativity, unit law, and involution exactly.
 
+        A table of 0s and 1s with at most one 1 per product e_p e_q is an
+        integer table: e_p e_q = e_P[p, q], or 0 where P[p, q] = d, the
+        index of zero (row and column d of P are d too).  The laws compare
+        such indices, and no temporary but boolean masks of the table is
+        larger than d^2.
+
         Raises ``ValueError`` naming the first law that fails (explicitly,
         so that ``python -O`` keeps the checks); intended for tests and for
         CLI-level validation of small algebras.
         """
-        m = self.mult_table
-        lhs = np.einsum("pqs,sru->pqru", m, m)
-        rhs = np.einsum("qrs,psu->pqru", m, m)
-        if not np.array_equal(lhs, rhs):
+        m, d = self.mult_table, self.dim
+        ones = m == 1.0
+        if not (ones | (m == 0.0)).all() or ones.sum(axis=2).max() > 1:
+            raise ValueError("structure constants are not 0/1 with at most one 1 per product")
+        prod = np.full((d + 1, d + 1), d, dtype=np.intp)
+        prod[:d, :d] = np.where(ones.any(axis=2), ones.argmax(axis=2), d)
+        # (e_p e_q) e_r = e_p (e_q e_r), one left factor p at a time
+        if not all(np.array_equal(prod[prod[p, :d], :d], prod[p, prod[:d, :d]]) for p in range(d)):
             raise ValueError("structure constants are not associative")
         e = self.identity_coords.real
-        if not np.array_equal(np.einsum("p,pqr->qr", e, m), np.eye(self.dim)):
+        if not np.array_equal(np.einsum("p,pqr->qr", e, m), np.eye(d)):
             raise ValueError("unit fails on the left")
-        if not np.array_equal(np.einsum("q,pqr->pr", e, m), np.eye(self.dim)):
+        if not np.array_equal(np.einsum("q,pqr->pr", e, m), np.eye(d)):
             raise ValueError("unit fails on the right")
-        if not np.array_equal(self.star_perm[self.star_perm], np.arange(self.dim)):
+        if not np.array_equal(self.star_perm[self.star_perm], np.arange(d)):
             raise ValueError("star is not an involution")
         # star is an anti-homomorphism on basis elements: (e_p e_q)* = e_q* e_p*
-        starred = m[:, :, self.star_perm]
-        swapped = m[self.star_perm][:, self.star_perm].transpose(1, 0, 2)
-        if not np.array_equal(starred, swapped):
+        star = np.append(self.star_perm, d)
+        if not np.array_equal(star[prod[:d, :d]], prod[np.ix_(self.star_perm, self.star_perm)].T):
             raise ValueError("star is not anti-multiplicative")
 
     # -- element constructors ----------------------------------------------

@@ -46,6 +46,16 @@ def json_int(value, what: str) -> int:
     return int(value)
 
 
+def json_arity(value, what: str) -> int:
+    """The arity k of a map, a triple or a generator spec, refused outside
+    [1, 63) before any arithmetic with it: the coefficient tensor has k + 2
+    axes, and numpy allows 64.  ``what`` names the field in the message."""
+    k = json_int(value, what)
+    if not 1 <= k < 63:
+        raise SpecFormatError(f"{what} must be in [1, 63), got {k}")
+    return k
+
+
 def complex_to_pair(z) -> list[float]:
     z = complex(z)
     return [float(z.real), float(z.imag)]
@@ -175,13 +185,13 @@ def map_to_json(phi: MultilinearMap) -> dict:
 def map_from_json(data) -> MultilinearMap:
     try:
         algebra = algebra_from_json(data["algebra"])
-        k = json_int(data["k"], "'k'")
+        k = json_arity(data["k"], "'k'")
         h = json_int(data["h"], "'h'")
         raw = data["coeffs"]
     except (KeyError, TypeError, ValueError) as exc:
         raise SpecFormatError(f"malformed map spec: {exc}") from exc
-    if k < 1 or h < 1:
-        raise SpecFormatError(f"arity and codomain dimension must be >= 1, got k={k}, h={h}")
+    if h < 1:
+        raise SpecFormatError(f"codomain dimension must be >= 1, got h={h}")
     coeffs = finite(matrix_from_json(raw, (algebra.dim,) * k + (h, h), "map coefficients"), "map spec field 'coeffs'")
     return MultilinearMap(algebra, k, h, coeffs)
 
@@ -260,16 +270,15 @@ def triple_from_json(data):
 
     try:
         algebra = algebra_from_json(data["algebra"])
-        k, n, h, kappa = (json_int(data[key], repr(key)) for key in ("k", "n", "h", "kappa"))
+        k = json_arity(data["k"], "'k'")
+        n, h, kappa = (json_int(data[key], repr(key)) for key in ("n", "h", "kappa"))
         layout_raw = data.get("layout")
         reps_raw = data["reps"] if layout_raw is None else None
         v_raw = data["V"]
     except (KeyError, TypeError, ValueError) as exc:
         raise SpecFormatError(f"malformed dilation triple: {exc}") from exc
-    if min(k, n, h) < 1 or kappa < 0:
-        raise SpecFormatError(
-            f"dilation triple needs k, n, h >= 1 and kappa >= 0, got k={k}, n={n}, h={h}, kappa={kappa}"
-        )
+    if min(n, h) < 1 or kappa < 0:
+        raise SpecFormatError(f"dilation triple needs n, h >= 1 and kappa >= 0, got n={n}, h={h}, kappa={kappa}")
     m = (k + 1) // 2
     if not (isinstance(v_raw, list) and len(v_raw) == n):
         raise SpecFormatError(f"dilation triple with n={n} needs a list of {n} V")

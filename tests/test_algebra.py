@@ -74,6 +74,19 @@ def test_structure_validation_survives_optimized_mode(table, message):
     assert proc.stdout.strip() == message
 
 
+@pytest.mark.parametrize("value", [0.5, 1.0])
+def test_structure_validation_refuses_a_table_that_is_not_one_unit_per_product(value):
+    """The laws are checked on the product indices read off ``mult_table``,
+    which exist only for a 0/1 table with at most one 1 per product: an entry
+    of 0.5, or a second 1 beside e_0 e_0 = e_0, is refused before them."""
+    alg = Algebra([2, 1])
+    table = alg.mult_table.copy()
+    table[0, 0, 1] = value
+    alg._mult_table = table
+    with pytest.raises(ValueError, match="^structure constants are not 0/1 with at most one 1 per product$"):
+        alg.validate_structure()
+
+
 def test_matrix_unit_products_m2():
     m2 = Algebra([2])
     e11 = m2.basis_element(m2.basis_index(0, 0, 0))

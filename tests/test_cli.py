@@ -21,7 +21,7 @@ from icpmaps.factory import (
 )
 from icpmaps.gram import Counterexample
 from icpmaps.multimap import MultilinearMap
-from icpmaps.stinespring import EquivalenceReport, unitary_equivalence
+from icpmaps.stinespring import EquivalenceReport, dilate, unitary_equivalence
 from icpmaps.tolerances import EQUIVALENCE_TOLS
 
 
@@ -262,6 +262,48 @@ def test_unbounded_generator_field_is_input_error(tmp_path, spec):
     assert proc.returncode == cli.EXIT_INPUT == 2
     assert proc.stderr.startswith("input error: ") and proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
+
+
+def _layout_triple_with_arity(blocks, k, n, h, arity) -> dict:
+    """The standard-form triple of a `gen dilation` map, as its file holds it,
+    with its 'k' replaced by ``arity``."""
+    spec = {"kind": "dilation", "algebra": {"blocks": blocks}, "k": k, "n": n, "h": h, "seed": 0}
+    triple = json.loads(serialize.dumps(serialize.triple_to_json(dilate(serialize.load_map_spec(spec)))))
+    assert "layout" in triple
+    return {**triple, "k": arity}
+
+
+@pytest.mark.parametrize(
+    "command,doc",
+    [
+        ("validate", {"algebra": {"blocks": [1]}, "k": 10**30, "h": 1, "coeffs": [[0.5, 0.0]]}),
+        ("equiv", _layout_triple_with_arity([3], 4, 1, 2, 10**30)),
+        ("equiv", _layout_triple_with_arity([2, 2], 3, 2, 2, 10**9)),
+    ],
+    ids=["map-k-1e30", "triple-m3-k-1e30", "triple-m2-m2-k-1e9"],
+)
+def test_unbounded_arity_in_a_map_or_triple_file_is_input_error(tmp_path, command, doc):
+    # the first two overflowed an intp with a traceback (exit 1); the third took
+    # n_blocks**m for seconds and then failed to print that number
+    path = write_spec(tmp_path, "doc.json", doc)
+    spec = write_spec(tmp_path, "spec.json", {"kind": "trace", "n": 2})
+    proc = _run_cli(command, *((path,) if command == "validate" else (path, path, spec)))
+    assert proc.returncode == cli.EXIT_INPUT == 2
+    assert proc.stderr.startswith("input error: ") and proc.stderr.count("\n") == 1
+    assert f"'k' must be in [1, 63), got {doc['k']}" in proc.stderr
+
+
+def test_validate_on_a_large_single_block_algebra_forms_no_quartic_temporary(tmp_path):
+    # the associativity check einsummed the dense structure table with itself:
+    # at M_10 (d = 100) that took 9 s and peaked at 1.7 GB
+    coeffs = [[[[0.5, 0.0]]]] * 100
+    path = write_spec(tmp_path, "m10.json", {"algebra": {"blocks": [10]}, "k": 1, "h": 1, "coeffs": coeffs})
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen([sys.executable, "-m", "icpmaps.cli", "validate", path], env=env, stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+    assert usage.ru_maxrss / 1024 < 150
 
 
 def _c2_map_spec(value) -> dict:

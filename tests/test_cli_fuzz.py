@@ -120,12 +120,23 @@ MALFORMED = [  # each once ended in a traceback or was read as something else
     _map_with(math.inf),  # a nan residual or a fail verdict
     {"n": 1, "entries": [_map_with(-math.inf)]},
     {**BASES["schur"], "lam": [[[1.0, 0.0], [math.nan, 0.0]], [[0.5, 0.0], [1.0, 0.0]]]},
+    {"algebra": {"blocks": [1]}, "k": 10**30, "h": 1, "coeffs": [[0.5, 0.0]]},  # overflowed an intp
 ]
-MALFORMED_TRIPLES = [  # read as the triple they were written from, or (the last two) ended in a traceback
+
+
+def _triple_of(blocks, k, n, h) -> dict:
+    """The standard-form triple of a `gen dilation` map, as its file holds it."""
+    spec = {"kind": "dilation", "algebra": {"blocks": blocks}, "k": k, "n": n, "h": h, "seed": 0}
+    return _plain(serialize.triple_to_json(dilate(serialize.load_map_spec(spec))))
+
+
+MALFORMED_TRIPLES = [  # read as the triple they were written from (the first two), or as commented
     {**BASES["triple"], "kappa": BASES["triple"]["kappa"] + 0.5},
     {**BASES["triple"], "k": str(BASES["triple"]["k"])},
     {**BASES["triple"], "layout": [1000000], "kappa": 4},  # its images asked numpy for 1.82 PiB
     {**BASES["triple"], "layout": [10**30], "kappa": 4},  # overflowed an intp
+    {**_triple_of([3], 4, 1, 2), "k": 10**30},  # overflowed an intp
+    {**_triple_of([2, 2], 3, 2, 2), "k": 10**9},  # took n_blocks**m for seconds, then failed to print it
 ]
 
 

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from icpmaps import factory
+from icpmaps import factory, serialize
 from icpmaps.algebra import Algebra
+from icpmaps.blockmap import as_block_map
 from icpmaps.errors import SpecFormatError
 from icpmaps.factory import (
     canonical_representation,
@@ -19,6 +20,7 @@ from icpmaps.factory import (
     trace_example,
 )
 from icpmaps.gram import build_gram, gram_is_psd, positivity_falsify
+from icpmaps.multimap import MultilinearMap
 from icpmaps.stinespring import dilate, verify_dilation
 from icpmaps.tolerances import REP_TOL
 
@@ -183,13 +185,56 @@ def test_theorem_form_matches_explicit_products(k, rng):
                 assert np.abs(stored - expected).max() <= 1e-12
 
 
-def test_random_icp_outputs_are_well_formed(small_corpus):
+# (blocks, k, n, h) of the five map specs of perfbench/workloads.py, and of k5
+GENERATED_SPECS = [
+    ((2,), 4, 2, 2),
+    ((2,), 3, 2, 2),
+    ((2, 2), 3, 2, 2),
+    ((2,), 5, 1, 2),
+    ((3,), 4, 1, 2),
+]
+K5 = ((3,), 5, 2, 1)
+
+
+def test_random_icp_outputs_are_well_formed(small_corpus, corpus):
     for entry in small_corpus[:6]:
         block = entry.block_map
         assert all(all(row) for row in block.entries_invariant()), entry.name
         assert block.block_is_symmetric(), entry.name
         ok, _ = gram_is_psd(build_gram(block))
         assert ok, entry.name
+    # the generator checks neither property of its maps, which hold by
+    # construction: every corpus map and every benchmark spec is asserted here
+    maps = [(entry.name, entry.block_map) for entry in corpus]
+    for (blocks, k, n, h), seed in [(spec, seed) for spec in GENERATED_SPECS for seed in range(4)] + [(K5, 0)]:
+        maps.append(((blocks, k, n, h, seed), random_icp(Algebra(list(blocks)), k, n, h, seed=seed)[0]))
+    for name, block in maps:
+        assert all(all(row) for row in block.entries_invariant()), name
+        assert block.block_is_symmetric(), name
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_loading_a_generated_spec_checks_neither_invariance_nor_symmetry(monkeypatch, n):
+    calls = []
+
+    def counting(name):
+        method = getattr(MultilinearMap, name)
+
+        def counted(*args):
+            calls.append(name)
+            return method(*args)
+
+        return counted
+
+    for name in ("_gather_pass", "adjoint_deviation"):
+        monkeypatch.setattr(MultilinearMap, name, counting(name))
+    spec = {"kind": "dilation", "algebra": {"blocks": [2]}, "k": 3, "n": n, "h": 2, "seed": 0}
+    block = as_block_map(serialize.load_map_spec(spec))
+    assert block.n == n and calls == []
+    # the passes are the ones `check` runs: they still hold, and are counted
+    assert all(all(row) for row in block.entries_invariant()) and block.block_is_symmetric()
+    assert calls.count("_gather_pass") == n * n
+    assert calls.count("adjoint_deviation") == n * (n + 1) // 2
 
 
 def test_random_icp_tensor_reps_pass_the_checks_it_skips(corpus):

@@ -139,7 +139,7 @@ def test_block_report_and_check_never_form_the_induced_map(monkeypatch, tmp_path
 
 def test_block_report_memory_stays_below_the_induced_tensor():
     grid4, _ = random_icp(Algebra([2]), 4, 2, 2, seed=0)
-    # entries of their own: random_icp's checks left the gathers cached on grid4's
+    # entries of their own: no report made before the measurement has a gather cached on them
     fresh = BlockMultilinearMap([[MultilinearMap(phi.algebra, phi.k, phi.h, phi.coeffs) for phi in row] for row in grid4.entries])
     tracemalloc.start()
     try:

@@ -149,9 +149,9 @@ def test_coefficient_scale_memory_stays_below_the_coefficient_tensor(grid4):
 
 
 def test_check_gathers_each_entry_once(monkeypatch, tmp_path, capsys):
-    """`check --invariant` on a generated grid reuses the deviations its load
-    computed: the generator checks every entry and the grid's symmetry, and
-    the block report, the entry flags and the symmetry verdict read those."""
+    """`check --invariant` on a generated grid gathers each entry once and
+    makes one symmetry pass: the load checks neither property, and the block
+    report, the entry flags and the symmetry verdict share those passes."""
     spec = str(tmp_path / "grid4.json")
     assert cli.main(["gen", "dilation", "--algebra", "2", "--k", "4", "--n", "2", "--h", "2", "--out", spec]) == 0
     gathers, symmetry = [], []
