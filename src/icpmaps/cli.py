@@ -15,6 +15,7 @@ failed, or numpy could not allocate an array the input asks for).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -31,7 +32,7 @@ from .errors import (
 from .gram import admissibility_report, positivity_falsify
 from .multimap import MultilinearMap, amplified_evaluate
 from .stinespring import dilate, minimal_compress, unitary_equivalence, verify_dilation
-from .tolerances import EQUIVALENCE_TOLS, RANK_TOL, certifies
+from .tolerances import EQUIVALENCE_TOLS, RANK_TOL, certifies, reconstruction_bound
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -131,15 +132,9 @@ def cmd_check(args) -> int:
     if "symmetric" in wanted:
         checks["symmetric"] = {"symmetric": sym}
         verdicts["symmetric"] = "pass" if sym else "fail"
-    falsified = None
-    if "positivity" in wanted:
-        falsified = positivity_falsify(block, levels=levels, trials=args.trials, seed=args.seed)
-        if falsified is None:
-            checks["positivity"] = {"counterexample": None, "levels": levels, "trials": args.trials}
-            verdicts["positivity"] = "inconclusive"
-        else:
-            checks["positivity"] = {"counterexample": falsified.to_dict()}
-            verdicts["positivity"] = "fail"
+    # the falsifier is seeded: it runs at most once, and both sections read that one result
+    falsify = functools.cache(lambda: positivity_falsify(block, levels=levels, trials=args.trials, seed=args.seed))
+    certified = None
     if "cp" in wanted:
         # a certified dilation proves CP (claim (e)); `dilate` builds the Gram only for a map it does not clear
         try:
@@ -156,19 +151,41 @@ def cmd_check(args) -> int:
             }
             verdicts["cp"] = "fail"
         except DilationObstructionError as exc:
-            # a PSD Gram the anchors do not certify: only a sampled tuple can still refute;
-            # the falsifier is seeded, so the positivity check above already has its result
-            if "positivity" not in wanted:
-                falsified = positivity_falsify(block, levels=levels, trials=args.trials, seed=args.seed)
+            # a PSD Gram the anchors do not certify: only a sampled tuple can still refute
+            falsified = falsify()
             checks["cp"] = {
                 "certificate": {"kappa": exc.kappa, "residuals": exc.report.to_dict(), "valid": False},
                 "falsifier": None if falsified is None else falsified.to_dict(),
             }
             verdicts["cp"] = "inconclusive" if falsified is None else "fail"
         else:
-            residuals = verify_dilation(block, triple)  # the report `dilate` certified, kept for the map
-            checks["cp"] = {"certificate": {"kappa": triple.kappa, "residuals": residuals.to_dict(), "valid": True}}
+            certified = verify_dilation(block, triple)  # the report `dilate` certified, kept for the map
+            checks["cp"] = {"certificate": {"kappa": triple.kappa, "residuals": certified.to_dict(), "valid": True}}
             verdicts["cp"] = "pass"
+    if "positivity" in wanted:
+        if certified is not None and not args.positivity:
+            # CP is positivity at every level, so the certificate decides and no trial is spent
+            checks["positivity"] = {
+                "source": "certificate",
+                "margin": {
+                    "reconstruction": certified.reconstruction,
+                    "bound": reconstruction_bound(block.coefficient_scale()),
+                },
+            }
+            verdicts["positivity"] = "pass"
+        else:
+            falsified = falsify()
+            if falsified is None:
+                checks["positivity"] = {
+                    "source": "falsifier",
+                    "counterexample": None,
+                    "levels": levels,
+                    "trials": args.trials,
+                }
+                verdicts["positivity"] = "inconclusive"
+            else:
+                checks["positivity"] = {"source": "falsifier", "counterexample": falsified.to_dict()}
+                verdicts["positivity"] = "fail"
     if data.get("kind") == "eval" and int(data.get("dim", 2)) == 2:
         mats = factory.worked_level2_tuple()
         phi = obj if isinstance(obj, MultilinearMap) else block.entries[0][0]
@@ -337,7 +354,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec")
     p.add_argument("--invariant", action="store_true")
     p.add_argument("--symmetric", action="store_true")
-    p.add_argument("--positivity", action="store_true")
+    p.add_argument(
+        "--positivity",
+        action="store_true",
+        help="sample admissible tuples for a positivity counterexample, even where a valid CP certificate decides",
+    )
     p.add_argument("--cp", action="store_true")
     p.add_argument("--seed", type=int, default=0, help="seed for all randomized probes (default 0)")
     p.add_argument("--levels", default=None, help="comma-separated amplification levels (default 1,2)")

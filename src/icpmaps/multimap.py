@@ -30,6 +30,7 @@ by one gather over the coefficient support per map, whatever its size.
 from __future__ import annotations
 
 import functools
+import math
 from typing import Sequence
 
 import numpy as np
@@ -306,8 +307,13 @@ class ChainGrid:
         one ``PROBE_BATCH_BYTES`` rule bounds everything a restart batch
         holds: 240, 51 and 18 rows at t = 1, 2, 3 for d = 4, k = 5, n = 1,
         h = 2, and 204 and 15 at t = 1, 2 for d = 4, k = 3, n = 2, h = 2."""
-        d, t_n = self.unit_index.shape[0], t * self.n
-        return _rows_within_budget(t_n**2 * d ** (self.k - 1) + t_n**2 * d * (t_n * self.h) ** 2)
+        t_n = t * self.n
+        return _rows_within_budget(t_n**2 * self.unit_index.shape[0] ** (self.k - 1) + self.operator_size(t))
+
+    def operator_size(self, t: int) -> int:
+        """Complex scalars of one row's level-t slot operator, (tn)^2 d (tnh)^2."""
+        t_n = t * self.n
+        return t_n**2 * self.unit_index.shape[0] * (t_n * self.h) ** 2
 
     def regroup(self, coords: np.ndarray) -> np.ndarray:
         """(rows, t, t, dim M_n(A)) coordinates to (rows, tn, d, tn) stacks."""
@@ -369,11 +375,20 @@ class ChainGrid:
         of a contiguous matrix."""
         return np.ascontiguousarray(self.ends.swapaxes(2, 3))
 
-    def slot_operator(self, t: int, stacks: Sequence[np.ndarray], slot: int) -> np.ndarray:
+    def slot_operator(
+        self, t: int, stacks: Sequence[np.ndarray], slot: int, out: tuple[np.ndarray, np.ndarray] | None = None
+    ) -> np.ndarray:
         """The values on rows of regrouped stacks as a linear map of the stack
         in ``slot`` (which is not read): shape (rows, (tn)^2 d, (tnh)^2), such
         that ``z.reshape(rows, 1, -1) @ op`` is ``value(t, stacks)`` with
         ``z`` in ``slot``, flattened.
+
+        ``out``, two flat complex arrays of at least the operator's size,
+        takes the two operator-sized arrays, the matmul product and its
+        contiguous transpose, so that a caller building many operators
+        reuses their memory; the operator is then a view of ``out[1]``, valid
+        until the next call with the same arrays, and equal to the bit to the
+        one built without them.
 
         The chains before and after the slot are contracted with ``ends``,
         the longer one first, so no chain over all k slots is formed: entry
@@ -393,7 +408,7 @@ class ChainGrid:
             # the suffix first: x[r, i, j, (u, v, P, q), (e, s')], then P
             x = self._ends_by_entry.reshape(n, n, -1, after) @ suf[:, None]
             x = x.reshape(-1, n, n, h * h, before, d * t_n * t).transpose(0, 1, 4, 2, 3, 5)
-            op = self._prefix_rows(t, stacks[:slot]) @ x.reshape(-1, n, before, n * h * h * d * t_n * t)
+            op = _matmul(self._prefix_rows(t, stacks[:slot]), x.reshape(-1, n, before, n * h * h * d * t_n * t), out)
             del x
             # op[r, i, s, c, j, u, v, q, e, s']
             op = op.reshape(-1, n, t, t_n, n, h, h, d, t_n, t).transpose(0, 3, 7, 8, 2, 1, 5, 9, 4, 6)
@@ -401,16 +416,35 @@ class ChainGrid:
             # the prefix first: y[r, i, j, (s, c), (q, P', u, v)], then P'
             y = self._prefix_through_ends(t, stacks[:slot])
             y = y.reshape(-1, n, n, t * t_n * d, after, h * h).transpose(0, 2, 1, 3, 5, 4)
-            op = y.reshape(-1, n, n * t * t_n * d * h * h, after) @ suf
+            op = _matmul(y.reshape(-1, n, n * t * t_n * d * h * h, after), suf, out)
             del y
             # op[r, j, i, s, c, q, u, v, e, s']
             op = op.reshape(-1, n, n, t, t_n, d, h, h, t_n, t).transpose(0, 4, 5, 8, 3, 2, 6, 9, 1, 7)
         # copied even where size-1 axes would let a reshape return a strided
         # view: matmul rounds differently on strided operands, and every row
         # must round as a lone row does
-        op = np.ascontiguousarray(op).reshape(len(op), t_n * d * t_n, (t_n * h) ** 2)
+        if out is None:
+            op = np.ascontiguousarray(op)
+        else:
+            dense = _front(out[1], op.shape)
+            np.copyto(dense, op)
+            op = dense
+        op = op.reshape(len(op), t_n * d * t_n, (t_n * h) ** 2)
         # at k = 1 both chains are the one-row identity
         return np.broadcast_to(op, (max(len(z) for z in stacks), *op.shape[1:]))
+
+
+def _front(buffer: np.ndarray, shape: tuple) -> np.ndarray:
+    """The leading entries of a flat buffer, viewed as a C-contiguous array of this shape."""
+    return buffer[: math.prod(shape)].reshape(shape)
+
+
+def _matmul(a: np.ndarray, b: np.ndarray, out: tuple[np.ndarray, np.ndarray] | None) -> np.ndarray:
+    """a @ b for (rows, n, ., .) stacks whose rows broadcast, written into the
+    front of ``out[0]`` when buffers are given."""
+    if out is None:
+        return a @ b
+    return np.matmul(a, b, out=_front(out[0], (max(len(a), len(b)), *a.shape[1:-1], b.shape[-1])))
 
 
 def chain_product(stacks: Sequence[np.ndarray], size: int) -> np.ndarray:

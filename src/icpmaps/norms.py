@@ -157,12 +157,12 @@ class _AscentProblem:
         """Ascend the restarts in lockstep, one row each, until each one
         stops: a row leaves the batch after a sweep that accepted no step.
         Each (sweep, free slot) builds the slot operator of the rows still
-        ascending once; the gradient and every backtrack candidate's value
-        are products with it, and one full SVD per candidate batch gives
-        sigma and the singular pair of the next gradient.  The kernel runs
-        only at the starts and at the final points, whose sigma is the
-        restart's value.  Returns each slot's stack and, per row, sigma, the
-        sweeps run and the stop reason."""
+        ascending once, in two buffers the batch reuses; the gradient and
+        every backtrack candidate's value are products with it, and one full
+        SVD per candidate batch gives sigma and the singular pair of the next
+        gradient.  The kernel runs only at the starts and at the final points,
+        whose sigma is the restart's value.  Returns each slot's stack and,
+        per row, sigma, the sweeps run and the stop reason."""
         mats = self.random_starts([np.random.default_rng([seed, r]) for r in restarts])
         # the slot operator reads regrouped stacks: each slot is regrouped once here,
         # and afterwards only the rows of the slot that moved
@@ -171,13 +171,18 @@ class _AscentProblem:
         sigma, u, vh = s[:, 0], u[:, :, 0], vh[:, 0]
         sweeps = np.zeros(len(restarts), dtype=int)
         ascending = np.arange(len(restarts))
+        # the slot operator's two operator-sized arrays, reused by every (sweep, slot):
+        # a fresh pair each step would page-fault anew once no large free has raised
+        # the allocator's threshold for mapping fresh pages
+        size = len(restarts) * self.grid.operator_size(self.t)
+        out = (np.empty(size, dtype=np.complex128), np.empty(size, dtype=np.complex128))
         for _ in range(iters):
             if not len(ascending):
                 break
             sweeps[ascending] += 1
             improved = np.zeros(len(restarts), dtype=bool)
             for slot in self.free:
-                op = self.grid.slot_operator(self.t, [x[ascending] for x in grouped], slot)
+                op = self.grid.slot_operator(self.t, [x[ascending] for x in grouped], slot, out=out)
                 direction = self.direction(op, u[ascending], vh[ascending])
                 pending, step = np.arange(len(ascending)), 1.0
                 for _ in range(BACKTRACK_STEPS):

@@ -22,9 +22,14 @@ def coefficient_tol(scale: float) -> float:
     return COEFFICIENT_TOL * (1.0 + scale)
 
 
+def reconstruction_bound(coefficient_scale: float) -> float:
+    """The largest reconstruction residual the CP certificate accepts at this coefficient scale."""
+    return CERTIFICATE_TOLS["reconstruction"] * (1.0 + coefficient_scale)
+
+
 def certifies(residuals, coefficient_scale: float) -> bool:
     """The CP certificate: whether a ``DilationReport`` shows that its triple dilates the map."""
     return (
-        residuals.reconstruction <= CERTIFICATE_TOLS["reconstruction"] * (1.0 + coefficient_scale)
+        residuals.reconstruction <= reconstruction_bound(coefficient_scale)
         and residuals.max_structural() <= CERTIFICATE_TOLS["structural"]
     )

@@ -107,6 +107,30 @@ def test_slot_operator_matches_the_kernel(n, k):
             assert np.abs(got - value).max() <= 1e-13 * np.abs(value).max()
 
 
+@pytest.mark.parametrize("n, levels", [(1, (1, 2, 3)), (2, (1, 2))])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_slot_operator_in_reused_buffers_keeps_every_bit(n, levels, k):
+    # the estimator's buffers are sized for its largest batch and reused as it drops
+    # converged rows: a call with fewer rows after a larger one must still build every bit
+    rng = np.random.default_rng([n, k, 7])
+    block = random_grid(Algebra([2, 1]), n, k, 2, rng)
+    for t in levels:
+        problem = norms._AscentProblem(block, t, {})
+        grid = problem.grid
+        mats = problem.random_starts([np.random.default_rng([n, k, t, r]) for r in range(5)])
+        stacks = [grid.regroup(x) for x in mats]
+        # stale entries must never show: every call overwrites what it reads
+        out = tuple(np.full(5 * grid.operator_size(t), np.nan + 0j) for _ in range(2))
+        for rows in (5, 2, 4):
+            kept = np.arange(rows)
+            for slot in range(k):
+                part = [z[kept] for z in stacks]
+                got = grid.slot_operator(t, part, slot, out=out)
+                want = grid.slot_operator(t, part, slot)
+                assert got.shape == want.shape == (rows, (t * n) ** 2 * 5, (t * n * 2) ** 2)
+                assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_estimator_gradient_matches_central_differences(n):
     rng = np.random.default_rng(n)

@@ -108,8 +108,9 @@ def test_check_reports_are_byte_identical(tmp_path, capsys):
     assert first == second
 
 
-def test_check_all_runs_falsifier_once(tmp_path, capsys, monkeypatch):
-    spec = write_spec(tmp_path, "trace.json", {"kind": "trace", "n": 2})
+def test_check_all_runs_falsifier_once(tmp_path, capsys, monkeypatch, non_invariant_psd_map):
+    # no valid certificate: the positivity section and the cp section's obstruction branch share one run
+    spec = write_spec(tmp_path, "non_invariant.json", serialize.map_to_json(non_invariant_psd_map))
     common = ("--seed", "3", "--trials", "30")
     _, pos_only = run(capsys, "check", spec, "--positivity", *common)
     _, cp_only = run(capsys, "check", spec, "--cp", *common)
@@ -122,11 +123,92 @@ def test_check_all_runs_falsifier_once(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "positivity_falsify", counting)
     code, out = run(capsys, "check", spec, *common)
-    assert code == 0
+    assert code == 1  # the map is not invariant
     assert len(calls) == 1
-    checks = json.loads(out)["checks"]
-    assert checks["positivity"] == json.loads(pos_only)["checks"]["positivity"]
-    assert checks["cp"] == json.loads(cp_only)["checks"]["cp"]
+    report = json.loads(out)
+    assert report["verdicts"]["positivity"] == report["verdicts"]["cp"] == "inconclusive"
+    assert report["checks"]["positivity"] == json.loads(pos_only)["checks"]["positivity"]
+    assert report["checks"]["positivity"]["source"] == "falsifier"
+    assert report["checks"]["cp"] == json.loads(cp_only)["checks"]["cp"]
+
+
+def _certified_spec(tmp_path, kind):
+    if kind == "trace":
+        return write_spec(tmp_path, "trace.json", {"kind": "trace", "n": 2})
+    spec = str(tmp_path / "dilation.json")
+    assert main(["gen", "dilation", "--algebra", "2", "--k", "3", "--n", "2", "--h", "2", "--out", spec]) == 0
+    return spec
+
+
+@pytest.mark.parametrize("kind", ["trace", "dilation"])
+def test_check_takes_positivity_from_a_valid_certificate(tmp_path, capsys, monkeypatch, kind):
+    # CP is positivity at every level: on a certified map default `check` samples no tuple and forms no Gram
+    spec = _certified_spec(tmp_path, kind)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("called on a certified map")
+
+    monkeypatch.setattr(gram, "build_gram", forbidden)
+    monkeypatch.setattr(cli, "positivity_falsify", forbidden)
+    code, out = run(capsys, "check", spec)
+    assert code == 0
+    report = json.loads(out)
+    assert report["verdicts"]["positivity"] == report["verdicts"]["cp"] == "pass"
+    positivity = report["checks"]["positivity"]
+    assert positivity["source"] == "certificate"
+    margin = positivity["margin"]
+    assert margin["reconstruction"] == report["checks"]["cp"]["certificate"]["residuals"]["reconstruction"]
+    assert margin["reconstruction"] <= margin["bound"]
+
+
+@pytest.mark.parametrize("kind", ["trace", "dilation"])
+@pytest.mark.parametrize("argv", [["--positivity"], ["--positivity", "--cp"]], ids=["positivity", "positivity-cp"])
+def test_check_positivity_flag_still_samples_a_certified_map(tmp_path, capsys, monkeypatch, kind, argv):
+    spec = _certified_spec(tmp_path, kind)
+    calls = []
+    falsify = cli.positivity_falsify
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return falsify(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "positivity_falsify", counting)
+    code, out = run(capsys, "check", spec, *argv, "--trials", "20")
+    assert code == 0
+    report = json.loads(out)
+    assert len(calls) == 1
+    assert report["verdicts"]["positivity"] == "inconclusive"
+    assert report["checks"]["positivity"] == {
+        "source": "falsifier",
+        "counterexample": None,
+        "levels": [1, 2],
+        "trials": 20,
+    }
+    assert report["verdicts"].get("cp") == ("pass" if "--cp" in argv else None)
+
+
+@pytest.mark.parametrize(
+    "spec, min_eigenvalue",
+    [
+        ({"kind": "psi"}, -0.8793485685923398),
+        ({"kind": "schur", "lam": [[[1.0, 0.0], [2.0, 0.0]], [[2.0, 0.0], [1.0, 0.0]]]}, -0.35934203231489054),
+    ],
+    ids=["psi", "schur"],
+)
+def test_check_falsifier_still_fires_without_a_certificate(tmp_path, capsys, spec, min_eigenvalue):
+    # neither map has a certificate, so default `check` finds the falsifier's hit where
+    # `check --positivity` finds it: the same level-1 trial as before the certificate could decide
+    path = write_spec(tmp_path, "map.json", spec)
+    code, out = run(capsys, "check", path)
+    assert code == 1
+    report = json.loads(out)
+    assert report["verdicts"]["cp"] == report["verdicts"]["positivity"] == "fail"
+    positivity = report["checks"]["positivity"]
+    assert positivity["source"] == "falsifier"
+    assert positivity["counterexample"]["level"] == 1
+    assert positivity["counterexample"]["min_eigenvalue"] == min_eigenvalue
+    _, explicit = run(capsys, "check", path, "--positivity")
+    assert json.loads(explicit)["checks"]["positivity"] == positivity
 
 
 def test_check_reduces_each_entry_scale_once(tmp_path, capsys, monkeypatch):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from icpmaps import norms
+from icpmaps import multimap, norms, serialize
 from icpmaps.algebra import Algebra, MatrixOverAlgebra
 from icpmaps.factory import point_evaluation_example, random_icp, trace_example
 from icpmaps.multimap import MultilinearMap, amplified_evaluate
@@ -223,3 +223,28 @@ def test_norm_estimate_rejects_negative_iters():
     with pytest.raises(ValueError, match="iters must be >= 0, got -1"):
         norm_estimate(phi, t=1, restarts=1, iters=-1)
     assert norm_estimate(phi, t=1, restarts=1, iters=0).restart_sweeps == [0]
+
+
+@pytest.mark.parametrize(
+    "blocks, k, n, levels, restarts, iters",
+    [
+        ((2,), 3, 2, (1, 2), 8, 20),  # block-n2's `russo-dye --cb --tmax 2`
+        ((2,), 5, 1, (1, 2, 3), 8, 20),  # plain-n1's `russo-dye --cb --tmax 3`
+        ((3,), 4, 1, (1,), 2, 5),  # dilate-wide's `russo-dye --restarts 2 --iters 5`
+    ],
+    ids=["block-n2", "plain-n1", "dilate-wide"],
+)
+def test_reused_operator_buffers_keep_estimate_reports(monkeypatch, blocks, k, n, levels, restarts, iters):
+    block, _ = random_icp(Algebra(list(blocks)), k, n, 2, seed=0)
+    slot_operator, buffered_calls = multimap.ChainGrid.slot_operator, []
+
+    def reports(keep_buffers):
+        def operator(self, t, stacks, slot, out=None):
+            buffered_calls.append(out is not None)
+            return slot_operator(self, t, stacks, slot, out if keep_buffers else None)
+
+        monkeypatch.setattr(multimap.ChainGrid, "slot_operator", operator)
+        return [serialize.dumps(norm_estimate(block, t, restarts, iters, seed=0).to_dict()) for t in levels]
+
+    assert reports(keep_buffers=True) == reports(keep_buffers=False)
+    assert buffered_calls and all(buffered_calls)
