@@ -302,13 +302,16 @@ class ChainGrid:
 
     def operator_batch_rows(self, t: int) -> int:
         """Rows per ``slot_operator`` call of a batch of level-t probes: the
-        longest chain beside an open slot, (tn)^2 d^(k-1) complex scalars a
-        row, and the operator it returns, (tn)^2 d (tnh)^2 a row, so that
-        one ``PROBE_BATCH_BYTES`` rule bounds everything a restart batch
-        holds: 240, 51 and 18 rows at t = 1, 2, 3 for d = 4, k = 5, n = 1,
-        h = 2, and 204 and 15 at t = 1, 2 for d = 4, k = 3, n = 2, h = 2."""
-        t_n = t * self.n
-        return _rows_within_budget(t_n**2 * self.unit_index.shape[0] ** (self.k - 1) + self.operator_size(t))
+        chains after every slot, which a sweep of the ascent forms at its
+        start, (tn)^2 (1 + d + .. + d^(k-1)) complex scalars a row, and the
+        operator, (tn)^2 d (tnh)^2 a row, so that one ``PROBE_BATCH_BYTES``
+        rule bounds everything a restart batch holds (as a sweep goes on,
+        the prefix chain grows no faster than the chains it has used up are
+        dropped): 183, 40 and 15 rows at t = 1, 2, 3 for d = 4, k = 5,
+        n = 1, h = 2, and 192 and 14 at t = 1, 2 for d = 4, k = 3, n = 2,
+        h = 2."""
+        d, t_n = self.unit_index.shape[0], t * self.n
+        return _rows_within_budget(t_n**2 * sum(d**j for j in range(self.k)) + self.operator_size(t))
 
     def operator_size(self, t: int) -> int:
         """Complex scalars of one row's level-t slot operator, (tn)^2 d (tnh)^2."""
@@ -344,28 +347,28 @@ class ChainGrid:
         half = (self.k + 1) // 2
         after = self.unit_index.shape[0] ** (self.k - half)
         # y[r, i, j, s, (c, P'), (u, v)] and suf[r, j, s', (c, P')]
-        y = self._prefix_through_ends(t, stacks[:half]).reshape(-1, n, n, t, t_n * after, h * h)
+        y = self._prefix_through_ends(t, chain_product(stacks[:half], t_n)).reshape(-1, n, n, t, t_n * after, h * h)
         suffix = chain_product(stacks[half:], t_n).reshape(-1, t_n * after, t, n)
         suf = np.ascontiguousarray(suffix.transpose(0, 3, 2, 1))
         # value[r, i, j, s, s', (u, v)]
         value = (suf[:, None, :, None] @ y).reshape(-1, n, n, t, t, h, h)
         return value.transpose(0, 3, 1, 5, 4, 2, 6).reshape(-1, t * n * h, t * n * h)
 
-    def _prefix_rows(self, t: int, stacks: Sequence[np.ndarray]) -> np.ndarray:
-        """Chain of the stacks of the first slots as pre[r, i, (s, c), P],
-        entry (s*n + i, c) of row r's product along the tuple P."""
-        n, t_n = self.n, t * self.n
-        before = self.unit_index.shape[0] ** len(stacks)
-        prefix = chain_product(stacks, t_n).reshape(-1, t, n, before, t_n)
+    def _prefix_rows(self, t: int, prefix: np.ndarray) -> np.ndarray:
+        """The chain of the first slots (``chain_product``) as
+        pre[r, i, (s, c), P], entry (s*n + i, c) of row r's product along the
+        tuple P."""
+        n, t_n, before = self.n, t * self.n, prefix.shape[2]
+        prefix = prefix.reshape(-1, t, n, before, t_n)
         return prefix.transpose(0, 2, 1, 4, 3).reshape(-1, n, t * t_n, before)
 
-    def _prefix_through_ends(self, t: int, stacks: Sequence[np.ndarray]) -> np.ndarray:
-        """The chain of the first slots' stacks contracted with ``ends``, one
-        GEMM per row and grid entry against the shared coefficients:
+    def _prefix_through_ends(self, t: int, prefix: np.ndarray) -> np.ndarray:
+        """The chain of the first slots contracted with ``ends``, one GEMM per
+        row and grid entry against the shared coefficients:
         y[r, i, j, (s, c), (P', u, v)] is the sum over the tuples P of those
         slots of pre[r, i, (s, c), P] times phi_ij's coefficient (u, v) at
         (P, P'), where P' runs over the tuples of the remaining slots."""
-        pre = self._prefix_rows(t, stacks)
+        pre = self._prefix_rows(t, prefix)
         return pre[:, :, None] @ self.ends.reshape(self.n, self.n, pre.shape[-1], -1)
 
     @functools.cached_property
@@ -376,12 +379,15 @@ class ChainGrid:
         return np.ascontiguousarray(self.ends.swapaxes(2, 3))
 
     def slot_operator(
-        self, t: int, stacks: Sequence[np.ndarray], slot: int, out: tuple[np.ndarray, np.ndarray] | None = None
+        self, t: int, prefix: np.ndarray, suffix: np.ndarray, out: tuple[np.ndarray, np.ndarray] | None = None
     ) -> np.ndarray:
         """The values on rows of regrouped stacks as a linear map of the stack
-        in ``slot`` (which is not read): shape (rows, (tn)^2 d, (tnh)^2), such
-        that ``z.reshape(rows, 1, -1) @ op`` is ``value(t, stacks)`` with
-        ``z`` in ``slot``, flattened.
+        in one slot, from the chains before and after it (``chain_product``
+        of the stacks in the slots before and after; the one-row identity at
+        an end): shape (rows, (tn)^2 d, (tnh)^2), such that
+        ``z.reshape(rows, 1, -1) @ op`` is ``value(t, stacks)`` with ``z`` in
+        the slot, flattened.  The slot is the one whose prefix has d^slot
+        tuples; rows broadcast between the two chains.
 
         ``out``, two flat complex arrays of at least the operator's size,
         takes the two operator-sized arrays, the matmul product and its
@@ -390,31 +396,29 @@ class ChainGrid:
         until the next call with the same arrays, and equal to the bit to the
         one built without them.
 
-        The chains before and after the slot are contracted with ``ends``,
-        the longer one first, so no chain over all k slots is formed: entry
-        ((c, q, e), (a, u, b, v)) is the sum over the tuples (P, P') before
-        and after the slot of prefix[a, P, c] suffix[e, P', b] times the
-        coefficient (u, v) of phi_ij at (P, q, P'), with a = s*n + i and
+        The two chains are contracted with ``ends``, the longer one first:
+        entry ((c, q, e), (a, u, b, v)) is the sum over the tuples (P, P')
+        before and after the slot of prefix[a, P, c] suffix[e, P', b] times
+        the coefficient (u, v) of phi_ij at (P, q, P'), with a = s*n + i and
         b = s'*n + j."""
         n, h, t_n = self.n, self.h, t * self.n
         d = self.unit_index.shape[0]
-        before, after = d**slot, d ** (self.k - 1 - slot)
-        suffix = chain_product(stacks[slot + 1 :], t_n).reshape(-1, t_n, after, t, n)
+        before, after = prefix.shape[2], suffix.shape[2]
         # suf[r, j, P', (e, s')]
-        suf = suffix.transpose(0, 4, 2, 1, 3).reshape(-1, n, after, t_n * t)
+        suf = suffix.reshape(-1, t_n, after, t, n).transpose(0, 4, 2, 1, 3).reshape(-1, n, after, t_n * t)
         # each intermediate is dropped as soon as it is used: the batch's
         # temporaries are operator-sized, and a smaller peak page-faults less
         if after >= before:
             # the suffix first: x[r, i, j, (u, v, P, q), (e, s')], then P
             x = self._ends_by_entry.reshape(n, n, -1, after) @ suf[:, None]
             x = x.reshape(-1, n, n, h * h, before, d * t_n * t).transpose(0, 1, 4, 2, 3, 5)
-            op = _matmul(self._prefix_rows(t, stacks[:slot]), x.reshape(-1, n, before, n * h * h * d * t_n * t), out)
+            op = _matmul(self._prefix_rows(t, prefix), x.reshape(-1, n, before, n * h * h * d * t_n * t), out)
             del x
             # op[r, i, s, c, j, u, v, q, e, s']
             op = op.reshape(-1, n, t, t_n, n, h, h, d, t_n, t).transpose(0, 3, 7, 8, 2, 1, 5, 9, 4, 6)
         else:
             # the prefix first: y[r, i, j, (s, c), (q, P', u, v)], then P'
-            y = self._prefix_through_ends(t, stacks[:slot])
+            y = self._prefix_through_ends(t, prefix)
             y = y.reshape(-1, n, n, t * t_n * d, after, h * h).transpose(0, 2, 1, 3, 5, 4)
             op = _matmul(y.reshape(-1, n, n * t * t_n * d * h * h, after), suf, out)
             del y
@@ -429,9 +433,7 @@ class ChainGrid:
             dense = _front(out[1], op.shape)
             np.copyto(dense, op)
             op = dense
-        op = op.reshape(len(op), t_n * d * t_n, (t_n * h) ** 2)
-        # at k = 1 both chains are the one-row identity
-        return np.broadcast_to(op, (max(len(z) for z in stacks), *op.shape[1:]))
+        return op.reshape(len(op), t_n * d * t_n, (t_n * h) ** 2)
 
 
 def _front(buffer: np.ndarray, shape: tuple) -> np.ndarray:

@@ -2,25 +2,27 @@
 attainment checks.
 
 The estimator is an alternating maximization: all slots but one are frozen,
-the value is then linear in the free slot, and the largest singular value
-is ascended by gradient steps (via its singular-vector pair) followed by
-projection onto the operator-norm unit ball of the amplified algebra
-(per-block singular value clip).  The returned value is certified only as a
-LOWER bound of the true supremum; every theorem check here is therefore a
-one-sided inequality with an explicit margin.
+the value is then linear in the free slot, and with the top singular pair
+(u, v) of the value held, Re u^H L(x) v is maximized over the operator-norm
+unit ball of the amplified algebra in closed form, by the polar factor of
+each block of the gradient: the step of the higher-order power method
+(De Lathauwer, De Moor and Vandewalle, SIAM J. Matrix Anal. Appl. 21, 2000).
+The returned value is certified only as a LOWER bound of the true supremum;
+every theorem check here is therefore a one-sided inequality with an
+explicit margin.
 
 The ascent runs on the free slot's linear operator
 (``ChainGrid.slot_operator``), built once per (sweep, slot) from the chains
-before and after the slot: the gradient is one product with it, and so is
-the value of every backtracking candidate, so no chain over all k slots is
-formed between a batch's start and its end.  One full SVD per candidate
-batch gives sigma and the singular pair of the next gradient.  The chain
-kernel evaluates each restart's start and final point, and a restart's
-value is the kernel's sigma at its final point.
+before and after the slot, which each sweep forms once: the gradient is one
+product with it, and so is the candidate's value, so no chain over all k
+slots is formed between a batch's start and its end.  One full SVD of the
+candidate's value gives sigma and the singular pair of the next gradient.
+The chain kernel evaluates each restart's start and final point, and a
+restart's value is the kernel's sigma at its final point.
 
-Restarts ascend in lockstep as rows of batches sized by the longest open
-chain and the slot operator: each step of a sweep is one stacked SVD,
-projection and operator product over the rows still ascending.  Each row is
+Restarts ascend in lockstep as rows of batches sized by the chains a sweep
+holds and the slot operator: each step of a sweep is one stacked operator
+product, polar factor and SVD over the rows still ascending.  Each row is
 its own slice of every stacked operation, so every restart ends where it
 would running alone, bit for bit, and the estimate records per restart its
 value, the sweeps it ran and why it stopped.
@@ -48,14 +50,19 @@ from .algebra import (
 )
 from .blockmap import BlockMultilinearMap, as_block_map
 from .gram import positivity_falsify
-from .multimap import MultilinearMap, amplified_evaluate
+from .multimap import MultilinearMap, amplified_evaluate, chain_product
 from .stinespring import DilationTriple, dilate
 from .tolerances import RELATIVE_MARGIN, V_BOUND_TOL
 
-BACKTRACK_STEPS = 12
 # a step is taken only when it raises sigma by more than this relative amount,
 # so last-bit round-off in the map cannot decide how long the ascent runs
 ASCENT_RTOL = 1e-12
+# singular values of a gradient block at or below this fraction of its largest
+# count as zero in the polar step.  At t >= 2 a block's gradient is often
+# singular, and on its null spaces any contraction maximizes the step's linear
+# part: the SVD would complete them by round-off alone, so the step leaves them
+# out (a partial isometry) and stays a continuous function of the gradient
+POLAR_RANK_RTOL = 1e-12
 
 
 def unit_norm(phi) -> float:
@@ -120,9 +127,6 @@ class _AscentProblem:
             for start in range(0, rows, batch)
         ])
 
-    def project(self, coords: np.ndarray) -> np.ndarray:
-        return self.amp.extract_blocks(project_unit_ball(self.amp.embed_coords(coords)))
-
     def random_starts(self, rngs: Sequence[np.random.Generator]) -> list[np.ndarray]:
         """Each slot's stack of starts: row r of the free slots drawn from
         ``rngs[r]`` as ``random_element`` draws them slot by slot, then
@@ -137,8 +141,12 @@ class _AscentProblem:
 
     def slot_operator(self, mats: Sequence[np.ndarray], slot: int) -> np.ndarray:
         """Each row's value as a linear map of the coordinates in ``slot``,
-        the other slots held at ``mats`` (``ChainGrid.slot_operator``)."""
-        return self.grid.slot_operator(self.t, [self.grid.regroup(x) for x in mats], slot)
+        the other slots held at ``mats`` (``ChainGrid.slot_operator`` on
+        their chains, formed left to right)."""
+        stacks, size = [self.grid.regroup(x) for x in mats], self.t * self.grid.n
+        prefix, suffix = chain_product(stacks[:slot], size), chain_product(stacks[slot + 1 :], size)
+        op = self.grid.slot_operator(self.t, prefix, suffix)
+        return np.broadcast_to(op, (len(mats[slot]), *op.shape[1:]))
 
     def slot_values(self, op: np.ndarray, coords: np.ndarray) -> np.ndarray:
         """Values of each row's operator at its (t, t, dim) slot coordinates."""
@@ -148,23 +156,50 @@ class _AscentProblem:
     def direction(self, op: np.ndarray, u: np.ndarray, vh: np.ndarray) -> np.ndarray:
         """d(sigma)/d(slot coords) of each row as a (rows, t, t, dim) stack
         (ascent direction), from the top singular pair (u, vh) of its value:
-        the conjugate of ``op @ vec(conj(u) conj(vh))``."""
-        rows, t_n = len(op), self.t * self.grid.n
+        the conjugate of ``op @ vec(conj(u) conj(vh))``, so that
+        Re u^H L(x) v is the real inner product of the coordinates of x with
+        it."""
+        rows, t_n = len(u), self.t * self.grid.n
         grad = op @ (u.conj()[:, :, None] * vh.conj()[:, None, :]).reshape(rows, -1, 1)
         return self.grid.ungroup(np.conj(grad).reshape(rows, t_n, -1, t_n))
+
+    def polar(self, direction: np.ndarray) -> np.ndarray:
+        """A point of the unit ball of M_t(A) that maximizes the real inner
+        product with each row of ``direction``, where the maximum is the sum
+        of the blocks' singular values: the polar factor U_r V_r^H of each
+        block on the singular pairs above ``POLAR_RANK_RTOL`` times its
+        largest singular value."""
+        blocks = []
+        for blk in self.amp.embed_coords(direction):
+            u, s, vh = np.linalg.svd(blk)
+            kept = s > POLAR_RANK_RTOL * s[..., :1]
+            blocks.append((u * kept[..., None, :]) @ vh)
+        return self.amp.extract_blocks(blocks)
 
     def ascend(self, restarts: range, seed: int, iters: int) -> tuple:
         """Ascend the restarts in lockstep, one row each, until each one
         stops: a row leaves the batch after a sweep that accepted no step.
-        Each (sweep, free slot) builds the slot operator of the rows still
-        ascending once, in two buffers the batch reuses; the gradient and
-        every backtrack candidate's value are products with it, and one full
-        SVD per candidate batch gives sigma and the singular pair of the next
-        gradient.  The kernel runs only at the starts and at the final points,
-        whose sigma is the restart's value.  Returns each slot's stack and,
-        per row, sigma, the sweeps run and the stop reason."""
+
+        Each (sweep, free slot) holds the top singular pair (u, v) of the
+        value and steps the slot to the polar factor of its gradient, the
+        maximizer of Re u^H L(x) v over the unit ball: the step of the
+        higher-order power method.  The step is taken where it raises sigma
+        by more than ``ASCENT_RTOL``; it never lowers sigma beyond round-off,
+        as sigma(new) >= Re u^H L(new) v = |gradient|_nuclear >= sigma(old).
+        The slot operator of the rows still ascending is built once per
+        (sweep, slot) in two buffers the batch reuses, from the chains
+        beside the slot: a sweep forms the chains after each slot once,
+        right to left, and extends one chain before the slot after each
+        slot's step, 2(k - 1) chains a sweep, where rebuilding both chains
+        beside each slot from the stacks formed k(k - 1).  The gradient and the
+        candidate's value are products with the operator, and one full SVD
+        of the candidate's value gives sigma and the singular pair of the
+        next gradient.  The kernel runs only at the starts and at the final
+        points, whose sigma is the restart's value.  Returns each slot's
+        stack and, per row, sigma, the sweeps run and the stop reason."""
+        k, size = self.block.k, self.t * self.grid.n
         mats = self.random_starts([np.random.default_rng([seed, r]) for r in restarts])
-        # the slot operator reads regrouped stacks: each slot is regrouped once here,
+        # the chains read regrouped stacks: each slot is regrouped once here,
         # and afterwards only the rows of the slot that moved
         grouped = [self.grid.regroup(x) for x in mats]
         u, s, vh = np.linalg.svd(self.value(mats))
@@ -174,33 +209,43 @@ class _AscentProblem:
         # the slot operator's two operator-sized arrays, reused by every (sweep, slot):
         # a fresh pair each step would page-fault anew once no large free has raised
         # the allocator's threshold for mapping fresh pages
-        size = len(restarts) * self.grid.operator_size(self.t)
-        out = (np.empty(size, dtype=np.complex128), np.empty(size, dtype=np.complex128))
+        operator_size = len(restarts) * self.grid.operator_size(self.t)
+        out = (np.empty(operator_size, dtype=np.complex128), np.empty(operator_size, dtype=np.complex128))
+        first = self.free[0] if self.free else k
         for _ in range(iters):
             if not len(ascending):
                 break
             sweeps[ascending] += 1
             improved = np.zeros(len(restarts), dtype=bool)
-            for slot in self.free:
-                op = self.grid.slot_operator(self.t, [x[ascending] for x in grouped], slot, out=out)
-                direction = self.direction(op, u[ascending], vh[ascending])
-                pending, step = np.arange(len(ascending)), 1.0
-                for _ in range(BACKTRACK_STEPS):
-                    rows = ascending[pending]
-                    cand = self.project(mats[slot][rows] + step * direction[pending])
+            stacks = [x[ascending] for x in grouped]
+            # the chains after the free slots, from the stacks at the sweep's start,
+            # which a step leaves as they are after its slot: the last one first,
+            # each extended on the left; the chain before a slot is extended on the
+            # right after its step, so each chain holds the slots' current stacks
+            suffixes = [chain_product([], size)]
+            for slot in range(k - 1, first, -1):
+                suffixes.append(chain_product([stacks[slot], suffixes[-1]], size) if slot < k - 1 else stacks[slot])
+            prefix = chain_product(stacks[:first], size)
+            for slot in range(first, k):
+                suffix = suffixes.pop()
+                if slot not in self.pinned:
+                    op = self.grid.slot_operator(self.t, prefix, suffix, out=out)
+                    cand = self.polar(self.direction(op, u[ascending], vh[ascending]))
                     cand_u, cand_s, cand_vh = np.linalg.svd(self.slot_values(op, cand))
-                    up = cand_s[:, 0] > sigma[rows] * (1.0 + ASCENT_RTOL)
-                    taken = rows[up]
+                    up = cand_s[:, 0] > sigma[ascending] * (1.0 + ASCENT_RTOL)
+                    taken = ascending[up]
                     if len(taken):
+                        moved = self.grid.regroup(cand[up])
                         mats[slot][taken] = cand[up]
-                        grouped[slot][taken] = self.grid.regroup(cand[up])
+                        grouped[slot][taken] = moved
+                        stacks[slot][up] = moved
                     sigma[taken], u[taken], vh[taken] = cand_s[up, 0], cand_u[up, :, 0], cand_vh[up, 0]
                     improved[taken] = True
-                    # the operator keeps the rows still backtracking
-                    pending, op = pending[~up], op[~up]
-                    if not len(pending):
-                        break
-                    step /= 2.0
+                # the used chain goes before the prefix grows, so a batch holds no
+                # more than ``operator_batch_rows`` counts
+                del suffix
+                if slot < k - 1:
+                    prefix = chain_product([prefix, stacks[slot]], size) if slot else stacks[0]
             ascending = ascending[improved[ascending]]
         stops = np.full(len(restarts), "converged", dtype=object)
         stops[ascending] = "iters"
@@ -231,10 +276,13 @@ def norm_estimate(
     doubling ``restarts`` never decreases the returned value.
 
     Restarts run as rows of batches of ``ChainGrid.operator_batch_rows(t)``,
-    sized so that the longest open chain and the slot operator of every row
-    fit in ``multimap.PROBE_BATCH_BYTES`` (1 MiB): the default 8 restarts of
-    ``russo-dye --cb`` ascend as one batch on `--algebra 2 --k 5 --n 1 --h 2`
-    up to t = 3, where 18 rows fit.  Each row is its own slice of every
+    sized so that the chains a sweep holds and the slot operator of every
+    row fit in ``multimap.PROBE_BATCH_BYTES`` (1 MiB): the default 8
+    restarts of ``russo-dye --cb`` ascend as one batch on
+    `--algebra 2 --k 5 --n 1 --h 2` up to t = 3, where 15 rows fit.  Each
+    (sweep, free slot) steps to the polar factor of the gradient and keeps
+    the step where it raises sigma by more than ``ASCENT_RTOL``; a restart
+    stops after a sweep with no step.  Each row is its own slice of every
     batched operation, so every restart ends where it would running alone,
     bit for bit.  A restart's value is the kernel's sigma at its final
     point, so the witness evaluates to the estimate exactly.

@@ -9,7 +9,7 @@ from icpmaps import multimap, norms
 from icpmaps.algebra import Algebra, MatrixOverAlgebra, amplified_algebra
 from icpmaps.blockmap import BlockMultilinearMap
 from icpmaps.gram import positivity_falsify
-from icpmaps.multimap import AMPLIFY_SIZE_LIMIT, MultilinearMap, amplified_evaluate
+from icpmaps.multimap import AMPLIFY_SIZE_LIMIT, MultilinearMap, amplified_evaluate, chain_product
 
 # Induced coefficient tensors above this many scalars make the oracle too slow.
 ORACLE_SIZE = 2 * 10**6
@@ -125,9 +125,11 @@ def test_slot_operator_in_reused_buffers_keeps_every_bit(n, levels, k):
             kept = np.arange(rows)
             for slot in range(k):
                 part = [z[kept] for z in stacks]
-                got = grid.slot_operator(t, part, slot, out=out)
-                want = grid.slot_operator(t, part, slot)
-                assert got.shape == want.shape == (rows, (t * n) ** 2 * 5, (t * n * 2) ** 2)
+                chains = chain_product(part[:slot], t * n), chain_product(part[slot + 1 :], t * n)
+                got = grid.slot_operator(t, *chains, out=out)
+                want = grid.slot_operator(t, *chains)
+                # at k = 1 both chains are the one-row identity, and so is the operator
+                assert got.shape == want.shape == (rows if k > 1 else 1, (t * n) ** 2 * 5, (t * n * 2) ** 2)
                 assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
 
 
@@ -174,13 +176,13 @@ def test_falsifier_and_estimator_never_build_the_induced_map(monkeypatch):
 
 def test_ascent_evaluates_each_point_once(monkeypatch):
     """Kernel rows only at each restart's start and final point, and one
-    slot-operator row per projected candidate; no chain, in the kernel or
+    slot-operator row per polar candidate; no chain, in the kernel or
     outside it, runs over all k slots."""
     block = random_grid(Algebra([2]), 2, 3, 1, np.random.default_rng(5))
-    rows = {"kernel": 0, "operator": 0, "project": 0}
+    rows = {"kernel": 0, "operator": 0, "polar": 0}
     chains, calls = [], []
     kernel, chain_product = norms.amplified_evaluate, multimap.chain_product
-    slot_values, project = norms._AscentProblem.slot_values, norms._AscentProblem.project
+    slot_values, polar = norms._AscentProblem.slot_values, norms._AscentProblem.polar
 
     def counted_kernel(*args):
         value = kernel(*args)
@@ -189,28 +191,32 @@ def test_ascent_evaluates_each_point_once(monkeypatch):
         return value
 
     def counted_chain(stacks, size):
-        chains.append(len(stacks))
-        return chain_product(stacks, size)
+        # the ascent extends chains by one stack at a time, so a chain's
+        # slots are read off its d^slots basis tuples
+        chain = chain_product(stacks, size)
+        chains.append(round(np.log(chain.shape[2]) / np.log(block.algebra.dim)))
+        return chain
 
     def counted_values(self, op, coords):
         rows["operator"] += len(coords)
         return slot_values(self, op, coords)
 
-    def counted_project(self, coords):
-        rows["project"] += len(coords)
-        return project(self, coords)
+    def counted_polar(self, direction):
+        rows["polar"] += len(direction)
+        return polar(self, direction)
 
     monkeypatch.setattr(norms, "amplified_evaluate", counted_kernel)
     monkeypatch.setattr(multimap, "chain_product", counted_chain)
+    monkeypatch.setattr(norms, "chain_product", counted_chain)
     monkeypatch.setattr(norms._AscentProblem, "slot_values", counted_values)
-    monkeypatch.setattr(norms._AscentProblem, "project", counted_project)
+    monkeypatch.setattr(norms._AscentProblem, "polar", counted_polar)
     restarts = 2
     est = norms.norm_estimate(block, t=2, restarts=restarts, iters=3, seed=0)
-    assert rows["project"] > 0
-    assert rows["operator"] == rows["project"]
+    assert rows["polar"] > 0
+    assert rows["operator"] == rows["polar"]
     # one batch: a kernel call at its start and one at its end
     assert calls == [restarts, restarts]
-    assert max(chains) < block.k
+    assert chains and max(chains) < block.k
     monkeypatch.undo()
     assert np.linalg.norm(amplified_evaluate(block, 2, est.witness), 2) == est.value
 

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from icpmaps import multimap, norms, serialize
-from icpmaps.algebra import Algebra, MatrixOverAlgebra
+from icpmaps.algebra import Algebra, MatrixOverAlgebra, gaussian_blocks, project_unit_ball
+from icpmaps.blockmap import BlockMultilinearMap, as_block_map
+from icpmaps.cli import build_parser
 from icpmaps.factory import point_evaluation_example, random_icp, trace_example
 from icpmaps.multimap import MultilinearMap, amplified_evaluate
 from icpmaps.norms import (
@@ -14,6 +16,7 @@ from icpmaps.norms import (
     unit_norm,
 )
 from icpmaps.factory import commutative_invariant_family
+from icpmaps.tolerances import RELATIVE_MARGIN
 
 
 def test_trace_estimate_converges_to_unit_norm():
@@ -46,6 +49,65 @@ def test_witness_reproduces_value_and_stays_in_ball():
 
     amp = amplified_algebra(phi.algebra, 2)
     assert all(nrm <= 1.0 + 1e-10 for nrm in est.witness_norms(amp))
+
+
+@pytest.mark.parametrize("blocks", [[2], [2, 1], [1, 1, 1]], ids=str)
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("n, h", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_polar_step_maximizes_the_linear_part(blocks, k, n, h):
+    # with the value's top singular pair (u, v) held, the polar step lands on
+    # the maximum of Re u^H L(x) v over the unit ball, the nuclear norm of the
+    # gradient, which is at least sigma at the old point: sigma cannot fall
+    alg, rng = Algebra(blocks), np.random.default_rng([k, n, h, len(blocks)])
+    shape = (alg.dim,) * k + (h, h)
+    block = BlockMultilinearMap([
+        [MultilinearMap(alg, k, h, rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) for _ in range(n)]
+        for _ in range(n)
+    ])
+    for t in (1, 2):
+        problem = norms._AscentProblem(block, t, {})
+        amp, rows = problem.amp, 3
+        mats = problem.random_starts([np.random.default_rng([t, r]) for r in range(rows)])
+        for slot in range(k):
+            u, s, vh = np.linalg.svd(problem.value(mats))
+            sigma, u, vh = s[:, 0], u[:, :, 0], vh[:, 0]
+            op = problem.slot_operator(mats, slot)
+            direction = problem.direction(op, u, vh)
+            step = problem.polar(direction)
+
+            def linear(op, x, u, vh):
+                # Re u^H L(x) v, one value per row of x
+                return (u.conj()[..., None, :] @ problem.slot_values(op, x) @ vh.conj()[..., :, None])[:, 0, 0].real
+
+            nuclear = sum(np.linalg.svd(b, compute_uv=False).sum(axis=-1) for b in amp.embed_coords(direction))
+            reached = linear(op, step, u, vh)
+            assert np.all(np.abs(reached - nuclear) <= 1e-12 * nuclear)
+            normals = np.random.default_rng([k, n, h, t, slot]).standard_normal((200, 2 * amp.algebra.dim))
+            points = amp.extract_blocks(project_unit_ball(gaussian_blocks(amp.algebra, normals)))
+            for row in range(rows):
+                assert linear(op[row], points, u[row], vh[row]).max() <= reached[row] * (1 + 1e-12)
+            moved = np.linalg.norm(problem.slot_values(op, step), 2, axis=(1, 2))
+            assert np.all(reached >= sigma * (1 - 1e-12))
+            assert np.all(moved >= reached * (1 - 1e-12))
+            mats[slot] = step
+        est = norm_estimate(block, t=t, restarts=3, iters=5, seed=0)
+        assert max(est.witness_norms(amp)) <= 1 + 1e-12
+
+
+@pytest.mark.parametrize("k, n, t_max", [(5, 1, 3), (3, 2, 2)], ids=["plain", "grid3"])
+def test_cb_estimates_reach_the_unit_value_on_certified_maps(k, n, t_max):
+    # `russo-dye --cb` at its default restarts and sweeps, on the specs of the
+    # CI's estimator witness steps (`gen dilation --algebra 2 --k 5 --n 1 --h 2`
+    # at --tmax 3 and `--k 3 --n 2 --h 2` at --tmax 2, seed 0): by the theorem the
+    # cb norm is the unit value, and every level's estimate comes within
+    # RELATIVE_MARGIN of it from below
+    args = build_parser().parse_args(["russo-dye", "map.json", "--cb", "--tmax", str(t_max)])
+    spec = {"kind": "dilation", "algebra": {"blocks": [2]}, "k": k, "n": n, "h": 2, "seed": 0}
+    block = as_block_map(serialize.load_map_spec(spec))
+    report = cb_russo_dye_check(block, t_max=args.tmax, restarts=args.restarts, iters=args.iters, seed=args.seed)
+    assert report.passed and len(report.estimates) == t_max
+    for est in report.estimates:
+        assert (report.unit_norm - est.value) / report.unit_norm <= RELATIVE_MARGIN
 
 
 def test_estimate_monotone_in_restarts():
@@ -152,14 +214,14 @@ def test_ascent_length_ignores_last_bit_round_off(seed, monkeypatch):
     noise = np.random.default_rng(seed).standard_normal(phi.coeffs.shape)
     nudged = MultilinearMap(phi.algebra, phi.k, phi.h, phi.coeffs * (1 + 1e-15 * noise))
     calls = []
-    project = norms._AscentProblem.project
+    polar = norms._AscentProblem.polar
 
-    def counted(self, coords):
+    def counted(self, direction):
         # one row per candidate the ascent tries
-        calls.extend([1] * len(coords))
-        return project(self, coords)
+        calls.extend([1] * len(direction))
+        return polar(self, direction)
 
-    monkeypatch.setattr(norms._AscentProblem, "project", counted)
+    monkeypatch.setattr(norms._AscentProblem, "polar", counted)
     for t in (1, 2):
         runs = []
         for psi in (phi, nudged):
@@ -181,10 +243,12 @@ def test_restart_sweeps_and_stops_are_reported():
     rng = np.random.default_rng(2)
     coeffs = rng.standard_normal((5, 5, 1, 1)) + 1j * rng.standard_normal((5, 5, 1, 1))
     phi = MultilinearMap(Algebra([2, 1]), 2, 1, coeffs)
-    est = norm_estimate(phi, t=1, restarts=4, iters=50, seed=0)
-    # restarts 0 and 2 still climb after 50 sweeps; 1 and 3 stop on a sweep with no step
-    assert est.restart_sweeps == [50, 45, 50, 46]
-    assert est.restart_stops == ["iters", "converged", "iters", "converged"]
+    est = norm_estimate(phi, t=1, restarts=4, iters=32, seed=0)
+    # each polar step lands on its slot's exact maximizer, so every restart
+    # stops within 34 sweeps (the backtracking step still climbed after 50):
+    # restart 0 still climbs after 32 sweeps; 1-3 stop on a sweep with no step
+    assert est.restart_sweeps == [32, 30, 29, 29]
+    assert est.restart_stops == ["iters", "converged", "converged", "converged"]
     report = est.to_dict()
     assert report["restart_values"] == est.restart_values and len(est.restart_values) == 4
     assert report["restart_sweeps"] == est.restart_sweeps
@@ -239,9 +303,9 @@ def test_reused_operator_buffers_keep_estimate_reports(monkeypatch, blocks, k, n
     slot_operator, buffered_calls = multimap.ChainGrid.slot_operator, []
 
     def reports(keep_buffers):
-        def operator(self, t, stacks, slot, out=None):
+        def operator(self, t, prefix, suffix, out=None):
             buffered_calls.append(out is not None)
-            return slot_operator(self, t, stacks, slot, out if keep_buffers else None)
+            return slot_operator(self, t, prefix, suffix, out if keep_buffers else None)
 
         monkeypatch.setattr(multimap.ChainGrid, "slot_operator", operator)
         return [serialize.dumps(norm_estimate(block, t, restarts, iters, seed=0).to_dict()) for t in levels]
